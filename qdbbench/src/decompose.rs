@@ -4,10 +4,10 @@
 //! The parts are the plan compile (`qdb-circuit`), the ideal sweep walk
 //! (`qdb-core` engine over the `qdb-sim` kernels), the ensemble draw
 //! (`qdb-sim` sampler), the statistical test and the exact oracle
-//! (`qdb-core::checker` over `qdb-stats`). For ideal sessions the
+//! (`qdb-core::checker` over `qdb-stats`). For dense ideal sessions the
 //! re-executed tests must reproduce the session's p-values and
 //! statistics bit for bit: that is what shows the split measures the
-//! same work.
+//! same work. Every session must reproduce its exact verdicts.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,17 +101,6 @@ pub fn route(job: &Job) -> Route {
     }
 }
 
-/// The runner's per-shot stream seed for non-dense ensembles
-/// (SplitMix64 over `(seed, breakpoint, shot)`).
-fn shot_seed(seed: u64, breakpoint: u64, shot: u64) -> u64 {
-    let mut z = seed
-        ^ breakpoint.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ shot.wrapping_mul(0xD134_2543_DE82_EF95);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn breakpoint_qubits(kind: &BreakpointKind) -> Vec<usize> {
     match kind {
         BreakpointKind::Classical { register, .. } | BreakpointKind::Superposition { register } => {
@@ -160,7 +149,7 @@ pub struct Split {
     /// The walk's work counters.
     pub counters: WalkCounters,
     /// Mismatches between re-executed tests and the session's reports
-    /// (ideal sessions only).
+    /// (tests of dense ideal sessions; exact verdicts of every session).
     pub mismatches: Vec<String>,
     /// Span of the walk (its children are the per-breakpoint parts).
     pub walk_span: usize,
@@ -221,24 +210,20 @@ fn walk<B: Walked>(
         // A noisy session draws its ensemble inside the trajectory tree;
         // here the draw and the test run on the ideal state at the same
         // shot count, which is the same amount of work.
+        // Off the dense backend the draws come from one stream of their
+        // own: the same number of `sample_once` calls as the session
+        // makes, though not the session's outcomes.
         let sample = tracer.open(session, "sim.sample", Some(walk_span));
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
         let outcomes: Vec<u64> = match state.dense() {
             Some(dense) => {
-                let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
                 sampler.rebuild(dense);
                 sampler.sample_many(&mut rng, config.shots)
             }
             None => {
                 let qubits = breakpoint_qubits(&bp.kind);
                 (0..config.shots)
-                    .map(|shot| {
-                        let mut rng = StdRng::seed_from_u64(shot_seed(
-                            config.seed,
-                            index as u64,
-                            shot as u64,
-                        ));
-                        state.sample_once(&qubits, &mut rng)
-                    })
+                    .map(|_| state.sample_once(&qubits, &mut rng))
                     .collect()
             }
         };
@@ -254,10 +239,11 @@ fn walk<B: Walked>(
             exact_verdict_on(&bp.kind, state, config.exact_tol)
         });
         out.counters = state.counters();
-        // Noisy sessions test noisy ensembles; only the exact verdict,
-        // taken from the ideal state, is comparable there.
+        // Noisy sessions test noisy ensembles, and the draws above
+        // differ from the session's off the dense backend; only the
+        // exact verdict, taken from the ideal state, is comparable there.
         let report = &reports[index];
-        let same_test = !ideal
+        let same_test = !(ideal && state.dense().is_some())
             || (outcome.p_value.to_bits() == report.p_value.to_bits()
                 && outcome.statistic.to_bits() == report.statistic.to_bits()
                 && outcome.verdict == report.verdict);

@@ -28,33 +28,6 @@ pub fn cpu_time_ms() -> f64 {
     }
 }
 
-/// Fix glibc's mmap threshold at its documented default of 128 KiB.
-///
-/// By default glibc raises the threshold each time it frees a large
-/// mapped block, after which state-sized buffers come from the heap,
-/// whose fragmentation makes the peak resident set grow with run length
-/// and differ by a buffer between identical runs. With the threshold
-/// fixed, every buffer of 128 KiB or more is mapped on allocation and
-/// unmapped on free, so `peak_rss_mb` reads the largest working set.
-/// Call it once, before any other thread starts.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-pub fn pin_mmap_threshold() {
-    const M_MMAP_THRESHOLD: i32 = -3;
-    extern "C" {
-        fn mallopt(param: i32, value: i32) -> i32;
-    }
-    // SAFETY: `mallopt` is glibc's allocator-tuning entry point. It takes
-    // two plain ints, only changes allocator parameters, and is called
-    // before this process spawns any thread.
-    unsafe {
-        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-    }
-}
-
-/// Other C libraries keep their own allocation policy.
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-pub fn pin_mmap_threshold() {}
-
 /// Peak resident set size of this process (`VmHWM`), in MiB.
 #[must_use]
 pub fn peak_rss_mb() -> f64 {

@@ -138,7 +138,7 @@ impl Drop for Ready {
 fn set_up(workload: Workload, seed: u64) -> Result<(Ready, f64), String> {
     let start = Instant::now();
     let generator = Generator::new(workload, seed);
-    let warm = generator.job(0);
+    let warm = generator.warm_up();
     let server = (workload == Workload::PaperMix).then(|| {
         Server::start(
             ServerConfig::default()
@@ -178,8 +178,11 @@ fn measure(ready: &Ready, seed: u64, seconds: f64) -> Window {
     }
 }
 
+/// Latencies in session order.
 fn latencies_ms(sessions: &[SessionResult]) -> Vec<f64> {
-    sessions
+    let mut by_index: Vec<&SessionResult> = sessions.iter().collect();
+    by_index.sort_by_key(|s| s.index);
+    by_index
         .iter()
         .map(|s| s.latency_s * 1e3)
         .filter(|v| v.is_finite())
@@ -188,7 +191,7 @@ fn latencies_ms(sessions: &[SessionResult]) -> Vec<f64> {
 
 fn end_to_end(window: &Window, setups: &[f64]) -> Vec<Metric> {
     let lat = latencies_ms(&window.sessions);
-    let tail = stats::tail(&lat);
+    let tail = stats::blocked_tail(&lat);
     let attempted = window.sessions.len().max(1) as f64;
     let ok = window.ok() as f64;
     let mut out = vec![
@@ -206,7 +209,8 @@ fn end_to_end(window: &Window, setups: &[f64]) -> Vec<Metric> {
         },
         Metric {
             note: format!(
-                "p{:.2}, n={}, {} samples beyond; p90 {:.3}, p99 {:.3}, max {:.3}",
+                "median over blocks of p{:.2}, n={}, {} samples beyond in each block; \
+                 p90 {:.3}, p99 {:.3}, max {:.3}",
                 tail.percentile,
                 lat.len(),
                 tail.beyond,
@@ -420,6 +424,35 @@ fn split_session(
     }
 }
 
+/// Summed latency of the same sessions with and without tracing.
+#[derive(Default)]
+struct Overhead {
+    traced_ms: f64,
+    untraced_ms: f64,
+    sessions: usize,
+}
+
+/// Run session `index` as the `core.session` span, and once more as a
+/// plain direct call for the tracing overhead; which of the two runs
+/// first alternates, so neither always finds the caches warm. Returns
+/// the span and the traced call's result.
+fn traced_call(
+    tracer: &mut Tracer,
+    index: u64,
+    job: &workloads::Job,
+    overhead: &mut Overhead,
+) -> (usize, SessionResult) {
+    let plain = index.is_multiple_of(2).then(|| run_direct(index, job));
+    let root = tracer.open(index, "core.session", None);
+    let result = run_direct(index, job);
+    let traced_ns = tracer.close(root);
+    let plain = plain.unwrap_or_else(|| run_direct(index, job));
+    overhead.traced_ms += traced_ns as f64 / 1e6;
+    overhead.untraced_ms += plain.latency_s * 1e3;
+    overhead.sessions += 1;
+    (root, result)
+}
+
 fn run_traced(args: &Args) -> Result<Outcome, String> {
     let third = args.seconds / 3.0;
     let untraced = {
@@ -434,6 +467,7 @@ fn run_traced(args: &Args) -> Result<Outcome, String> {
     let mut tracer = Tracer::new();
     let dispatch = microbench::measure();
     let mut decomposed = Vec::new();
+    let mut overhead = Overhead::default();
     let traced: Window;
     let start = Instant::now();
     match &ready.server {
@@ -465,9 +499,8 @@ fn run_traced(args: &Args) -> Result<Outcome, String> {
                     break;
                 }
                 let job = ready.generator.job(result.index);
-                let root = tracer.open(result.index, "core.session", None);
-                let solo = run_direct(result.index, &job);
-                let solo_ms = tracer.close(root) as f64 / 1e6;
+                let (root, solo) = traced_call(&mut tracer, result.index, &job, &mut overhead);
+                let solo_ms = tracer.spans()[root].duration_ns() as f64 / 1e6;
                 if solo.hash() != result.hash() {
                     errors.push(format!(
                         "{}: session {} differs between server and direct call",
@@ -487,9 +520,7 @@ fn run_traced(args: &Args) -> Result<Outcome, String> {
             let mut index = 0;
             while start.elapsed().as_secs_f64() < 2.0 * third {
                 let job = ready.generator.job(index);
-                let root = tracer.open(index, "core.session", None);
-                let result = run_direct(index, &job);
-                tracer.close(root);
+                let (root, result) = traced_call(&mut tracer, index, &job, &mut overhead);
                 if let Some(spans) =
                     split_session(&mut tracer, index, root, &job, &result, &mut errors)
                 {
@@ -522,7 +553,7 @@ fn run_traced(args: &Args) -> Result<Outcome, String> {
             "traced digest {b:016x} != untraced digest {a:016x} over {common} sessions"
         ));
     }
-    let metrics = per_layer(&tracer, &decomposed, &dispatch, &untraced, &traced);
+    let metrics = per_layer(&tracer, &decomposed, &dispatch, &overhead, &traced);
     let attempted = untraced.sessions.len() + traced.sessions.len();
     Ok(Outcome {
         metrics,
@@ -540,7 +571,7 @@ fn per_layer(
     tracer: &Tracer,
     sessions: &[SessionSpans],
     dispatch: &[microbench::DispatchRow],
-    untraced: &Window,
+    overhead: &Overhead,
     traced: &Window,
 ) -> Vec<Metric> {
     let spans = tracer.spans();
@@ -631,17 +662,11 @@ fn per_layer(
         None => (0.0, 0.0, 0.0, 0.0),
     };
     let waits: Vec<f64> = sessions.iter().filter_map(|s| s.queue_wait_ms).collect();
-    // The same sessions, traced and untraced: compare their summed
-    // latencies over the sessions both passes ran.
-    let common = untraced.sessions.len().min(traced.sessions.len()) as u64;
-    let summed = |w: &Window| -> f64 {
-        w.sessions
-            .iter()
-            .filter(|s| s.index < common)
-            .map(|s| s.latency_s * 1e3)
-            .sum()
-    };
-    let (untraced_ms, traced_ms) = (summed(untraced), summed(traced));
+    let Overhead {
+        traced_ms,
+        untraced_ms,
+        sessions: paired,
+    } = overhead;
     let zero = dispatch[0];
 
     let dispatch_note = dispatch
@@ -766,8 +791,8 @@ fn per_layer(
         },
         Metric {
             note: format!(
-                "latency summed over the first {common} sessions: traced {traced_ms:.3} ms, \
-                 untraced {untraced_ms:.3} ms"
+                "latency summed over {paired} sessions, each run as a span and as a plain \
+                 direct call: traced {traced_ms:.3} ms, untraced {untraced_ms:.3} ms"
             ),
             ..metric(
                 "trace.overhead_pct",
@@ -809,7 +834,6 @@ fn json_line(correct: bool, attempted: usize, failed: usize, metrics: &[Metric])
 }
 
 fn main() -> ExitCode {
-    host::pin_mmap_threshold();
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
