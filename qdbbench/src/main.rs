@@ -191,7 +191,17 @@ fn latencies_ms(sessions: &[SessionResult]) -> Vec<f64> {
 
 fn end_to_end(window: &Window, setups: &[f64]) -> Vec<Metric> {
     let lat = latencies_ms(&window.sessions);
-    let tail = stats::blocked_tail(&lat);
+    let p50 = stats::quiet_window(&lat, stats::median, |m| *m);
+    let tail = stats::quiet_window(&lat, stats::tail, |t| t.value);
+    let windowed = if lat.len() > stats::WINDOW {
+        format!(
+            "the 10th-percentile window of {} sessions, n={}",
+            stats::WINDOW,
+            lat.len()
+        )
+    } else {
+        format!("n={}", lat.len())
+    };
     let attempted = window.sessions.len().max(1) as f64;
     let ok = window.ok() as f64;
     let mut out = vec![
@@ -204,15 +214,14 @@ fn end_to_end(window: &Window, setups: &[f64]) -> Vec<Metric> {
             ..metric("sessions_per_s", ok / window.wall_s, "1/s")
         },
         Metric {
-            note: format!("n={}", lat.len()),
-            ..metric("latency_p50_ms", stats::median(&lat), "ms")
+            note: format!("{windowed}; whole run {:.3}", stats::median(&lat)),
+            ..metric("latency_p50_ms", p50, "ms")
         },
         Metric {
             note: format!(
-                "median over blocks of p{:.2}, n={}, {} samples beyond in each block; \
+                "p{:.2} with {} samples beyond, {windowed}; whole run: \
                  p90 {:.3}, p99 {:.3}, max {:.3}",
                 tail.percentile,
-                lat.len(),
                 tail.beyond,
                 stats::percentile(&lat, 90.0),
                 stats::percentile(&lat, 99.0),

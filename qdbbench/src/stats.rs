@@ -70,39 +70,41 @@ pub fn tail(values: &[f64]) -> Tail {
     }
 }
 
-/// Blocks of [`blocked_tail`], for windows of at least
-/// `TAIL_BLOCKS × TAIL_MIN_BLOCK` samples.
-pub const TAIL_BLOCKS: usize = 4;
-/// Fewest samples per block.
-pub const TAIL_MIN_BLOCK: usize = 100;
+/// Samples per window of [`quiet_window`].
+pub const WINDOW: usize = 100;
+/// Samples between the starts of consecutive windows.
+pub const WINDOW_STEP: usize = 10;
 
-/// The tail rule over [`TAIL_BLOCKS`] consecutive blocks of equal size
-/// (the remainder spread over them), and the median of the blocks'
-/// values and percentiles.
+/// `per_window` over every window of [`WINDOW`] consecutive samples
+/// (windows start [`WINDOW_STEP`] samples apart and overlap), and the
+/// result of the window at the 10th percentile of `key`: the run's
+/// least disturbed tenth. A run shorter than one window is one window.
 ///
-/// One tail over a long window sits at a percentile so high that its ten
-/// samples beyond are a few pile-ups of long sessions, and how many a
-/// run meets varies by more than a quarter from run to run; the median
-/// of several blocks' tails does not. A fixed block count keeps the
-/// percentile the same whatever the window's exact length. Windows
-/// shorter than `TAIL_BLOCKS × TAIL_MIN_BLOCK` get the plain rule.
+/// Other tenants of a shared host slow it in spells of seconds to
+/// minutes, and a slow spell makes queueing sessions wait longer still.
+/// Over a whole run, or as a median over its parts, a spell that covers
+/// half the run moves the latencies by half or more; a quiet tenth of
+/// the run reads the same as a run without spells. A change that slows
+/// every session moves every window and is seen; disturbances that hit
+/// fewer than nine in ten windows, the program's own included, are not
+/// (the run's p90, p99 and maximum are printed beside the metric).
 #[must_use]
-pub fn blocked_tail(values_in_order: &[f64]) -> Tail {
+pub fn quiet_window<T>(
+    values_in_order: &[f64],
+    per_window: impl Fn(&[f64]) -> T,
+    key: impl Fn(&T) -> f64,
+) -> T {
     let n = values_in_order.len();
-    let blocks = if n >= TAIL_BLOCKS * TAIL_MIN_BLOCK {
-        TAIL_BLOCKS
-    } else {
-        1
-    };
-    let tails: Vec<Tail> = (0..blocks)
-        .map(|b| tail(&values_in_order[b * n / blocks..(b + 1) * n / blocks]))
-        .collect();
-    let of = |f: fn(&Tail) -> f64| median(&tails.iter().map(f).collect::<Vec<_>>());
-    Tail {
-        value: of(|t| t.value),
-        percentile: of(|t| t.percentile),
-        beyond: tails.iter().map(|t| t.beyond).min().unwrap_or(0),
+    if n <= WINDOW {
+        return per_window(values_in_order);
     }
+    let mut windows: Vec<T> = (0..=n - WINDOW)
+        .step_by(WINDOW_STEP)
+        .map(|start| per_window(&values_in_order[start..start + WINDOW]))
+        .collect();
+    windows.sort_by(|a, b| key(a).total_cmp(&key(b)));
+    let at = windows.len() / 10;
+    windows.swap_remove(at)
 }
 
 fn sorted(values: &[f64]) -> Vec<f64> {
@@ -150,18 +152,21 @@ mod tests {
     }
 
     #[test]
-    fn blocked_tail_is_the_median_of_the_blocks_tails() {
-        // Short windows get the plain rule.
-        assert_eq!(blocked_tail(&ramp(399)), tail(&ramp(399)));
-        // Four blocks of 400, each 1..=400 shifted by 1000·block: each
-        // block's tail is rank 390 of its block.
-        let values: Vec<f64> = (0..4)
-            .flat_map(|b| ramp(400).into_iter().map(move |v| v + 1000.0 * b as f64))
-            .collect();
-        let t = blocked_tail(&values);
-        assert_eq!(t.value, (1390.0 + 2390.0) / 2.0);
-        assert!((t.percentile - 97.5).abs() < 1e-12);
-        assert_eq!(t.beyond, TAIL_BEYOND);
+    fn quiet_window_reports_the_tenth_percentile_window() {
+        // A run no longer than one window is one window.
+        let short = ramp(WINDOW);
+        assert_eq!(quiet_window(&short, tail, |t| t.value), tail(&short));
+        // 1000 samples: 91 windows (starts 0, 10, …, 900). Samples rise
+        // by 1 per index, so window k's median is 10k + 50.5 and the
+        // tenth percentile of 91 windows is the 10th lowest, k = 9.
+        let rising: Vec<f64> = (1..=1000).map(f64::from).collect();
+        assert_eq!(quiet_window(&rising, median, |m| *m), 140.5);
+        let t = quiet_window(&rising, tail, |t| t.value);
+        assert_eq!(t.value, 180.0);
+        assert!((t.percentile - 90.0).abs() < 1e-12);
+        // A slow spell over the last 80% of a run does not move it.
+        let spell: Vec<f64> = (0..1000).map(|i| if i < 200 { 1.0 } else { 2.0 }).collect();
+        assert_eq!(quiet_window(&spell, median, |m| *m), 1.0);
     }
 
     #[test]
