@@ -81,26 +81,29 @@ pub fn effective_workers() -> usize {
     rayon::current_num_threads().min(cores)
 }
 
-/// Gate a measured-speedup assertion on multi-core availability.
+/// Gate a measured-speedup assertion on multi-core availability, and
+/// set the speedup it must reach.
 ///
 /// Benches that assert "parallel beats serial by ≥ N×" share this
-/// helper so they skip uniformly: on a single-worker host (one core,
-/// or `RAYON_NUM_THREADS=1`) no speedup is possible, so the check
-/// prints a `SKIPPED` notice naming `what` — instead of silently
+/// helper so they skip and scale uniformly. On a single-worker host
+/// (one core, or `RAYON_NUM_THREADS=1`) no speedup is possible, so the
+/// check prints a `SKIPPED` notice naming `what` — instead of silently
 /// passing — and returns `None`. With ≥ 2 effective workers it returns
-/// `Some(workers)` so the caller can scale its expectation to the
-/// parallelism this host can actually deliver.
+/// `Some((workers, required))`: ≥ 2× with 4 or more workers, ≥ 1.2×
+/// with 2–3. Two workers cannot reach 2× even with perfect scaling,
+/// and the parallel pass also pays dispatch and shared-bandwidth costs
+/// the serial pass does not.
 #[must_use]
-pub fn multicore_gate(what: &str) -> Option<usize> {
+pub fn multicore_gate(what: &str) -> Option<(usize, f64)> {
     let workers = effective_workers();
     if workers < 2 {
         println!(
             "{what}: SKIPPED (1 effective worker; run on a multi-core host \
-             to exercise the \u{2265}2x expectation)"
+             to exercise the speedup expectation)"
         );
         return None;
     }
-    Some(workers)
+    Some((workers, if workers >= 4 { 2.0 } else { 1.2 }))
 }
 
 /// A fixed-width banner separating experiment sections.
@@ -158,7 +161,11 @@ mod tests {
     #[test]
     fn multicore_gate_agrees_with_effective_workers() {
         match multicore_gate("unit test gate") {
-            Some(workers) => assert_eq!(workers, effective_workers()),
+            Some((workers, required)) => {
+                assert_eq!(workers, effective_workers());
+                // Reachable without perfect scaling.
+                assert!(required > 1.0 && required < workers as f64);
+            }
             None => assert_eq!(effective_workers(), 1),
         }
     }

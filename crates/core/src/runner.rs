@@ -1339,12 +1339,12 @@ impl EnsembleRunner {
             );
         }
         let count = program.breakpoints().len();
-        // Pick ONE parallel axis so work never nests (nested fan-out
-        // would spawn ~cores² threads on big hosts). With noise, the
-        // per-trajectory work dominates and parallelizes inside the
-        // noisy engines — and the whole program is lowered once, shared
-        // by every trajectory; without noise, each breakpoint is a
-        // single prefix simulation, so fan out here.
+        // Pick ONE parallel axis so work never nests (a nested fan-out
+        // runs inline in the rayon shim, so it would gain nothing).
+        // With noise, the per-trajectory work dominates and
+        // parallelizes inside the noisy engines — and the whole program
+        // is lowered once, shared by every trajectory; without noise,
+        // each breakpoint is a single prefix simulation, so fan out here.
         if let Some(noise) = self.config.noise {
             let plan = self.plan_for_circuit(program.circuit(), OptLevel::Specialize);
             // Pauli noise only: the tree's presample/dedup machinery has

@@ -70,9 +70,12 @@ use crate::gates::Matrix2;
 use crate::state::State;
 
 /// States below this many qubits never chunk their kernels: at
-/// `2¹⁴ = 16384` amplitudes a full sweep is a few microseconds, which
-/// thread dispatch overhead would swamp. At and above this threshold
-/// (`2¹⁵` amplitudes, ½ MiB) chunking wins on multi-core hosts.
+/// `2¹⁴ = 16384` amplitudes a full sweep is a few microseconds, and one
+/// [`rayon::dispatch_chunks`] fan-out costs about 1 µs even with no
+/// work (measured on a 2-core host as `qdbbench`'s `rayon.dispatch_us`),
+/// so splitting the sweep would win little. At and above this
+/// threshold (`2¹⁵` amplitudes, ½ MiB) chunking wins on multi-core
+/// hosts.
 pub const INTRA_PAR_MIN_QUBITS: usize = 15;
 
 /// The sparsity structure of a 2×2 unitary, used by the lowering layer
