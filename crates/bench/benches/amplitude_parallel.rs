@@ -235,25 +235,13 @@ fn bench_amplitude_parallel(c: &mut Criterion) {
             if let Some((workers, required)) =
                 qdb_bench::multicore_gate("amplitude_parallel kernels_n18 speedup check")
             {
-                // Other tenants slow a shared host in spells, and the
-                // parallel pass more than the serial one; as in
-                // `ensemble_parallel`, take the best of two rounds
-                // before declaring the kernels too slow.
-                let (mut speedup, mut serial_s, mut parallel_s) = (0.0f64, 0.0, 0.0);
-                for _ in 0..2 {
-                    let serial = time_median(5, || {
-                        std::hint::black_box(kernel_pass(&plan, false));
-                    });
-                    let parallel = time_median(5, || {
-                        std::hint::black_box(kernel_pass(&plan, true));
-                    });
-                    if serial / parallel > speedup {
-                        (speedup, serial_s, parallel_s) = (serial / parallel, serial, parallel);
-                    }
-                    if speedup >= required {
-                        break;
-                    }
-                }
+                let serial_s = time_median(5, || {
+                    std::hint::black_box(kernel_pass(&plan, false));
+                });
+                let parallel_s = time_median(5, || {
+                    std::hint::black_box(kernel_pass(&plan, true));
+                });
+                let speedup = serial_s / parallel_s;
                 println!(
                     "amplitude_parallel kernels_n18: {speedup:.2}x with {workers} workers \
                      ({:.1} ms serial vs {:.1} ms parallel)",
