@@ -8,9 +8,12 @@
 //! asserts on every run that the two paths produce identical verdicts
 //! for identical seeds.
 //!
-//! The speedup expectation itself is asserted, not just documented,
-//! at the level [`qdb_bench::multicore_gate`] sets for the host's
-//! worker count (≥ 2× with 4 or more workers, ≥ 1.2× with 2–3). On
+//! The speedup expectation itself is asserted, not just documented:
+//! serial and parallel sessions are timed in alternating passes
+//! ([`qdb_bench::interleaved_medians`]), and the parallel median must
+//! beat the serial one at the level [`qdb_bench::multicore_gate`] sets
+//! for the host's worker count (≥ 2× with 4 or more workers, ≥ 1.2×
+//! with 2–3). On
 //! single-core hosts (or with `RAYON_NUM_THREADS=1`) no speedup is
 //! possible, so the check is skipped with a notice instead of silently
 //! passing.
@@ -85,36 +88,30 @@ fn assert_parallel_speedup(program: &Program, shots: usize) {
     else {
         return;
     };
-    let time_one = |parallel: bool| {
+    let runner = |parallel: bool| {
         let config = noisy_config(shots)
             .with_strategy(qdb_core::ExecutionStrategy::PerPrefix)
             .with_parallel(parallel);
         let runner = EnsembleRunner::new(config);
         runner.check_program(program).expect("warm-up session");
-        let iters = 3;
-        let start = std::time::Instant::now();
-        for _ in 0..iters {
-            runner.check_program(program).expect("timed session");
-        }
-        start.elapsed().as_secs_f64() / f64::from(iters)
+        runner
     };
-    // Timing on shared hosts is noisy; take the best of two rounds
-    // before declaring the engine too slow.
-    let mut speedup = 0.0f64;
-    for round in 0..2 {
-        let serial = time_one(false);
-        let parallel = time_one(true);
-        speedup = speedup.max(serial / parallel);
-        if speedup >= required {
-            break;
-        }
-        if round == 0 {
-            println!("ensemble_parallel speedup check: {speedup:.2}x below target, re-measuring");
-        }
-    }
+    let (serial, parallel) = (runner(false), runner(true));
+    let (serial_s, parallel_s) = qdb_bench::interleaved_medians(
+        9,
+        || {
+            serial.check_program(program).expect("timed session");
+        },
+        || {
+            parallel.check_program(program).expect("timed session");
+        },
+    );
+    let speedup = serial_s / parallel_s;
     println!(
         "ensemble_parallel speedup check: {speedup:.2}x with {workers} workers \
-         (required \u{2265} {required:.1}x)"
+         ({:.1} ms serial vs {:.1} ms parallel, required \u{2265} {required:.1}x)",
+        serial_s * 1e3,
+        parallel_s * 1e3
     );
     assert!(
         speedup >= required,

@@ -12,8 +12,10 @@
 //! equal gate counts) and that the compiled path provably does less
 //! index work, then times both. **In full measurement mode the ≥2×
 //! wall-clock claim is asserted, not just reported** (single-core; no
-//! parallelism is involved in either path). The opt-in fused plan is
-//! also timed, cross-checked at approximate equality.
+//! parallelism is involved in either path). The opt-in
+//! `OptLevel::FuseExact` plan is also timed, with its compiled op
+//! count recorded and its state bit-compared with the default plan's
+//! on every run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qdb_circuit::{Circuit, GateSink, OptLevel};
@@ -80,7 +82,7 @@ fn bench_gate_kernels(c: &mut Criterion) {
     let labels = [
         "gate_kernels/interpreted",
         "gate_kernels/compiled",
-        "gate_kernels/fused",
+        "gate_kernels/fuse_exact",
     ];
     let filter: Option<String> = std::env::args().skip(1).find(|arg| !arg.starts_with("--"));
     if let Some(f) = &filter {
@@ -92,12 +94,12 @@ fn bench_gate_kernels(c: &mut Criterion) {
 
     let circuit = rotation_toffoli_circuit();
     let plan = circuit.compile(OptLevel::Specialize);
-    let fused = circuit.compile(OptLevel::Fuse);
+    let fused = circuit.compile(OptLevel::FuseExact);
     let (diag, anti, general, swaps) = plan.kernel_census();
     println!(
         "gate_kernels: {} gates on {NUM_QUBITS} qubits → kernels: \
          {diag} diagonal, {anti} anti-diagonal, {general} general, {swaps} swap \
-         ({} fused ops)",
+         ({} FuseExact ops)",
         circuit.len(),
         fused.ops().len(),
     );
@@ -118,10 +120,19 @@ fn bench_gate_kernels(c: &mut Criterion) {
     assert_eq!(compiled.gate_ops(), reference.gate_ops());
     let mut fused_state = State::zero(NUM_QUBITS);
     fused.apply_to(&mut fused_state);
-    assert!(
-        fused_state.approx_eq(&reference, 1e-9),
-        "fused path beyond tolerance"
-    );
+    assert_eq!(fused_state, compiled, "FuseExact path diverged");
+    for (p, q) in fused_state
+        .probabilities()
+        .iter()
+        .zip(&compiled.probabilities())
+    {
+        assert_eq!(
+            p.to_bits(),
+            q.to_bits(),
+            "FuseExact probability bits diverged"
+        );
+    }
+    criterion::record_metric("gate_kernels/fuse_exact", "ops", fused.ops().len() as f64);
 
     // And the index-work claim is checked, not assumed.
     let interpreted_work = reference.index_ops();
@@ -155,11 +166,18 @@ fn bench_gate_kernels(c: &mut Criterion) {
             scratch = State::zero(NUM_QUBITS);
             plan.apply_to(&mut scratch);
         });
+        let fused_s = time_median(15, 4, || {
+            scratch = State::zero(NUM_QUBITS);
+            fused.apply_to(&mut scratch);
+        });
         let speedup = interpreted_s / compiled_s;
         println!(
-            "gate_kernels: {:.3} ms (interpreted) vs {:.3} ms (compiled): {speedup:.2}x",
+            "gate_kernels: {:.3} ms (interpreted) vs {:.3} ms (compiled): {speedup:.2}x; \
+             {:.3} ms (FuseExact, {} ops)",
             interpreted_s * 1e3,
             compiled_s * 1e3,
+            fused_s * 1e3,
+            fused.ops().len(),
         );
         criterion::record_metric("gate_kernels/compiled", "speedup_vs_interpreted", speedup);
         assert!(
@@ -185,7 +203,7 @@ fn bench_gate_kernels(c: &mut Criterion) {
             s
         });
     });
-    group.bench_function("fused", |bencher| {
+    group.bench_function("fuse_exact", |bencher| {
         bencher.iter(|| {
             let mut s = State::zero(NUM_QUBITS);
             fused.apply_to(&mut s);

@@ -106,6 +106,45 @@ pub fn multicore_gate(what: &str) -> Option<(usize, f64)> {
     Some((workers, if workers >= 4 { 2.0 } else { 1.2 }))
 }
 
+/// Median seconds of `serial` and of `parallel` over `passes` timed
+/// runs each, taken in alternating order — serial then parallel on even
+/// passes, parallel then serial on odd ones — so a slow spell of the
+/// host lands on both sides instead of on one timing block. Returns
+/// `(serial_s, parallel_s)`; the caller compares them at the threshold
+/// [`multicore_gate`] sets.
+///
+/// # Panics
+///
+/// Panics if `passes` is zero.
+#[must_use]
+pub fn interleaved_medians(
+    passes: usize,
+    mut serial: impl FnMut(),
+    mut parallel: impl FnMut(),
+) -> (f64, f64) {
+    assert!(passes > 0, "at least one timed pass per side");
+    let time = |routine: &mut dyn FnMut()| {
+        let start = std::time::Instant::now();
+        routine();
+        start.elapsed().as_secs_f64()
+    };
+    let (mut serial_s, mut parallel_s) = (Vec::new(), Vec::new());
+    for pass in 0..passes {
+        if pass % 2 == 0 {
+            serial_s.push(time(&mut serial));
+            parallel_s.push(time(&mut parallel));
+        } else {
+            parallel_s.push(time(&mut parallel));
+            serial_s.push(time(&mut serial));
+        }
+    }
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    (median(serial_s), median(parallel_s))
+}
+
 /// A fixed-width banner separating experiment sections.
 #[must_use]
 pub fn banner(text: &str) -> String {
@@ -143,6 +182,18 @@ mod tests {
         assert_eq!(joint.len(), 2);
         assert!((joint[&(0, 0)] - 0.5).abs() < 1e-12);
         assert!((joint[&(1, 1)] - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn interleaved_medians_alternate_sides_and_take_medians() {
+        let order = std::cell::RefCell::new(String::new());
+        let (serial, parallel) = interleaved_medians(
+            4,
+            || order.borrow_mut().push('S'),
+            || order.borrow_mut().push('P'),
+        );
+        assert_eq!(order.into_inner(), "SPPSSPPS");
+        assert!(serial >= 0.0 && parallel >= 0.0);
     }
 
     #[test]

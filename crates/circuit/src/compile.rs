@@ -19,10 +19,10 @@
 //!    (from the source [`GateKind`], exactly — never by matrix
 //!    matching), so Clifford-only plans ([`CompiledCircuit::is_clifford`])
 //!    can run on the polynomial-time stabilizer backend;
-//! 4. optionally ([`OptLevel::Fuse`]) runs of adjacent uncontrolled
-//!    single-qubit gates on the same target are fused into one matrix —
-//!    or ([`OptLevel::FuseExact`]) only the runs for which that fusion
-//!    is provably bit-exact.
+//! 4. optionally ([`OptLevel::FuseExact`]) runs of adjacent uncontrolled
+//!    single-qubit gates on the same target are fused into one matrix,
+//!    restricted to the runs for which that fusion is provably
+//!    bit-exact.
 //!
 //! The result is reused across every application: the ensemble sweep,
 //! per-prefix replays, and noisy trajectories all walk the same plan —
@@ -39,16 +39,14 @@
 //! probability, sample, and report is bit-for-bit identical; see
 //! [`qdb_sim::kernels`] for the one sign-of-zero caveat), and
 //! [`State::gate_ops`] advances exactly as if the source instructions
-//! had been interpreted. [`OptLevel::Fuse`] genuinely reassociates
-//! floating-point products, so it guarantees only approximate equality
-//! (to simulation precision) and is **opt-in**; fused plans refuse the
+//! had been interpreted. [`OptLevel::FuseExact`] restricts fusion to
+//! unit-monomial runs (entries in `{0, ±1, ±i}`) where the composition
+//! is exact in f64, preserving the bit-for-bit report guarantee while
+//! still collapsing Pauli/phase gate runs. `FuseExact` plans refuse the
 //! noisy-trajectory entry points, whose per-instruction noise insertion
-//! points fusion would erase, and drop the per-op Clifford
-//! classification (a fused plan is never [`is_clifford`]).
-//! [`OptLevel::FuseExact`] restricts fusion to unit-monomial runs
-//! (entries in `{0, ±1, ±i}`) where the composition is exact in f64,
-//! preserving the bit-for-bit report guarantee while still collapsing
-//! Pauli/phase gate runs.
+//! points fusion would erase, and multi-gate runs drop the per-op
+//! Clifford classification (a plan with one is never
+//! [`is_clifford`]).
 //!
 //! ## Clifford classification
 //!
@@ -65,7 +63,7 @@
 use crate::circuit::{Circuit, GateSink};
 use crate::instruction::{GateKind, Instruction};
 use qdb_sim::kernels::{classify, MatrixClass};
-use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp, State, StatePack};
+use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp, State};
 
 /// How aggressively [`CompiledCircuit::compile`] lowers a circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -77,15 +75,9 @@ pub enum OptLevel {
     #[default]
     Specialize,
     /// Additionally fuse runs of adjacent uncontrolled single-qubit
-    /// gates on the same target into one matrix. Fusion reassociates
-    /// floating-point arithmetic, so results are only approximately
-    /// equal — drift grows with depth, roughly 1e-12 per fused gate
-    /// (the repo's 600-gate kernel bench stays within 1e-9); opt in
-    /// explicitly where that trade is acceptable. Fused plans cannot
-    /// replay noisy trajectories and are never Clifford-classified.
-    Fuse,
-    /// Fuse **only** runs whose matrices are *unit-monomial* — every
-    /// entry in `{0, ±1, ±i}`: X, Y, Z, S, S†, and their products.
+    /// gates on the same target into one matrix — but **only** runs
+    /// whose matrices are *unit-monomial*, every entry in
+    /// `{0, ±1, ±i}`: X, Y, Z, S, S†, and their products.
     /// For this class fusion is exact, not approximate: composing the
     /// matrices in f64 is exact and closed under products, and applying
     /// the composed matrix is value-identical to applying the gates one
@@ -233,11 +225,10 @@ impl CompiledCircuit {
                 if let Some((start, target, m)) = run.take() {
                     // A multi-gate fused run composes matrices; it
                     // carries no Clifford classification even if every
-                    // source gate had one. A single-gate "run" under
-                    // FuseExact is 1:1 with its source instruction, so
-                    // it keeps the classification Specialize would have
-                    // attached.
-                    let clifford = if opt == OptLevel::FuseExact && end == start + 1 {
+                    // source gate had one. A single-gate "run" is 1:1
+                    // with its source instruction, so it keeps the
+                    // classification Specialize would have attached.
+                    let clifford = if end == start + 1 {
                         classify_clifford(&instructions[start])
                     } else {
                         None
@@ -259,8 +250,8 @@ impl CompiledCircuit {
                     target,
                     kind,
                 } if controls.is_empty()
-                    && (opt == OptLevel::Fuse
-                        || (opt == OptLevel::FuseExact && is_unit_monomial(&kind.matrix()))) =>
+                    && opt == OptLevel::FuseExact
+                    && is_unit_monomial(&kind.matrix()) =>
                 {
                     let m = kind.matrix();
                     match &mut run {
@@ -337,7 +328,7 @@ impl CompiledCircuit {
 
     /// `true` when every op carries a Clifford classification, i.e. the
     /// whole plan can execute on the stabilizer tableau backend. Always
-    /// `false` for [`OptLevel::Fuse`] plans with at least one fused op.
+    /// `false` for plans with at least one multi-gate fused op.
     #[must_use]
     pub fn is_clifford(&self) -> bool {
         self.ops.iter().all(|op| op.clifford().is_some())
@@ -443,7 +434,7 @@ impl CompiledCircuit {
     /// against ~2¹⁶ amplitude visits of real work. Because the ops are
     /// batched directly — not by slicing the *source* range, which
     /// would panic on fused-op boundaries — this is safe at every
-    /// [`OptLevel`], including [`OptLevel::Fuse`].
+    /// [`OptLevel`], including [`OptLevel::FuseExact`].
     ///
     /// # Errors
     ///
@@ -485,7 +476,7 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// Panics if the state is too small, or if the plan was compiled
-    /// with [`OptLevel::Fuse`] (fusion erases the per-instruction
+    /// with [`OptLevel::FuseExact`] (fusion erases the per-instruction
     /// noise insertion points).
     pub fn apply_to_noisy<R: rand::Rng + ?Sized>(
         &self,
@@ -762,89 +753,6 @@ impl CompiledCircuit {
         );
         if since_poll > 0 {
             poll(backend, total)?;
-        }
-        Ok(())
-    }
-
-    /// Replay `range` across every lane of a [`StatePack`] at once —
-    /// the cross-trajectory analogue of
-    /// [`apply_range_to_backend_with_faults_polled`](Self::apply_range_to_backend_with_faults_polled).
-    ///
-    /// Each compiled op in the window is applied *once* to the whole
-    /// pack, then each lane's pending faults against that op fire into
-    /// that lane alone (via [`StatePack::apply_pauli_lane`]), in the
-    /// same op-then-fault order the per-state replay uses. Because the
-    /// pack kernels perform the identical arithmetic per lane that the
-    /// [`State`] kernels perform per amplitude, every lane ends
-    /// bit-for-bit equal to a solo replay of that lane's fault pattern
-    /// over the same window.
-    ///
-    /// `lane_faults[k]` is lane `k`'s fault pattern, sorted by
-    /// [`FaultEvent::op`] and confined to `range` (lanes whose
-    /// trajectory forks *later* than `range.start` simply have no
-    /// faults against the early ops — the ideal trunk prefix replays
-    /// into them for free). `poll` runs with the pack after every
-    /// `batch_ops` ops and once at the window's end; `Err` stops the
-    /// replay immediately.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `poll` returns, unchanged.
-    ///
-    /// # Panics
-    ///
-    /// If the plan is fused, `lane_faults.len()` differs from the pack
-    /// width, the pack's qubit count differs from the plan's, or a
-    /// lane's fault pattern leaves `range` (the trailing check only
-    /// runs if the replay completes).
-    pub fn apply_range_to_pack_polled<E>(
-        &self,
-        pack: &mut StatePack,
-        range: std::ops::Range<usize>,
-        lane_faults: &[&[FaultEvent]],
-        batch_ops: usize,
-        poll: &mut impl FnMut(&StatePack, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        assert!(
-            self.opt == OptLevel::Specialize,
-            "noisy replay requires an unfused plan (compile at OptLevel::Specialize)"
-        );
-        assert_eq!(
-            lane_faults.len(),
-            pack.width(),
-            "one fault pattern per pack lane"
-        );
-        let batch = batch_ops.max(1);
-        let mut since_poll = 0usize;
-        let mut total = 0usize;
-        let mut pending: Vec<_> = lane_faults.iter().map(|f| f.iter().peekable()).collect();
-        for op in self.ops_for_range(pack.num_qubits(), &range) {
-            pack.apply_op(&op.op);
-            for (k, lane) in pending.iter_mut().enumerate() {
-                while let Some(fault) = lane.next_if(|f| f.op < op.end) {
-                    assert!(
-                        fault.op >= op.start,
-                        "lane {k} fault at op {} precedes replay window {range:?}",
-                        fault.op
-                    );
-                    pack.apply_pauli_lane(k, fault.qubit, fault.pauli);
-                }
-            }
-            total += 1;
-            since_poll += 1;
-            if since_poll >= batch {
-                since_poll = 0;
-                poll(pack, total)?;
-            }
-        }
-        for (k, lane) in pending.iter_mut().enumerate() {
-            assert!(
-                lane.next().is_none(),
-                "lane {k} fault pattern extends past replay window {range:?}"
-            );
-        }
-        if since_poll > 0 {
-            poll(pack, total)?;
         }
         Ok(())
     }
@@ -1147,38 +1055,33 @@ mod tests {
     #[test]
     fn fuse_collapses_adjacent_same_target_runs() {
         let mut c = Circuit::new(2);
-        c.rz(0, 0.3);
-        c.t(0);
-        c.phase(0, -0.2); // one diagonal run of 3
-        c.h(1); // different target: new run
-        c.h(1); // fuses with the previous H
+        c.z(0);
+        c.s(0);
+        c.sdg(0); // one diagonal run of 3
+        c.x(1); // different target: new run
+        c.y(1); // fuses with the previous X
         c.cx(0, 1); // controlled: never fused
         c.x(0);
-        let plan = c.compile(OptLevel::Fuse);
-        assert!(plan.ops().len() < c.len());
+        let plan = c.compile(OptLevel::FuseExact);
+        assert_eq!(plan.ops().len(), 4);
         assert_eq!(plan.ops()[0].source_range(), 0..3);
         // A fused all-diagonal run lowers to the diagonal kernel.
         assert_eq!(plan.ops()[0].kernel_class(), KernelClass::Diagonal);
-        // Fused runs drop Clifford classification (the H·H run would be
-        // Clifford mathematically, but fusion is matrix-level).
-        assert!(!plan.is_clifford());
-        // Fusion is only approximately equal to the reference.
-        let mut fused = State::zero(2);
-        plan.apply_to(&mut fused);
-        let mut reference = State::zero(2);
-        c.apply_to(&mut reference);
-        assert!(fused.approx_eq(&reference, 1e-12));
+        assert_eq!(plan.ops()[1].source_range(), 3..5);
+        assert_eq!(plan.ops()[2].source_range(), 5..6);
+        assert_eq!(plan.ops()[2].num_controls(), 1);
+        assert_eq!(plan.ops()[3].source_range(), 6..7);
     }
 
     #[test]
     fn cuts_stop_fusion_at_boundaries() {
         let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        c.rz(0, 0.5);
-        c.t(0);
+        c.x(0);
+        c.z(0);
+        c.s(0);
+        c.y(0);
         // A cut at 2 splits what would otherwise be a single run of 4.
-        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::Fuse, &[2]);
+        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::FuseExact, &[2]);
         assert_eq!(plan.ops().len(), 2);
         assert_eq!(plan.ops()[0].source_range(), 0..2);
         assert_eq!(plan.ops()[1].source_range(), 2..4);
@@ -1195,23 +1098,11 @@ mod tests {
     #[should_panic(expected = "splits fused op")]
     fn range_through_fused_op_panics() {
         let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        let plan = c.compile(OptLevel::Fuse);
+        c.x(0);
+        c.z(0);
+        let plan = c.compile(OptLevel::FuseExact);
         let mut s = State::zero(1);
         plan.apply_range_to(&mut s, 0..1);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires an unfused plan")]
-    fn fused_noisy_replay_panics() {
-        let mut c = Circuit::new(1);
-        c.rz(0, 0.3);
-        c.t(0);
-        let plan = c.compile(OptLevel::Fuse);
-        let mut s = State::zero(1);
-        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
-        plan.apply_to_noisy(&mut s, &qdb_sim::NoiseModel::depolarizing(0.1), &mut rng);
     }
 
     #[test]
@@ -1363,7 +1254,7 @@ mod tests {
 
     #[test]
     fn empty_circuit_compiles_to_empty_plan() {
-        let plan = Circuit::new(2).compile(OptLevel::Fuse);
+        let plan = Circuit::new(2).compile(OptLevel::FuseExact);
         assert_eq!(plan.ops().len(), 0);
         assert_eq!(plan.source_len(), 0);
         // An empty plan is vacuously Clifford.
@@ -1391,7 +1282,7 @@ mod tests {
         assert_eq!(plan.ops()[1].source_range(), 3..4);
         assert_eq!(plan.ops()[2].source_range(), 4..5);
         assert_eq!(plan.ops()[3].source_range(), 5..7);
-        // Unlike OptLevel::Fuse, results keep the bit-for-bit guarantee.
+        // Results keep the bit-for-bit guarantee.
         let mut fused = State::zero(2);
         plan.apply_to(&mut fused);
         let mut reference = State::zero(2);
@@ -1408,7 +1299,7 @@ mod tests {
         // remains stabilizer-eligible.
         let plan = clifford_circuit().compile(OptLevel::FuseExact);
         assert!(plan.is_clifford());
-        // A genuinely fused run drops it (matrix-level, like Fuse).
+        // A genuinely fused run drops it (fusion is matrix-level).
         let mut c = Circuit::new(1);
         c.x(0);
         c.z(0);
@@ -1449,98 +1340,5 @@ mod tests {
         let plan = c.compile(OptLevel::FuseExact);
         let mut s = State::zero(1);
         plan.apply_range_to_backend_with_faults(&mut s, 0..2, &[]);
-    }
-
-    #[test]
-    fn packed_replay_matches_per_state_faulted_replay() {
-        use rand::SeedableRng;
-        let c = mixed_circuit();
-        let plan = c.compile(OptLevel::Specialize);
-        let noise = qdb_sim::NoiseModel::depolarizing(0.3);
-        let fork_at = 4;
-        // Shared ideal trunk through the fork point.
-        let mut trunk = State::zero(4);
-        plan.apply_range_to(&mut trunk, 0..fork_at);
-        // Per-lane fault patterns confined to the suffix window.
-        let window = fork_at..c.len();
-        let mut lanes: Vec<Vec<FaultEvent>> = Vec::new();
-        let mut seed = 0;
-        while lanes.len() < 3 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            seed += 1;
-            let mut pattern = Vec::new();
-            plan.presample_faults(window.clone(), &noise, &mut rng, &mut pattern);
-            if !pattern.is_empty() {
-                lanes.push(pattern);
-            }
-        }
-        lanes.push(Vec::new()); // one fault-free lane rides along
-        let lane_refs: Vec<&[FaultEvent]> = lanes.iter().map(Vec::as_slice).collect();
-        // Packed replay: every op applied once across all four lanes.
-        let mut pack = StatePack::broadcast(&trunk, lanes.len());
-        let mut polls = 0usize;
-        plan.apply_range_to_pack_polled(
-            &mut pack,
-            window.clone(),
-            &lane_refs,
-            3,
-            &mut |p, total| {
-                polls += 1;
-                assert!(p.gate_ops() > 0 && total > 0);
-                Ok::<(), ()>(())
-            },
-        )
-        .unwrap();
-        assert!(polls >= 2, "batch polls must fire mid-window");
-        // Each extracted lane is bit-for-bit the solo faulted replay.
-        for (k, faults) in lanes.iter().enumerate() {
-            let mut solo = trunk.clone();
-            plan.apply_range_to_backend_with_faults(&mut solo, window.clone(), faults);
-            let mut extracted = State::zero(4);
-            pack.extract_lane_into(k, &mut extracted);
-            for i in 0..solo.dim() {
-                assert_eq!(
-                    extracted.amplitude(i).re.to_bits(),
-                    solo.amplitude(i).re.to_bits(),
-                    "lane {k}, amp {i}"
-                );
-                assert_eq!(
-                    extracted.amplitude(i).im.to_bits(),
-                    solo.amplitude(i).im.to_bits(),
-                    "lane {k}, amp {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_replay_poll_error_stops_immediately() {
-        let c = mixed_circuit();
-        let plan = c.compile(OptLevel::Specialize);
-        let trunk = State::zero(4);
-        let mut pack = StatePack::broadcast(&trunk, 2);
-        let lane_refs: Vec<&[FaultEvent]> = vec![&[], &[]];
-        let mut polls = 0usize;
-        let result =
-            plan.apply_range_to_pack_polled(&mut pack, 0..c.len(), &lane_refs, 2, &mut |_, _| {
-                polls += 1;
-                Err("tripped")
-            });
-        assert_eq!(result, Err("tripped"));
-        assert_eq!(polls, 1, "first failing poll must stop the replay");
-        assert_eq!(pack.gate_ops(), 2, "only the first batch ran");
-    }
-
-    #[test]
-    #[should_panic(expected = "one fault pattern per pack lane")]
-    fn packed_replay_rejects_mismatched_lane_count() {
-        let c = mixed_circuit();
-        let plan = c.compile(OptLevel::Specialize);
-        let mut pack = StatePack::broadcast(&State::zero(4), 3);
-        let lane_refs: Vec<&[FaultEvent]> = vec![&[], &[]];
-        let _ =
-            plan.apply_range_to_pack_polled(&mut pack, 0..c.len(), &lane_refs, 8, &mut |_, _| {
-                Ok::<(), ()>(())
-            });
     }
 }

@@ -37,8 +37,7 @@ struct PlanKey {
 fn opt_code(opt: OptLevel) -> u8 {
     match opt {
         OptLevel::Specialize => 0,
-        OptLevel::Fuse => 1,
-        OptLevel::FuseExact => 2,
+        OptLevel::FuseExact => 1,
     }
 }
 

@@ -59,7 +59,7 @@ pub use governor::{CancelToken, InterruptCause, RunBudget};
 pub use report::{AssertionReport, PartialReport, TestKind, Verdict};
 pub use runner::{
     BackendChoice, EnsembleConfig, EnsembleConfigBuilder, EnsembleRunner, ExecutionStrategy,
-    MeasuredEnsemble, ParallelAxis,
+    MeasuredEnsemble,
 };
 pub use sweep::SweepRunner;
 pub use trajectory::{NoisySessionStats, TrajectoryStats};

@@ -139,40 +139,6 @@ pub enum BackendChoice {
     Sparse,
 }
 
-/// Which axis of an ensemble run fans out across rayon workers when
-/// [`EnsembleConfig::parallel`] is on.
-///
-/// The engines never nest parallelism: a run picks exactly one axis and
-/// everything inside a unit of that axis stays serial. Per-shot /
-/// per-trajectory fan-out amortizes best when there are many small
-/// units; amplitude-level chunking inside one state
-/// ([`qdb_sim::kernels`]) amortizes best when states are huge and units
-/// are few. Every choice is bit-identical to every other — the axis
-/// moves work between threads, never between operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelAxis {
-    /// Pick per state size: shots/breakpoints/trajectories fan out as
-    /// today, and states of at least
-    /// [`qdb_sim::kernels::INTRA_PAR_MIN_QUBITS`] qubits additionally
-    /// enable amplitude-parallel kernels *wherever the shot axis is not
-    /// already saturating the cores* (the ideal sweep's single walked
-    /// state, serial fallbacks). The default.
-    #[default]
-    Auto,
-    /// Only fan out across shots, trajectories, and breakpoints; every
-    /// individual state applies its gates serially regardless of size.
-    PerShot,
-    /// Only chunk amplitude work inside each state (subject to the
-    /// kernel size threshold); shots, trajectories, and breakpoints run
-    /// serially. The right axis for few huge states.
-    IntraState,
-    /// Both: shot-level fan-out where it exists, amplitude-parallel
-    /// kernels in every serial crevice (again subject to the size
-    /// threshold). Like [`ParallelAxis::Auto`] but with no size-based
-    /// second-guessing.
-    Hybrid,
-}
-
 /// Configuration for ensemble runs.
 ///
 /// Construct via [`EnsembleConfig::builder`] (or `default()` plus the
@@ -201,22 +167,19 @@ pub struct EnsembleConfig {
     /// cross-check still evaluates the *ideal* state — a disagreement
     /// between the two then indicates noise, not a program bug.
     pub noise: Option<NoiseModel>,
-    /// Run breakpoints (and noisy trajectories) on all cores. Verdicts
-    /// and reports are identical either way; `false` keeps everything
-    /// on the calling thread (useful for benchmarking the speedup and
-    /// for embedding in an outer parallel scheduler).
+    /// Run the session on all cores. With `true` the engine's
+    /// independent units fan out across rayon workers — breakpoints
+    /// (per-prefix), shots (sampling and per-shot trajectories), fault
+    /// presampling and trajectory-tree fork waves — and the one serial
+    /// state of a sweep walk or tree frontier chunks its amplitude work
+    /// ([`qdb_sim::kernels`], at ≥
+    /// [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
+    /// qubits). Parallelism never nests: a state inside a fan-out
+    /// applies its gates serially. `false` keeps everything on the
+    /// calling thread (useful for benchmarking the speedup and for
+    /// embedding in an outer parallel scheduler). Reports are
+    /// bit-for-bit identical either way.
     pub parallel: bool,
-    /// Which axis fans out when [`parallel`](EnsembleConfig::parallel)
-    /// is on (see [`ParallelAxis`]); ignored when it is off. Reports
-    /// are bit-identical across every choice.
-    pub axis: ParallelAxis,
-    /// Maximum lanes per packed suffix replay in the noisy trajectory
-    /// tree: sibling trajectories forking within the same suffix window
-    /// share one structure-of-arrays [`StatePack`](qdb_sim::StatePack)
-    /// and each compiled op is decoded/applied once across the pack.
-    /// `1` disables packing (every fork replays solo, the pre-pack
-    /// behavior); reports are bit-identical at every width.
-    pub pack_width: usize,
     /// How ensembles are produced. The default
     /// [`ExecutionStrategy::Sweep`] shares all shareable work — the
     /// `O(G)` checkpointed sweep in ideal mode, the trajectory tree
@@ -226,10 +189,10 @@ pub struct EnsembleConfig {
     /// identical either way.
     pub strategy: ExecutionStrategy,
     /// How the sweep path lowers the program before executing it (see
-    /// [`OptLevel`]). The default [`OptLevel::Specialize`] keeps
-    /// reports bit-for-bit identical to the uncompiled reference;
-    /// [`OptLevel::Fuse`] additionally fuses same-target gate runs and
-    /// guarantees only approximate equality. The per-prefix strategy
+    /// [`OptLevel`]). Both levels keep reports bit-for-bit identical to
+    /// the uncompiled reference: the default [`OptLevel::Specialize`]
+    /// lowers 1:1, and [`OptLevel::FuseExact`] additionally fuses
+    /// same-target Pauli/phase runs, exactly. The per-prefix strategy
     /// ignores this field (it *is* the uncompiled reference), and noisy
     /// trajectories always replay an unfused
     /// ([`OptLevel::Specialize`]) plan — fusion would erase the
@@ -265,8 +228,6 @@ impl Default for EnsembleConfig {
             independence: IndependenceMethod::default(),
             noise: None,
             parallel: true,
-            axis: ParallelAxis::default(),
-            pack_width: 8,
             strategy: ExecutionStrategy::default(),
             opt: OptLevel::default(),
             backend: BackendChoice::default(),
@@ -351,20 +312,6 @@ impl EnsembleConfigBuilder {
     #[must_use]
     pub fn parallel(mut self, parallel: bool) -> Self {
         self.config.parallel = parallel;
-        self
-    }
-
-    /// Set the parallel axis (see [`EnsembleConfig::axis`]).
-    #[must_use]
-    pub fn parallel_axis(mut self, axis: ParallelAxis) -> Self {
-        self.config.axis = axis;
-        self
-    }
-
-    /// Set the packed-replay width (see [`EnsembleConfig::pack_width`]).
-    #[must_use]
-    pub fn pack_width(mut self, width: usize) -> Self {
-        self.config.pack_width = width;
         self
     }
 
@@ -525,26 +472,6 @@ impl EnsembleConfig {
         }
     }
 
-    /// Builder-style parallel-axis override (see
-    /// [`EnsembleConfig::axis`]).
-    #[must_use]
-    pub fn with_parallel_axis(&self, axis: ParallelAxis) -> Self {
-        Self {
-            axis,
-            ..self.clone()
-        }
-    }
-
-    /// Builder-style packed-replay-width override (see
-    /// [`EnsembleConfig::pack_width`]).
-    #[must_use]
-    pub fn with_pack_width(&self, pack_width: usize) -> Self {
-        Self {
-            pack_width,
-            ..self.clone()
-        }
-    }
-
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.shots == 0 {
             return Err(CoreError::BadConfig("shots must be positive".into()));
@@ -555,34 +482,7 @@ impl EnsembleConfig {
                 self.alpha
             )));
         }
-        if self.pack_width == 0 {
-            return Err(CoreError::BadConfig(
-                "pack_width must be at least 1 (1 disables packing)".into(),
-            ));
-        }
         Ok(())
-    }
-
-    /// `true` when shots, trajectories, and breakpoints fan out across
-    /// workers — [`parallel`](EnsembleConfig::parallel) is on and the
-    /// axis is not [`ParallelAxis::IntraState`].
-    pub(crate) fn shot_parallel(&self) -> bool {
-        self.parallel && self.axis != ParallelAxis::IntraState
-    }
-
-    /// `true` when a state of `num_qubits` qubits should chunk its
-    /// amplitude work across workers (before the no-nesting adjustment
-    /// its owner applies — a state inside a parallel shot fan-out
-    /// always stays serial).
-    pub(crate) fn intra_state(&self, num_qubits: usize) -> bool {
-        if !self.parallel {
-            return false;
-        }
-        match self.axis {
-            ParallelAxis::PerShot => false,
-            ParallelAxis::IntraState | ParallelAxis::Hybrid => true,
-            ParallelAxis::Auto => num_qubits >= qdb_sim::kernels::INTRA_PAR_MIN_QUBITS,
-        }
     }
 }
 
@@ -720,11 +620,6 @@ impl EnsembleRunner {
             }
             Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
         };
-        // The prefix replay may chunk amplitude work only when this
-        // breakpoint is not itself one unit of a breakpoint fan-out.
-        ideal_state.set_intra_parallel(
-            self.config.intra_state(ideal_state.num_qubits()) && !self.config.shot_parallel(),
-        );
         prefix.apply_to(&mut ideal_state);
         let ideal_state = ideal_state;
         let outcomes = match self.config.noise {
@@ -773,11 +668,6 @@ impl EnsembleRunner {
                                 }
                                 Err(e) => return Err(CoreError::Sim(e)),
                             };
-                            // One axis only: amplitude chunking stays
-                            // off while shots own the workers.
-                            state.set_intra_parallel(
-                                self.config.intra_state(n) && !self.config.shot_parallel(),
-                            );
                             governor.poll(&state).map_err(governor::trip_error)?;
                             let mut rng = StdRng::seed_from_u64(shot_seed(
                                 self.config.seed,
@@ -793,7 +683,7 @@ impl EnsembleRunner {
                         })
                         .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
                 };
-                if self.config.shot_parallel() {
+                if self.config.parallel {
                     (0..self.config.shots)
                         .into_par_iter()
                         .map(trajectory)
@@ -868,7 +758,7 @@ impl EnsembleRunner {
                 .map_err(|e| finalize_interrupt(program, e));
         }
         let run_one = |index: usize| self.run_breakpoint_with_plan(program, index, None, &governor);
-        let ensembles: Result<Vec<_>, CoreError> = if self.config.shot_parallel() {
+        let ensembles: Result<Vec<_>, CoreError> = if self.config.parallel {
             (0..count).into_par_iter().map(run_one).collect()
         } else {
             (0..count).map(run_one).collect()
@@ -1419,7 +1309,7 @@ impl EnsembleRunner {
                 })
                 .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
         };
-        let attempts: Vec<Result<AssertionReport, CoreError>> = if self.config.shot_parallel() {
+        let attempts: Vec<Result<AssertionReport, CoreError>> = if self.config.parallel {
             (0..count).into_par_iter().map(check_one).collect()
         } else {
             (0..count).map(check_one).collect()
@@ -1721,10 +1611,6 @@ impl EnsembleRunner {
                                     )))
                                 }
                             };
-                            trajectory.set_intra_parallel(
-                                self.config.intra_state(trajectory.num_qubits())
-                                    && !self.config.shot_parallel(),
-                            );
                             governor.poll(&trajectory).map_err(governor::trip_error)?;
                             plan.apply_range_to_noisy_backend(
                                 &mut trajectory,
@@ -1739,7 +1625,7 @@ impl EnsembleRunner {
                 })
                 .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
         };
-        if self.config.shot_parallel() {
+        if self.config.parallel {
             (0..self.config.shots)
                 .into_par_iter()
                 .map(one_shot)
@@ -2146,28 +2032,42 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_reaches_the_same_verdicts() {
+    fn fused_sweep_reports_are_bit_identical() {
         let mut p = Program::new();
         let r = p.alloc_register("r", 3);
         p.prep_int(&r, 5);
         p.assert_classical(&r, 5);
         for i in 0..3 {
             p.h(r.bit(i));
+            p.s(r.bit(i));
+            p.z(r.bit(i)); // S·Z run: fuses exactly
             p.t(r.bit(i));
             p.rz(r.bit(i), 0.3);
+            p.x(r.bit(i));
+            p.y(r.bit(i));
+            p.sdg(r.bit(i)); // X·Y·S† run: fuses exactly
         }
         p.assert_superposition(&r);
+        let fused_plan = p.compile(OptLevel::FuseExact);
+        assert!(fused_plan.ops().len() < p.circuit().len(), "no run fused");
         let base = EnsembleConfig::default().with_shots(128).with_seed(17);
         let exact = EnsembleRunner::new(base.clone()).check_program(&p).unwrap();
-        let fused = EnsembleRunner::new(base.with_opt_level(qdb_circuit::OptLevel::Fuse))
+        let fused = EnsembleRunner::new(base.with_opt_level(OptLevel::FuseExact))
             .check_program(&p)
             .unwrap();
-        assert_eq!(exact.len(), fused.len());
-        for (e, f) in exact.iter().zip(&fused) {
-            // Fusion reassociates floats, so only the decisions are
-            // guaranteed — not the bit patterns.
-            assert_eq!(e.verdict, f.verdict);
-            assert_eq!(e.exact, f.exact);
+        assert_reports_bit_identical(&exact, &fused);
+        // Sampling can hide a last-bit drift; the walked states cannot.
+        let walk = |opt| {
+            EnsembleRunner::new(base.with_opt_level(opt))
+                .run_all(&p)
+                .unwrap()
+        };
+        for (e, f) in walk(OptLevel::Specialize)
+            .iter()
+            .zip(&walk(OptLevel::FuseExact))
+        {
+            assert_eq!(e.state, f.state);
+            assert_eq!(e.outcomes, f.outcomes);
         }
     }
 

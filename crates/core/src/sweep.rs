@@ -15,32 +15,28 @@
 //! [`EnsembleConfig::opt`]) and each inter-breakpoint segment replays a
 //! window of that plan
 //! ([`CompiledCircuit::apply_range_to`](qdb_circuit::CompiledCircuit::apply_range_to)).
-//! At the default [`OptLevel::Specialize`](qdb_circuit::OptLevel) the
-//! sweep is report-equivalent to the per-prefix path, bit for bit:
+//! At either [`OptLevel`](qdb_circuit::OptLevel) the sweep is
+//! report-equivalent to the per-prefix path, bit for bit:
 //!
-//! * compiled ops are 1:1 with instructions and value-identical to
-//!   interpreting them (every probability bit-identical — see
-//!   `qdb_sim::kernels` for the contract), so the state at breakpoint
-//!   `i` samples exactly as the replayed prefix would;
+//! * compiled ops are value-identical to interpreting the instructions
+//!   they cover (every probability bit-identical — see
+//!   `qdb_sim::kernels` for the contract, and `OptLevel::FuseExact`
+//!   for why its fused Pauli/phase runs are exact), so the state at
+//!   breakpoint `i` samples exactly as the replayed prefix would;
 //! * each breakpoint samples with its own `StdRng` seeded
 //!   `seed + index` — the same stream the per-prefix path uses — so the
 //!   outcomes, histograms, p-values, and verdicts are identical.
 //!
-//! The opt-in `OptLevel::Fuse` trades that guarantee for fewer, fatter
-//! ops (approximate equality only).
-//!
-//! Within the sweep two parallel axes exist, both bit-neutral. Per-shot
-//! sampling: the uniform variates are drawn serially (they *are* the
-//! determinism contract) and the CDF inversions fan out over rayon
+//! With [`EnsembleConfig::parallel`] on, the sweep parallelizes in two
+//! places, both bit-neutral. Per-shot sampling: the uniform variates
+//! are drawn serially (they *are* the determinism contract) and the
+//! CDF inversions fan out over rayon
 //! ([`Sampler::sample_at`](qdb_sim::Sampler::sample_at)). Intra-state
-//! kernels: when the configured [`ParallelAxis`](crate::ParallelAxis)
-//! allows it (the default `Auto`
-//! axis requires
-//! ≥ [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
-//! qubits),
-//! the walked backend chunks each gate's amplitude runs across workers
-//! — same pairs, same order, same arithmetic, so the evolution is
-//! bit-identical to the serial walk at any thread count. Programs
+//! kernels: at ≥
+//! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
+//! qubits the walked backend chunks each gate's amplitude runs across
+//! workers — same pairs, same order, same arithmetic, so the evolution
+//! is bit-identical to the serial walk at any thread count. Programs
 //! wanting breakpoint fan-out instead can keep
 //! [`ExecutionStrategy::PerPrefix`].
 //!
@@ -190,8 +186,9 @@ impl SweepRunner {
         };
         // The walk is a single serial state, so intra-state kernel
         // chunking never competes with shot fan-out here (the sweep's
-        // only shot axis is CDF inversion, which runs between segments).
-        backend.set_intra_parallel(self.config.intra_state(num_qubits));
+        // only shot fan-out is CDF inversion, which runs between
+        // segments).
+        backend.set_intra_parallel(self.config.parallel);
         let batch = Governor::batch_ops(num_qubits);
         for segment in program.segments() {
             let step = governor.contain(|| -> Result<T, CoreError> {
@@ -242,7 +239,7 @@ impl SweepRunner {
     ) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(index as u64));
         sampler.rebuild(state);
-        if self.config.shot_parallel() && self.config.shots >= Self::PARALLEL_SAMPLING_MIN_SHOTS {
+        if self.config.parallel && self.config.shots >= Self::PARALLEL_SAMPLING_MIN_SHOTS {
             let uniforms: Vec<f64> = (0..self.config.shots).map(|_| rng.gen::<f64>()).collect();
             (0..self.config.shots)
                 .into_par_iter()

@@ -32,26 +32,6 @@
 //! a breakpoint, it *is* that group's final state — and simultaneously
 //! the ideal state the exact cross-check wants.
 //!
-//! ## Packed suffix replay
-//!
-//! Distinct trajectories of the same breakpoint that fork within
-//! `PACK_WINDOW` ops of each other replay *almost the same op
-//! sequence* — they differ only in where their Pauli faults land. On
-//! backends with a packed form (the dense statevector), up to
-//! [`EnsembleConfig::pack_width`] such siblings share one
-//! structure-of-arrays [`StatePack`](qdb_sim::StatePack): the pack
-//! broadcasts the frontier at the earliest fork position, each compiled
-//! op in the shared suffix window is decoded **once** and applied
-//! across all lanes, and each lane's faults fire into that lane alone
-//! ([`CompiledCircuit::apply_range_to_pack_polled`]). Lanes forking a
-//! little later simply replay their last few ideal trunk ops inside
-//! the pack (bounded by the window), which costs less than the decode
-//! amortization saves. Lane arithmetic is elementwise identical to a
-//! solo replay, so grouping is purely a scheduling choice: reports are
-//! bit-identical at every pack width (width 1 disables packing).
-//!
-//! [`CompiledCircuit::apply_range_to_pack_polled`]: qdb_circuit::CompiledCircuit::apply_range_to_pack_polled
-//!
 //! ## Pauli channels only
 //!
 //! Every stage above leans on fault patterns being *state-independent*:
@@ -141,12 +121,9 @@ pub struct NoisySessionStats {
     /// fault-injected alike (the reclamation invariant
     /// `governor_equivalence.rs` asserts).
     pub states_outstanding: usize,
-    /// Packed suffix replays performed (see the [module docs](self)):
-    /// each pack decoded its window's ops once for several lanes.
-    pub packs_leased: usize,
-    /// Trajectory lanes served through those packs — each one a solo
-    /// suffix replay the pack replaced. `packed_lanes / packs_leased`
-    /// is the session's mean decode-amortization width.
+    /// Always 0. The field stays only because the `qdbbench` session
+    /// benchmark reads it for its `tree.packed_lanes` metric; it goes
+    /// when that metric does.
     pub packed_lanes: usize,
 }
 
@@ -198,40 +175,10 @@ struct WaveSlot<B> {
     state: Mutex<Option<B>>,
 }
 
-/// A packed suffix replay awaiting (or holding) its replayed lanes:
-/// `groups[k]` is lane `k`'s group index, every lane shares breakpoint
-/// `bp`, and the pack broadcasts the frontier at position `p0` (the
-/// earliest lane's fork). One pack is one unit of the wave's parallel
-/// loop — lanes inside it ride the shared decode, never a thread.
-struct PackSlot {
-    bp: usize,
-    groups: Vec<usize>,
-    p0: usize,
-    pack: Mutex<Option<qdb_sim::StatePack>>,
-}
-
-/// One pending unit of a replay wave: a solo fork or a packed group of
-/// sibling forks.
-enum Slot<B> {
-    Single(WaveSlot<B>),
-    Pack(PackSlot),
-}
-
-/// Replay waves are flushed at this many pending trajectory lanes (and
-/// at every breakpoint). The constant bounds live fork states
-/// independently of thread count, so scheduling never shifts with the
-/// machine; packs count every lane, so packing never widens the
-/// resident-state bound past `WAVE_CAP + pack_width − 1`.
+/// Replay waves are flushed at this many pending forks (and at every
+/// breakpoint). The constant bounds live fork states independently of
+/// thread count, so scheduling never shifts with the machine.
 const WAVE_CAP: usize = 32;
-
-/// Sibling forks may share a pack only when their fork positions lie
-/// within this many ops of the pack leader's: a later lane replays its
-/// remaining ideal trunk ops inside the pack, and the window caps that
-/// duplicated trunk work (and the census inflation it causes) per lane
-/// — `replayed_ops` under packing exceeds the solo census by at most
-/// `PACK_WINDOW × packed_lanes`. Public so benches and tests can bound
-/// that inflation without hard-coding the constant.
-pub const PACK_WINDOW: usize = 32;
 
 /// Everything a trajectory-tree run reads: the session configuration,
 /// the program and its compiled plan, the unwrapped noise model
@@ -242,10 +189,10 @@ pub const PACK_WINDOW: usize = 32;
 /// no forks, no serving, no visit — so a checkpoint-resumed session
 /// pays only the shared frontier walk for the prefix it already has
 /// reports for. Skipping is bit-neutral for the remaining breakpoints:
-/// every `(breakpoint, shot)` RNG stream is independent, fork packing
-/// only ever groups same-breakpoint siblings, and the frontier applies
-/// the same ops in the same order regardless of where earlier
-/// breakpoints' forks used to split the walk. `0` runs everything.
+/// every `(breakpoint, shot)` RNG stream is independent, and the
+/// frontier applies the same ops in the same order regardless of where
+/// earlier breakpoints' forks used to split the walk. `0` runs
+/// everything.
 #[derive(Clone, Copy)]
 pub(crate) struct NoisySession<'a> {
     pub config: &'a EnsembleConfig,
@@ -315,7 +262,7 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
             plan.presample_faults(0..bp.position, noise, &mut rng, &mut pattern);
             (pattern, rng)
         };
-        let drawn: Vec<(Vec<FaultEvent>, StdRng)> = if config.shot_parallel() {
+        let drawn: Vec<(Vec<FaultEvent>, StdRng)> = if config.parallel {
             (0..shots).into_par_iter().map(presample_shot).collect()
         } else {
             (0..shots).map(presample_shot).collect()
@@ -385,22 +332,17 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
         }
         Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
     };
-    // One parallel axis, never nested: the frontier walk is serial (one
-    // state), so it may chunk amplitudes; forked wave states may only
-    // when the wave itself is not fanned out across workers.
-    let intra = config.intra_state(num_qubits);
-    let wave_parallel = config.shot_parallel();
-    frontier.set_intra_parallel(intra);
-    let fork_intra = intra && !wave_parallel;
+    // Parallelism never nests: the frontier walk is serial (one state),
+    // so it may chunk amplitudes, while forks replay serially — as units
+    // of a parallel wave, or one at a time when the session is serial.
+    frontier.set_intra_parallel(config.parallel);
     let batch = Governor::batch_ops(num_qubits);
     let pool: StatePool<B> = StatePool::new();
     let mut scratch = Sampler::default();
     let mut outcomes: Vec<Vec<u64>> = (0..breakpoints.len()).map(|_| vec![0; shots]).collect();
     let mut replayed: Vec<u64> = vec![0; breakpoints.len()];
     let mut frontier_ops: u64 = 0;
-    let mut wave: Vec<Slot<B>> = Vec::new();
-    let mut wave_lanes = 0usize;
-    let mut taken: Vec<bool> = vec![false; forks.len()];
+    let mut wave: Vec<WaveSlot<B>> = Vec::new();
     let mut position = 0usize;
     let mut next_fork = 0usize;
     let mut trip: Option<InterruptCause> = None;
@@ -439,147 +381,52 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
             .and_then(|polled| polled)
     };
 
-    // Replay one pack's lanes to their shared breakpoint position:
-    // prologue faults for lanes forking exactly at `p0` (their fault
-    // window starts before the pack's), then every op of the shared
-    // window decoded once and applied across all lanes, each lane's
-    // remaining faults firing into its lane alone. Polled against the
-    // pack's own resident footprint, panic-contained like `replay`.
-    let pack_replay =
-        |pack: &mut qdb_sim::StatePack, slot: &PackSlot| -> Result<(), InterruptCause> {
-            governor
-                .contain(|| {
-                    let mut lane_faults: Vec<&[FaultEvent]> = Vec::with_capacity(slot.groups.len());
-                    for (k, &g) in slot.groups.iter().enumerate() {
-                        let group = &groups[slot.bp][g];
-                        let first = group.pattern[0];
-                        if first.op + 1 == slot.p0 {
-                            let at_fork = group.pattern.partition_point(|f| f.op == first.op);
-                            for fault in &group.pattern[..at_fork] {
-                                pack.apply_pauli_lane(k, fault.qubit, fault.pauli);
-                            }
-                            lane_faults.push(&group.pattern[at_fork..]);
-                        } else {
-                            // This lane forks later: the window's early
-                            // ops replay its ideal trunk, and its full
-                            // pattern fires in place along the way.
-                            lane_faults.push(&group.pattern);
-                        }
-                    }
-                    plan.apply_range_to_pack_polled(
-                        pack,
-                        slot.p0..breakpoints[slot.bp].position,
-                        &lane_faults,
-                        batch,
-                        &mut |p: &qdb_sim::StatePack, _| governor.poll_resident(p.resident_bytes()),
-                    )
-                })
-                .and_then(|polled| polled)
-        };
-
-    // Drain the pending wave: replay every slot (the one parallel axis
-    // of the tree — a pack is one unit of it), then serve its shots
-    // serially and recycle buffers. On a trip (any slot), every buffer
-    // and pack still goes back to the pool and `trip` is set — no
-    // shots are served from a tripped wave.
+    // Drain the pending wave: replay every slot (the tree's fork-level
+    // fan-out), then serve its shots serially and recycle buffers. On a
+    // trip (any slot), every buffer still goes back to the pool and
+    // `trip` is set — no shots are served from a tripped wave.
     macro_rules! flush_wave {
         () => {
             if !wave.is_empty() {
-                let run_slot = |slot: &Slot<B>| -> Option<InterruptCause> {
-                    match slot {
-                        Slot::Single(slot) => {
-                            let mut state = slot
-                                .state
-                                .lock()
-                                .expect("wave slot lock")
-                                .take()
-                                .expect("wave slot filled at fork time");
-                            let replayed_ok =
-                                replay(&mut state, slot.bp, &groups[slot.bp][slot.group]);
-                            *slot.state.lock().expect("wave slot lock") = Some(state);
-                            replayed_ok.err()
-                        }
-                        Slot::Pack(slot) => {
-                            let mut pack = slot
-                                .pack
-                                .lock()
-                                .expect("pack slot lock")
-                                .take()
-                                .expect("pack slot filled at fork time");
-                            let replayed_ok = pack_replay(&mut pack, slot);
-                            *slot.pack.lock().expect("pack slot lock") = Some(pack);
-                            replayed_ok.err()
-                        }
-                    }
+                let run_slot = |slot: &WaveSlot<B>| -> Option<InterruptCause> {
+                    let mut state = slot
+                        .state
+                        .lock()
+                        .expect("wave slot lock")
+                        .take()
+                        .expect("wave slot filled at fork time");
+                    let replayed_ok = replay(&mut state, slot.bp, &groups[slot.bp][slot.group]);
+                    *slot.state.lock().expect("wave slot lock") = Some(state);
+                    replayed_ok.err()
                 };
-                let slot_trips: Vec<Option<InterruptCause>> = if wave_parallel {
+                let slot_trips: Vec<Option<InterruptCause>> = if config.parallel {
                     wave.as_slice().into_par_iter().map(run_slot).collect()
                 } else {
                     wave.iter().map(run_slot).collect()
                 };
                 let wave_trip = slot_trips.into_iter().flatten().next();
                 for slot in wave.drain(..) {
-                    match slot {
-                        Slot::Single(slot) => {
-                            let state = slot
-                                .state
-                                .into_inner()
-                                .expect("wave slot lock")
-                                .expect("replayed state present");
-                            if wave_trip.is_none() {
-                                let group = &groups[slot.bp][slot.group];
-                                serve_group(
-                                    &state,
-                                    group,
-                                    &qubits_for[slot.bp],
-                                    noise,
-                                    &mut rngs[slot.bp],
-                                    &mut outcomes[slot.bp],
-                                    &mut scratch,
-                                );
-                                replayed[slot.bp] += (breakpoints[slot.bp].position
-                                    - group.pattern[0].op
-                                    - 1) as u64;
-                            }
-                            pool.release(state);
-                        }
-                        Slot::Pack(slot) => {
-                            let pack = slot
-                                .pack
-                                .into_inner()
-                                .expect("pack slot lock")
-                                .expect("replayed pack present");
-                            if wave_trip.is_none() {
-                                for (k, &g) in slot.groups.iter().enumerate() {
-                                    let group = &groups[slot.bp][g];
-                                    // Borrow a pooled buffer to carry
-                                    // the extracted lane; its previous
-                                    // contents are fully overwritten.
-                                    let mut state = pool.acquire_copy(&frontier);
-                                    let extracted = state.pack_extract_into(&pack, k);
-                                    debug_assert!(
-                                        extracted,
-                                        "packs only form on packable backends"
-                                    );
-                                    serve_group(
-                                        &state,
-                                        group,
-                                        &qubits_for[slot.bp],
-                                        noise,
-                                        &mut rngs[slot.bp],
-                                        &mut outcomes[slot.bp],
-                                        &mut scratch,
-                                    );
-                                    replayed[slot.bp] +=
-                                        (breakpoints[slot.bp].position - slot.p0) as u64;
-                                    pool.release(state);
-                                }
-                            }
-                            pool.release_pack(pack);
-                        }
+                    let state = slot
+                        .state
+                        .into_inner()
+                        .expect("wave slot lock")
+                        .expect("replayed state present");
+                    if wave_trip.is_none() {
+                        let group = &groups[slot.bp][slot.group];
+                        serve_group(
+                            &state,
+                            group,
+                            &qubits_for[slot.bp],
+                            noise,
+                            &mut rngs[slot.bp],
+                            &mut outcomes[slot.bp],
+                            &mut scratch,
+                        );
+                        replayed[slot.bp] +=
+                            (breakpoints[slot.bp].position - group.pattern[0].op - 1) as u64;
                     }
+                    pool.release(state);
                 }
-                wave_lanes = 0;
                 if wave_trip.is_some() {
                     trip = wave_trip;
                 }
@@ -591,13 +438,8 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
         // Schedule (and in serial mode, immediately retire) every fork
         // up to this breakpoint's position.
         while next_fork < forks.len() && forks[next_fork].position <= bp.position {
-            let fork_index = next_fork;
+            let fork = &forks[next_fork];
             next_fork += 1;
-            // Already consumed as a lane of an earlier pack.
-            if taken[fork_index] {
-                continue;
-            }
-            let fork = &forks[fork_index];
             if fork.position > position {
                 if let Err(cause) = advance(&mut frontier, position..fork.position) {
                     trip = Some(cause);
@@ -613,69 +455,15 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                     break 'walk;
                 }
             }
-            // Gather siblings of the same breakpoint forking within the
-            // pack window: they can share this fork's broadcast. The
-            // scan is over the sorted fork list, so lane order (and the
-            // resulting reports) is machine-independent.
-            let mut mates: Vec<usize> = Vec::new();
-            if config.pack_width >= 2 {
-                let mut j = next_fork;
-                while j < forks.len()
-                    && forks[j].position <= fork.position + PACK_WINDOW
-                    && mates.len() + 1 < config.pack_width
-                {
-                    if !taken[j] && forks[j].bp == fork.bp {
-                        mates.push(j);
-                    }
-                    j += 1;
-                }
-            }
-            let mut packed = false;
-            if !mates.is_empty() {
-                // `None` (no packed form on this backend) falls through
-                // to the solo path with the mates left unclaimed.
-                if let Some(pack) = pool.lease_pack(&frontier, mates.len() + 1) {
-                    let mut lane_groups = Vec::with_capacity(mates.len() + 1);
-                    lane_groups.push(fork.group);
-                    for &j in &mates {
-                        // Consuming a fork is a fork site even inside a
-                        // pack: injected fork faults trip at the same
-                        // lane count regardless of packing.
-                        match governor.contain(|| governor.injected_fork_fault()) {
-                            Ok(None) => {}
-                            Ok(Some(cause)) | Err(cause) => {
-                                trip = Some(cause);
-                                break;
-                            }
-                        }
-                        taken[j] = true;
-                        lane_groups.push(forks[j].group);
-                    }
-                    if trip.is_some() {
-                        pool.release_pack(pack);
-                        break 'walk;
-                    }
-                    wave_lanes += lane_groups.len();
-                    wave.push(Slot::Pack(PackSlot {
-                        bp: fork.bp,
-                        groups: lane_groups,
-                        p0: fork.position,
-                        pack: Mutex::new(Some(pack)),
-                    }));
-                    packed = true;
-                }
-            }
-            if !packed {
-                let mut state = pool.acquire_copy(&frontier);
-                state.set_intra_parallel(fork_intra);
-                wave_lanes += 1;
-                wave.push(Slot::Single(WaveSlot {
-                    bp: fork.bp,
-                    group: fork.group,
-                    state: Mutex::new(Some(state)),
-                }));
-            }
-            if !wave_parallel || wave_lanes >= WAVE_CAP {
+            let mut state = pool.acquire_copy(&frontier);
+            // The copy inherits the frontier's chunking flag.
+            state.set_intra_parallel(false);
+            wave.push(WaveSlot {
+                bp: fork.bp,
+                group: fork.group,
+                state: Mutex::new(Some(state)),
+            });
+            if !config.parallel || wave.len() >= WAVE_CAP {
                 flush_wave!();
                 if trip.is_some() {
                     break 'walk;
@@ -732,32 +520,18 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
     // Reclaim any wave buffers stranded by an early exit; completed
     // runs flushed everything already, so this loop is then empty.
     for slot in wave.drain(..) {
-        match slot {
-            Slot::Single(slot) => {
-                if let Some(state) = slot
-                    .state
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                {
-                    pool.release(state);
-                }
-            }
-            Slot::Pack(slot) => {
-                if let Some(pack) = slot
-                    .pack
-                    .into_inner()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                {
-                    pool.release_pack(pack);
-                }
-            }
+        if let Some(state) = slot
+            .state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        {
+            pool.release(state);
         }
     }
     // A hard assert (not debug_assert): this is once per session, and
     // the release-mode fault-injection CI run relies on a leak here
     // panicking into the containment boundary.
     assert_eq!(pool.outstanding(), 0, "every pooled buffer reclaimed");
-    assert_eq!(pool.packs_outstanding(), 0, "every leased pack reclaimed");
     debug_assert!(
         trip.is_some() || next_fork == forks.len(),
         "every fork scheduled"
@@ -781,8 +555,6 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
         stats.frontier_ops = frontier_ops;
         stats.states_allocated = pool.states_allocated();
         stats.states_outstanding = pool.outstanding();
-        stats.packs_leased = pool.packs_leased();
-        stats.packed_lanes = pool.packed_lanes();
     }
     Ok((out, trip))
 }

@@ -1,11 +1,11 @@
-//! Thread-count invariance of every parallel axis.
+//! Thread-count invariance of the parallel engine.
 //!
 //! The workspace's determinism contract says results never depend on
 //! how much parallelism the host happens to offer. This file pins that
-//! across the two axes this crate schedules — per-shot fan-out and
-//! intra-state kernel chunking — plus packed suffix replay, by running
-//! identical sessions under `RAYON_NUM_THREADS ∈ {1, 2, 4}` ×
-//! [`ParallelAxis`] × {Sweep, PerPrefix} × pack widths × noise levels
+//! across both kinds of work this crate schedules — fan-out of
+//! independent units (breakpoints, shots, fork waves) and intra-state
+//! kernel chunking — by running identical sessions under
+//! `RAYON_NUM_THREADS ∈ {1, 2, 4}` × {Sweep, PerPrefix} × noise levels
 //! and requiring the reports bit-identical to a serial canonical run:
 //!
 //! * proptested on the statevector over random mixed programs;
@@ -14,7 +14,7 @@
 //!   threshold is [`INTRA_PAR_MIN_QUBITS`] = 15), not just to agree;
 //! * preserved under an armed [`RunBudget`]: an interrupted session's
 //!   partial report must be a bit-identical strict prefix of the full
-//!   report at every thread count, axis, and pack width.
+//!   report at every thread count.
 //!
 //! The `RAYON_NUM_THREADS` override is re-read per rayon call (compat
 //! shim behavior), so toggling the env var between sessions is enough;
@@ -32,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use qdb_circuit::{GateSink, Program, QReg};
 use qdb_core::{
     AssertionReport, BackendChoice, CoreError, EnsembleConfig, EnsembleRunner, ExecutionStrategy,
-    ParallelAxis, RunBudget, SweepRunner, Verdict,
+    RunBudget, SweepRunner, Verdict,
 };
 use qdb_sim::NoiseModel;
 
@@ -51,12 +51,6 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const STRATEGIES: [ExecutionStrategy; 2] = [ExecutionStrategy::Sweep, ExecutionStrategy::PerPrefix];
-const AXES: [ParallelAxis; 4] = [
-    ParallelAxis::Auto,
-    ParallelAxis::PerShot,
-    ParallelAxis::IntraState,
-    ParallelAxis::Hybrid,
-];
 
 /// A pseudo-random mixed (non-Clifford) program with assertions — the
 /// verdicts are irrelevant, only their bits matter.
@@ -142,7 +136,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Statevector sessions are bit-identical across thread counts ×
-    /// axes × strategies × pack widths, noisy and noiseless alike.
+    /// strategies, noisy and noiseless alike.
     #[test]
     fn statevector_reports_invariant_across_thread_counts(
         n in 2..6usize,
@@ -150,19 +144,15 @@ proptest! {
         program_seed in 0..u64::MAX,
         run_seed in 0..u64::MAX,
         noisy in prop_oneof![Just(false), Just(true)],
-        axis_pick in 0..4usize,
-        pack_width in prop_oneof![Just(1usize), Just(8usize)],
     ) {
         let _guard = ENV_LOCK.lock().unwrap();
         let program = mixed_program(n, gates, program_seed);
         let mut base = EnsembleConfig::default()
             .with_shots(64)
-            .with_seed(run_seed)
-            .with_pack_width(pack_width);
+            .with_seed(run_seed);
         if noisy {
             base = base.with_noise(NoiseModel::depolarizing(0.01).with_readout_flip(0.02));
         }
-        let axis = AXES[axis_pick];
         for strategy in STRATEGIES {
             let canonical = EnsembleRunner::new(
                 base.with_strategy(strategy).with_parallel(false),
@@ -171,18 +161,14 @@ proptest! {
             .expect("canonical serial session");
             for threads in THREAD_COUNTS {
                 let reports = with_threads(threads, || {
-                    EnsembleRunner::new(
-                        base.with_strategy(strategy)
-                            .with_parallel(true)
-                            .with_parallel_axis(axis),
-                    )
-                    .check_program(&program)
-                    .expect("threaded session")
+                    EnsembleRunner::new(base.with_strategy(strategy).with_parallel(true))
+                        .check_program(&program)
+                        .expect("threaded session")
                 });
                 assert_reports_bit_identical(
                     &canonical,
                     &reports,
-                    &format!("{strategy:?}/{axis:?}/threads={threads}/pack={pack_width}"),
+                    &format!("{strategy:?}/threads={threads}"),
                 );
             }
         }
@@ -207,26 +193,20 @@ fn sparse_reports_invariant_across_thread_counts() {
             let canonical = EnsembleRunner::new(base.with_strategy(strategy).with_parallel(false))
                 .check_program(&program)
                 .expect("canonical sparse session");
-            for axis in AXES {
-                for threads in THREAD_COUNTS {
-                    let reports = with_threads(threads, || {
-                        EnsembleRunner::new(
-                            base.with_strategy(strategy)
-                                .with_parallel(true)
-                                .with_parallel_axis(axis),
-                        )
+            for threads in THREAD_COUNTS {
+                let reports = with_threads(threads, || {
+                    EnsembleRunner::new(base.with_strategy(strategy).with_parallel(true))
                         .check_program(&program)
                         .expect("threaded sparse session")
-                    });
-                    assert_reports_bit_identical(
-                        &canonical,
-                        &reports,
-                        &format!(
-                            "sparse/noisy={}/{strategy:?}/{axis:?}/threads={threads}",
-                            noise.is_some()
-                        ),
-                    );
-                }
+                });
+                assert_reports_bit_identical(
+                    &canonical,
+                    &reports,
+                    &format!(
+                        "sparse/noisy={}/{strategy:?}/threads={threads}",
+                        noise.is_some()
+                    ),
+                );
             }
         }
     }
@@ -234,8 +214,8 @@ fn sparse_reports_invariant_across_thread_counts() {
 
 /// Above the 15-qubit threshold the sweep genuinely chunks — and the
 /// chunked evolution is bit-identical to serial, outcomes and
-/// amplitudes both. `PerShot` must keep the kernels serial even with
-/// four workers; `IntraState` and `Auto` must engage them.
+/// amplitudes both. With `parallel` off the kernels stay serial; with
+/// it on and four workers they must engage.
 #[test]
 fn sixteen_qubit_sweep_chunks_and_stays_bit_identical() {
     let _guard = ENV_LOCK.lock().unwrap();
@@ -265,33 +245,25 @@ fn sixteen_qubit_sweep_chunks_and_stays_bit_identical() {
         "serial sweep must not chunk"
     );
 
-    for (axis, expect_chunks) in [
-        (ParallelAxis::Auto, true),
-        (ParallelAxis::IntraState, true),
-        (ParallelAxis::Hybrid, true),
-        (ParallelAxis::PerShot, false),
-    ] {
-        let swept = with_threads(4, || {
-            SweepRunner::new(base.with_parallel(true).with_parallel_axis(axis))
-                .run_all(&p)
-                .expect("threaded sweep")
-        });
-        assert_eq!(swept[0].outcomes, serial[0].outcomes, "{axis:?}: outcomes");
-        for i in 0..serial[0].state.dim() {
-            let (a, b) = (serial[0].state.amplitude(i), swept[0].state.amplitude(i));
-            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{axis:?}: amp {i}");
-            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{axis:?}: amp {i}");
-        }
-        assert_eq!(
-            swept[0].state.par_chunks() > 0,
-            expect_chunks,
-            "{axis:?}: chunk engagement"
-        );
+    let swept = with_threads(4, || {
+        SweepRunner::new(base.with_parallel(true))
+            .run_all(&p)
+            .expect("threaded sweep")
+    });
+    assert_eq!(swept[0].outcomes, serial[0].outcomes, "outcomes");
+    for i in 0..serial[0].state.dim() {
+        let (a, b) = (serial[0].state.amplitude(i), swept[0].state.amplitude(i));
+        assert_eq!(a.re.to_bits(), b.re.to_bits(), "amp {i}");
+        assert_eq!(a.im.to_bits(), b.im.to_bits(), "amp {i}");
     }
+    assert!(
+        swept[0].state.par_chunks() > 0,
+        "parallel sweep must chunk with four workers"
+    );
 }
 
 /// An armed budget must hand back a strict-prefix partial at every
-/// thread count, axis, and pack width. The governor polls a single
+/// thread count. The governor polls a single
 /// state's resident footprint, so a ceiling below one dense 5-qubit
 /// state (512 B) trips on the first poll of every configuration — the
 /// same marker-partial shape everywhere, regardless of scheduling.
@@ -307,34 +279,28 @@ fn armed_budget_preserves_strict_prefix_at_every_thread_count() {
         .check_program(&program)
         .expect("unbudgeted canonical session");
     let ceiling = 256;
-    for axis in AXES {
-        for pack_width in [1usize, 8] {
-            for threads in THREAD_COUNTS {
-                let ctx = format!("{axis:?}/pack={pack_width}/threads={threads}");
-                let err = with_threads(threads, || {
-                    EnsembleRunner::new(
-                        base.with_parallel(true)
-                            .with_parallel_axis(axis)
-                            .with_pack_width(pack_width)
-                            .with_budget(RunBudget::default().with_max_resident_bytes(ceiling)),
-                    )
-                    .check_program(&program)
-                    .expect_err("ceiling must trip")
-                });
-                match &err {
-                    CoreError::Interrupted { cause, partial } => {
-                        assert!(
-                            matches!(
-                                cause,
-                                qdb_core::InterruptCause::MemoryBudget { limit: 256, .. }
-                            ),
-                            "{ctx}: {cause:?}"
-                        );
-                        assert_strict_prefix(partial, &full, &ctx);
-                    }
-                    other => panic!("{ctx}: expected Interrupted, got {other:?}"),
-                }
+    for threads in THREAD_COUNTS {
+        let ctx = format!("threads={threads}");
+        let err = with_threads(threads, || {
+            EnsembleRunner::new(
+                base.with_parallel(true)
+                    .with_budget(RunBudget::default().with_max_resident_bytes(ceiling)),
+            )
+            .check_program(&program)
+            .expect_err("ceiling must trip")
+        });
+        match &err {
+            CoreError::Interrupted { cause, partial } => {
+                assert!(
+                    matches!(
+                        cause,
+                        qdb_core::InterruptCause::MemoryBudget { limit: 256, .. }
+                    ),
+                    "{ctx}: {cause:?}"
+                );
+                assert_strict_prefix(partial, &full, &ctx);
             }
+            other => panic!("{ctx}: expected Interrupted, got {other:?}"),
         }
     }
 }
@@ -343,7 +309,7 @@ fn armed_budget_preserves_strict_prefix_at_every_thread_count() {
 /// construction: the sparse backend's resident footprint grows as gates
 /// spread amplitude support, so a ceiling calibrated to the first
 /// breakpoint's footprint passes that breakpoint and trips later — at
-/// the same poll site at every thread count and axis, leaving a
+/// the same poll site at every thread count, leaving a
 /// non-empty bit-identical prefix.
 #[test]
 fn armed_budget_trips_mid_run_with_identical_prefix_across_threads() {
@@ -373,30 +339,27 @@ fn armed_budget_trips_mid_run_with_identical_prefix_across_threads() {
     );
 
     let mut completed_at: Option<usize> = None;
-    for axis in AXES {
-        for threads in THREAD_COUNTS {
-            let ctx = format!("sparse-budget/{axis:?}/threads={threads}");
-            let err = with_threads(threads, || {
-                EnsembleRunner::new(
-                    base.with_parallel(true)
-                        .with_parallel_axis(axis)
-                        .with_budget(RunBudget::default().with_max_resident_bytes(ceiling)),
-                )
-                .check_program(&program)
-                .expect_err("growth past the ceiling must trip")
-            });
-            match &err {
-                CoreError::Interrupted { partial, .. } => {
-                    assert!(partial.completed >= 1, "{ctx}: prefix must be non-empty");
-                    assert_strict_prefix(partial, &full, &ctx);
-                    // The trip site is scheduling-independent too.
-                    match completed_at {
-                        None => completed_at = Some(partial.completed),
-                        Some(n) => assert_eq!(partial.completed, n, "{ctx}: trip site moved"),
-                    }
+    for threads in THREAD_COUNTS {
+        let ctx = format!("sparse-budget/threads={threads}");
+        let err = with_threads(threads, || {
+            EnsembleRunner::new(
+                base.with_parallel(true)
+                    .with_budget(RunBudget::default().with_max_resident_bytes(ceiling)),
+            )
+            .check_program(&program)
+            .expect_err("growth past the ceiling must trip")
+        });
+        match &err {
+            CoreError::Interrupted { partial, .. } => {
+                assert!(partial.completed >= 1, "{ctx}: prefix must be non-empty");
+                assert_strict_prefix(partial, &full, &ctx);
+                // The trip site is scheduling-independent too.
+                match completed_at {
+                    None => completed_at = Some(partial.completed),
+                    Some(n) => assert_eq!(partial.completed, n, "{ctx}: trip site moved"),
                 }
-                other => panic!("{ctx}: expected Interrupted, got {other:?}"),
             }
+            other => panic!("{ctx}: expected Interrupted, got {other:?}"),
         }
     }
 }

@@ -67,14 +67,11 @@ impl RetryPolicy {
 /// flagged in the session's event log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradationPolicy {
-    /// Rung 1: shrink the trajectory tree's replay `pack_width` to 1,
-    /// releasing pack lane buffers. Bit-neutral.
-    pub shrink_pack_width: bool,
-    /// Rung 2: disable parallel execution, collapsing the replay wave
+    /// Rung 1: disable parallel execution, collapsing the replay wave
     /// (and per-prefix worker states) to a single resident state.
     /// Bit-neutral.
     pub disable_parallel: bool,
-    /// Rung 3: re-resolve [`BackendChoice::Auto`](qdb_core::BackendChoice::Auto)
+    /// Rung 2: re-resolve [`BackendChoice::Auto`](qdb_core::BackendChoice::Auto)
     /// to the sparse amplitude-map backend, trading time for a resident
     /// footprint that scales with live support instead of `2ⁿ`.
     /// Verdict-preserving but **not** bit-preserving (the sparse engine
@@ -88,7 +85,6 @@ pub struct DegradationPolicy {
 impl Default for DegradationPolicy {
     fn default() -> Self {
         Self {
-            shrink_pack_width: true,
             disable_parallel: true,
             sparse_fallback: true,
         }
@@ -101,7 +97,6 @@ impl DegradationPolicy {
     #[must_use]
     pub fn none() -> Self {
         Self {
-            shrink_pack_width: false,
             disable_parallel: false,
             sparse_fallback: false,
         }

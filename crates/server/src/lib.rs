@@ -29,8 +29,8 @@
 //!   an uninterrupted run (the strict-prefix contract
 //!   `resume_equivalence.rs` pins in the core crate).
 //! * **Graceful degradation** — repeated memory trips walk a ladder
-//!   ([`DegradationPolicy`]): shrink the replay pack width, disable
-//!   parallel execution (both bit-neutral), then re-resolve an `Auto`
+//!   ([`DegradationPolicy`]): disable parallel execution
+//!   (bit-neutral), then re-resolve an `Auto`
 //!   backend to the sparse engine (verdict-preserving, bit-affecting,
 //!   and flagged in the event log and outcome).
 //! * **Caching** — compiled plans are shared through the

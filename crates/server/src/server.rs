@@ -608,7 +608,6 @@ fn snapshot_attempt(shared: &Arc<Shared>, record: &mut Record) -> Attempt {
     let mut config = record.config.clone();
     for action in &record.degrade_actions {
         config = match action {
-            DegradeAction::ShrinkPackWidth { .. } => config.with_pack_width(1),
             DegradeAction::DisableParallel => config.with_parallel(false),
             DegradeAction::SparseFallback => config.with_backend(BackendChoice::Sparse),
         };
@@ -787,14 +786,7 @@ fn classify(
 fn degrade(shared: &Arc<Shared>, record: &mut Record) {
     let policy = shared.config.degradation;
     let taken = |matcher: fn(&DegradeAction) -> bool| record.degrade_actions.iter().any(matcher);
-    let action = if policy.shrink_pack_width
-        && record.config.pack_width > 1
-        && !taken(|a| matches!(a, DegradeAction::ShrinkPackWidth { .. }))
-    {
-        Some(DegradeAction::ShrinkPackWidth {
-            from: record.config.pack_width,
-        })
-    } else if policy.disable_parallel
+    let action = if policy.disable_parallel
         && record.config.parallel
         && !taken(|a| matches!(a, DegradeAction::DisableParallel))
     {

@@ -114,11 +114,6 @@ impl fmt::Display for SessionState {
 /// ordering and bit-identity consequences.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
-    /// Replay `pack_width` shrunk to 1 (bit-neutral).
-    ShrinkPackWidth {
-        /// The pack width before the shrink.
-        from: usize,
-    },
     /// Parallel execution disabled (bit-neutral).
     DisableParallel,
     /// `BackendChoice::Auto` re-resolved to the sparse backend
@@ -128,8 +123,8 @@ pub enum DegradeAction {
 
 impl DegradeAction {
     /// `true` when this rung cannot change a single sampled bit —
-    /// pack-width and parallelism invariance are pinned by the engine's
-    /// equivalence suites.
+    /// parallelism invariance is pinned by the engine's equivalence
+    /// suites.
     #[must_use]
     pub fn bit_neutral(self) -> bool {
         !matches!(self, DegradeAction::SparseFallback)
@@ -139,9 +134,6 @@ impl DegradeAction {
 impl fmt::Display for DegradeAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DegradeAction::ShrinkPackWidth { from } => {
-                write!(f, "pack_width {from} → 1")
-            }
             DegradeAction::DisableParallel => f.write_str("parallel execution disabled"),
             DegradeAction::SparseFallback => f.write_str("Auto backend re-resolved to sparse"),
         }
@@ -290,7 +282,6 @@ mod tests {
 
     #[test]
     fn degrade_bit_neutrality() {
-        assert!(DegradeAction::ShrinkPackWidth { from: 32 }.bit_neutral());
         assert!(DegradeAction::DisableParallel.bit_neutral());
         assert!(!DegradeAction::SparseFallback.bit_neutral());
     }

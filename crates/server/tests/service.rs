@@ -406,15 +406,28 @@ fn memory_pressure_walks_degradation_ladder_to_sparse_and_completes() {
         !outcome.bit_identical,
         "the sparse rung is bit-affecting and must be flagged"
     );
-    assert!(outcome.events.iter().any(|e| matches!(
-        e,
-        SessionEvent::Degraded {
-            action: DegradeAction::SparseFallback,
-            bit_neutral: false
-        }
-    )));
-    assert!(outcome.degradations() >= 1);
-    assert!(server.metrics().degradations >= 1);
+    // The ladder has two rungs, taken in order: the bit-neutral
+    // parallelism rung, then the bit-affecting sparse rung.
+    let rungs: Vec<(DegradeAction, bool)> = outcome
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            SessionEvent::Degraded {
+                action,
+                bit_neutral,
+            } => Some((*action, *bit_neutral)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        rungs,
+        [
+            (DegradeAction::DisableParallel, true),
+            (DegradeAction::SparseFallback, false)
+        ]
+    );
+    assert_eq!(outcome.degradations(), 2);
+    assert_eq!(server.metrics().degradations, 2);
     // Bit-identity is forfeited, verdict equivalence is not.
     let verdicts: Vec<Verdict> = outcome
         .reports()

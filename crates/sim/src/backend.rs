@@ -36,7 +36,6 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gates::Matrix2;
 use crate::measure::{extract_bits, Sampler};
-use crate::pack::StatePack;
 use crate::state::{Pauli, State};
 
 /// A single-qubit Clifford gate the stabilizer backend understands.
@@ -314,33 +313,6 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
         false
     }
 
-    /// Broadcast this state into a `width`-lane
-    /// [`StatePack`] for packed suffix replay,
-    /// or `None` when the backend has no packed form (the default —
-    /// only the dense statevector packs, so tableau and sparse
-    /// trajectories fall back to per-fork replay).
-    fn pack_broadcast(&self, width: usize) -> Option<StatePack> {
-        let _ = width;
-        None
-    }
-
-    /// Re-broadcast this state into an existing pack buffer (recycling
-    /// its allocation), returning `false` when the backend has no
-    /// packed form.
-    fn pack_broadcast_into(&self, pack: &mut StatePack, width: usize) -> bool {
-        let _ = (pack, width);
-        false
-    }
-
-    /// Overwrite `self` with lane `k` of `pack`, returning `false` when
-    /// the backend has no packed form. `self` must already have the
-    /// pack's qubit count (it comes out of the same pool the pack's
-    /// checkpoint went in).
-    fn pack_extract_into(&mut self, pack: &StatePack, k: usize) -> bool {
-        let _ = (pack, k);
-        false
-    }
-
     /// Apply one lowered op.
     ///
     /// # Panics
@@ -486,20 +458,6 @@ impl SimBackend for State {
 
     fn intra_parallel(&self) -> bool {
         State::intra_parallel(self)
-    }
-
-    fn pack_broadcast(&self, width: usize) -> Option<StatePack> {
-        Some(StatePack::broadcast(self, width))
-    }
-
-    fn pack_broadcast_into(&self, pack: &mut StatePack, width: usize) -> bool {
-        pack.broadcast_into(self, width);
-        true
-    }
-
-    fn pack_extract_into(&mut self, pack: &StatePack, k: usize) -> bool {
-        pack.extract_lane_into(k, self);
-        true
     }
 
     fn apply_op(&mut self, op: &SimOp) {

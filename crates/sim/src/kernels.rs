@@ -256,6 +256,42 @@ where
     }
 }
 
+/// Apply `pair` to each `(run0[i], run1[i])` in ascending `i`.
+///
+/// Runs of at least [`OUT_OF_LINE_RUN`] pairs go through an
+/// out-of-line copy of the loop, where the two runs are `noalias`
+/// parameters. Inlined into a chunk closure, whose runs come from a raw
+/// pointer, the loop may lose that fact (it depends on how the crate is
+/// split into codegen units), and the vectorizer's runtime overlap
+/// checks then fail on every run, because the real and imaginary parts
+/// of one run interleave: the loop falls back to scalar code. Shorter
+/// runs stay inline, where a call would cost more than it saves.
+#[inline(always)]
+fn for_each_pair<F>(run0: &mut [Complex], run1: &mut [Complex], pair: F)
+where
+    F: Fn(&mut Complex, &mut Complex),
+{
+    #[inline(never)]
+    fn out_of_line<F>(run0: &mut [Complex], run1: &mut [Complex], pair: &F)
+    where
+        F: Fn(&mut Complex, &mut Complex),
+    {
+        for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+            pair(x, y);
+        }
+    }
+    if run0.len() >= OUT_OF_LINE_RUN {
+        out_of_line(run0, run1, &pair);
+    } else {
+        for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+            pair(x, y);
+        }
+    }
+}
+
+/// Shortest run [`for_each_pair`] hands to its out-of-line loop.
+const OUT_OF_LINE_RUN: usize = 8;
+
 /// The two disjoint contiguous runs of one enumeration step: the
 /// `target = 0` run starting at `base | cmask` and the `target = 1` run
 /// `tmask` above it. `run_len ≤ tmask` always holds (the target bit is
@@ -354,10 +390,10 @@ impl State {
             }
         } else {
             pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-                for (a, b) in run0.iter_mut().zip(run1.iter_mut()) {
+                for_each_pair(run0, run1, |a, b| {
                     *a = d0 * *a;
                     *b = d1 * *b;
-                }
+                });
             })
         };
         if chunks > 0 {
@@ -394,12 +430,12 @@ impl State {
                 // permutation, no arithmetic at all.
                 run0.swap_with_slice(run1);
             } else {
-                for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+                for_each_pair(run0, run1, |x, y| {
                     let a = *x;
                     let b = *y;
                     *x = a01 * b;
                     *y = a10 * a;
-                }
+                });
             }
         });
         if chunks > 0 {
@@ -429,12 +465,12 @@ impl State {
         let m = m.0;
         let amps = self.amps_mut();
         let chunks = pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-            for (x, y) in run0.iter_mut().zip(run1.iter_mut()) {
+            for_each_pair(run0, run1, |x, y| {
                 let a = *x;
                 let b = *y;
                 *x = m[0][0] * a + m[0][1] * b;
                 *y = m[1][0] * a + m[1][1] * b;
-            }
+            });
         });
         if chunks > 0 {
             self.record_par_chunks(chunks as u64);

@@ -25,10 +25,6 @@
 //!   *non-Clifford* programs past the dense ceiling (30–60 qubits):
 //!   cost scales with the live support size, not `2ⁿ`, with an exact
 //!   dense fallback when the support stops being sparse.
-//! * [`pack`] — the [`StatePack`]: K sibling states in one
-//!   structure-of-arrays buffer, applied-to once per op — the
-//!   cross-trajectory packed-replay engine of `qdb-core`'s trajectory
-//!   tree.
 //! * [`measure`] — ensemble sampling (via a cumulative-distribution
 //!   sampler) and collapsing mid-circuit measurement, as needed for
 //!   iterative phase estimation.
@@ -70,7 +66,6 @@ pub mod kernels;
 pub mod linalg;
 pub mod measure;
 pub mod noise;
-pub mod pack;
 pub mod pool;
 pub mod sparse;
 pub mod stabilizer;
@@ -84,7 +79,6 @@ pub use error::SimError;
 pub use gates::Matrix2;
 pub use measure::Sampler;
 pub use noise::{KrausSet, NoiseChannel, NoiseModel, ReadoutError, CPTP_TOL, MAX_KRAUS_OPS};
-pub use pack::StatePack;
 pub use pool::StatePool;
 pub use sparse::SparseState;
 pub use stabilizer::StabilizerState;

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::backend::SimBackend;
-use crate::pack::StatePack;
 
 /// A free list of backend states, recycled across trajectory forks.
 ///
@@ -41,10 +40,6 @@ pub struct StatePool<B> {
     free: Mutex<Vec<B>>,
     allocated: AtomicUsize,
     outstanding: AtomicUsize,
-    free_packs: Mutex<Vec<StatePack>>,
-    packs_leased: AtomicUsize,
-    packed_lanes: AtomicUsize,
-    packs_outstanding: AtomicUsize,
 }
 
 impl<B: SimBackend> StatePool<B> {
@@ -55,10 +50,6 @@ impl<B: SimBackend> StatePool<B> {
             free: Mutex::new(Vec::new()),
             allocated: AtomicUsize::new(0),
             outstanding: AtomicUsize::new(0),
-            free_packs: Mutex::new(Vec::new()),
-            packs_leased: AtomicUsize::new(0),
-            packed_lanes: AtomicUsize::new(0),
-            packs_outstanding: AtomicUsize::new(0),
         }
     }
 
@@ -106,64 +97,6 @@ impl<B: SimBackend> StatePool<B> {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.outstanding.load(Ordering::Relaxed)
-    }
-
-    /// Lease a `width`-lane pack broadcast from `source`, recycling a
-    /// previously released pack buffer when one is available — the
-    /// packed analogue of [`acquire_copy`](StatePool::acquire_copy).
-    ///
-    /// Returns `None` when the backend has no packed form (see
-    /// [`SimBackend::pack_broadcast`]); callers fall back to per-fork
-    /// replay. Leases and lane counts are tallied for the session
-    /// stats ([`packs_leased`](StatePool::packs_leased),
-    /// [`packed_lanes`](StatePool::packed_lanes)).
-    pub fn lease_pack(&self, source: &B, width: usize) -> Option<StatePack> {
-        let recycled = self.free_packs.lock().expect("pack pool lock").pop();
-        let pack = match recycled {
-            Some(mut pack) => {
-                if source.pack_broadcast_into(&mut pack, width) {
-                    Some(pack)
-                } else {
-                    None
-                }
-            }
-            None => source.pack_broadcast(width),
-        };
-        if pack.is_some() {
-            self.packs_leased.fetch_add(1, Ordering::Relaxed);
-            self.packed_lanes.fetch_add(width, Ordering::Relaxed);
-            self.packs_outstanding.fetch_add(1, Ordering::Relaxed);
-        }
-        pack
-    }
-
-    /// Return a leased pack's buffer for future
-    /// [`lease_pack`](StatePool::lease_pack) calls to recycle.
-    pub fn release_pack(&self, pack: StatePack) {
-        self.packs_outstanding.fetch_sub(1, Ordering::Relaxed);
-        self.free_packs.lock().expect("pack pool lock").push(pack);
-    }
-
-    /// Total packs leased over this pool's lifetime.
-    #[must_use]
-    pub fn packs_leased(&self) -> usize {
-        self.packs_leased.load(Ordering::Relaxed)
-    }
-
-    /// Total trajectory lanes served through leased packs (the sum of
-    /// pack widths) — each lane is a per-fork replay the pack replaced.
-    #[must_use]
-    pub fn packed_lanes(&self) -> usize {
-        self.packed_lanes.load(Ordering::Relaxed)
-    }
-
-    /// Number of packs currently leased out (leased but not yet
-    /// released); the packed analogue of
-    /// [`outstanding`](StatePool::outstanding), asserted back to zero
-    /// on every trajectory-session exit path.
-    #[must_use]
-    pub fn packs_outstanding(&self) -> usize {
-        self.packs_outstanding.load(Ordering::Relaxed)
     }
 }
 
@@ -240,38 +173,6 @@ mod tests {
         assert_eq!(pool.outstanding(), 1);
         pool.release(b);
         assert_eq!(pool.outstanding(), 0);
-    }
-
-    #[test]
-    fn pack_leases_recycle_and_census_balances() {
-        let mut checkpoint = State::zero(4);
-        checkpoint.apply_1q(2, &gates::h());
-        let pool: StatePool<State> = StatePool::new();
-        let pack = pool.lease_pack(&checkpoint, 4).expect("dense packs");
-        assert_eq!(pack.width(), 4);
-        assert_eq!(pool.packs_outstanding(), 1);
-        pool.release_pack(pack);
-        assert_eq!(pool.packs_outstanding(), 0);
-        // A second lease (different width) recycles the buffer.
-        let pack = pool.lease_pack(&checkpoint, 2).expect("dense packs");
-        assert_eq!(pack.width(), 2);
-        for k in 0..2 {
-            for i in 0..checkpoint.dim() {
-                assert_eq!(
-                    pack.amplitude(i, k).re.to_bits(),
-                    checkpoint.amplitude(i).re.to_bits()
-                );
-            }
-        }
-        pool.release_pack(pack);
-        assert_eq!(pool.packs_leased(), 2);
-        assert_eq!(pool.packed_lanes(), 6);
-        // Stabilizer backends have no packed form.
-        use crate::stabilizer::StabilizerState;
-        let tableau_pool: StatePool<StabilizerState> = StatePool::new();
-        let tableau = StabilizerState::zero(4).unwrap();
-        assert!(tableau_pool.lease_pack(&tableau, 4).is_none());
-        assert_eq!(tableau_pool.packs_leased(), 0);
     }
 
     #[test]
