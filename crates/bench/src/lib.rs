@@ -111,7 +111,8 @@ pub fn multicore_gate(what: &str) -> Option<(usize, f64)> {
 /// passes, parallel then serial on odd ones — so a slow spell of the
 /// host lands on both sides instead of on one timing block. Returns
 /// `(serial_s, parallel_s)`; the caller compares them at the threshold
-/// [`multicore_gate`] sets.
+/// [`multicore_gate`] sets (or, for a single-core comparison such as
+/// interpreted vs compiled kernels, at its own).
 ///
 /// # Panics
 ///

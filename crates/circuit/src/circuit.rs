@@ -210,9 +210,8 @@ impl Circuit {
     /// count. Equal circuits fingerprint equal across builds and
     /// processes; any content difference — a transposed pair, a
     /// one-ulp angle nudge, a swapped control — fingerprints apart.
-    /// The cache key [`crate::PlanCache`] memoizes compiled plans
-    /// under; see [`crate::Program::fingerprint`] for the
-    /// breakpoint-aware variant.
+    /// See [`crate::Program::fingerprint`] for the breakpoint-aware
+    /// variant [`crate::PlanCache`] keys plans by.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         crate::fingerprint::circuit_fingerprint(self)

@@ -18,11 +18,7 @@
 //! 3. each instruction is additionally classified as Clifford or not
 //!    (from the source [`GateKind`], exactly — never by matrix
 //!    matching), so Clifford-only plans ([`CompiledCircuit::is_clifford`])
-//!    can run on the polynomial-time stabilizer backend;
-//! 4. optionally ([`OptLevel::FuseExact`]) runs of adjacent uncontrolled
-//!    single-qubit gates on the same target are fused into one matrix,
-//!    restricted to the runs for which that fusion is provably
-//!    bit-exact.
+//!    can run on the polynomial-time stabilizer backend.
 //!
 //! The result is reused across every application: the ensemble sweep,
 //! per-prefix replays, and noisy trajectories all walk the same plan —
@@ -32,21 +28,14 @@
 //!
 //! ## Equivalence contract
 //!
-//! At the default [`OptLevel::Specialize`], compiled ops are 1:1 with
-//! source instructions, touch the same amplitude pairs in the same
-//! order, and perform the same arithmetic — results are value-identical
-//! to the interpreted path (every amplitude compares `==`; every
-//! probability, sample, and report is bit-for-bit identical; see
-//! [`qdb_sim::kernels`] for the one sign-of-zero caveat), and
-//! [`State::gate_ops`] advances exactly as if the source instructions
-//! had been interpreted. [`OptLevel::FuseExact`] restricts fusion to
-//! unit-monomial runs (entries in `{0, ±1, ±i}`) where the composition
-//! is exact in f64, preserving the bit-for-bit report guarantee while
-//! still collapsing Pauli/phase gate runs. `FuseExact` plans refuse the
-//! noisy-trajectory entry points, whose per-instruction noise insertion
-//! points fusion would erase, and multi-gate runs drop the per-op
-//! Clifford classification (a plan with one is never
-//! [`is_clifford`]).
+//! Compiled ops are 1:1 with source instructions, touch the same
+//! amplitude pairs in the same order, and perform the same arithmetic —
+//! results are value-identical to the interpreted path (every amplitude
+//! compares `==`; every probability, sample, and report is bit-for-bit
+//! identical; see [`qdb_sim::kernels`] for the one sign-of-zero
+//! caveat), and [`State::gate_ops`] advances exactly as if the source
+//! instructions had been interpreted. The interpreter stays as the
+//! oracle the compiled path is tested against.
 //!
 //! ## Clifford classification
 //!
@@ -58,38 +47,27 @@
 //! Clifford workloads all use the named gates.
 //!
 //! [`State::gate_ops`]: qdb_sim::State::gate_ops
-//! [`is_clifford`]: CompiledCircuit::is_clifford
 
 use crate::circuit::{Circuit, GateSink};
 use crate::instruction::{GateKind, Instruction};
 use qdb_sim::kernels::{classify, MatrixClass};
 use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp, State};
 
-/// How aggressively [`CompiledCircuit::compile`] lowers a circuit.
+/// How [`CompiledCircuit::compile`] lowers a circuit.
+///
+/// There is one level: every plan precomputes matrices and specializes
+/// kernels 1:1 with source instructions. The enum stays, single-valued,
+/// only because the `qdbbench` session benchmark names it (and
+/// `EnsembleConfig::opt`); it goes with them in the next change to the
+/// benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OptLevel {
     /// Precompute matrices and specialize kernels, keeping compiled ops
     /// 1:1 with source instructions. Results are value-identical to the
     /// interpreted path and all derived reports are bit-for-bit
-    /// identical. The default.
+    /// identical.
     #[default]
     Specialize,
-    /// Additionally fuse runs of adjacent uncontrolled single-qubit
-    /// gates on the same target into one matrix — but **only** runs
-    /// whose matrices are *unit-monomial*, every entry in
-    /// `{0, ±1, ±i}`: X, Y, Z, S, S†, and their products.
-    /// For this class fusion is exact, not approximate: composing the
-    /// matrices in f64 is exact and closed under products, and applying
-    /// the composed matrix is value-identical to applying the gates one
-    /// by one (see `is_unit_monomial`), so results keep
-    /// [`OptLevel::Specialize`]'s bit-for-bit report guarantee. Gates
-    /// outside the class (T, H, rotations) are emitted unfused, 1:1
-    /// with classification, exactly as `Specialize` would. Multi-gate
-    /// fused runs still erase per-instruction noise insertion points,
-    /// so `FuseExact` plans refuse the noisy-trajectory entry points,
-    /// multi-gate runs drop Clifford classification, and gate-op
-    /// counters advance per compiled op (a fused run counts once).
-    FuseExact,
 }
 
 /// Which specialized kernel a [`CompiledOp`] dispatches to.
@@ -105,15 +83,12 @@ pub enum KernelClass {
     Swap,
 }
 
-/// One lowered instruction: a classified [`SimOp`] plus the
-/// source-instruction range it covers.
+/// One lowered instruction: a classified [`SimOp`] plus the position
+/// of the source instruction it lowers.
 #[derive(Debug, Clone)]
 pub struct CompiledOp {
     op: SimOp,
-    /// Source instruction range `[start, end)` this op covers
-    /// (`end - start > 1` only for fused runs).
-    start: usize,
-    end: usize,
+    position: usize,
 }
 
 impl CompiledOp {
@@ -141,10 +116,11 @@ impl CompiledOp {
         self.op.clifford()
     }
 
-    /// The source-instruction range this op covers.
+    /// The source-instruction range this op covers (always the one
+    /// instruction it lowers).
     #[must_use]
     pub fn source_range(&self) -> std::ops::Range<usize> {
-        self.start..self.end
+        self.position..self.position + 1
     }
 
     /// Number of control qubits.
@@ -157,8 +133,8 @@ impl CompiledOp {
 /// A circuit lowered once and applied many times, on any backend.
 ///
 /// Build with [`CompiledCircuit::compile`] (or
-/// [`Program::compile`](crate::Program::compile), which keeps fusion
-/// from crossing breakpoints); apply with [`CompiledCircuit::apply_to`]
+/// [`Program::compile`](crate::Program::compile)); apply with
+/// [`CompiledCircuit::apply_to`]
 /// / [`apply_range_to`](CompiledCircuit::apply_range_to) /
 /// [`apply_to_noisy`](CompiledCircuit::apply_to_noisy) on a dense
 /// [`State`], or with the `*_backend` generic entry points on any
@@ -183,121 +159,37 @@ impl CompiledOp {
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     num_qubits: usize,
-    source_len: usize,
-    opt: OptLevel,
     ops: Vec<CompiledOp>,
 }
 
 impl CompiledCircuit {
-    /// Lower `circuit` at the given opt level.
-    ///
-    /// Equivalent to [`compile_with_cuts`](Self::compile_with_cuts)
-    /// with no cuts — appropriate when the whole circuit is always
-    /// applied end to end.
+    /// Lower `circuit`, one op per instruction.
     #[must_use]
     pub fn compile(circuit: &Circuit, opt: OptLevel) -> Self {
-        Self::compile_with_cuts(circuit, opt, &[])
-    }
-
-    /// Lower `circuit`, guaranteeing that no fused op crosses any of
-    /// the source positions in `cuts` (sorted ascending).
-    ///
-    /// Cuts exist so segmented application stays possible after fusion:
-    /// a runner that pauses at breakpoint positions passes those
-    /// positions here, and [`apply_range_to`](Self::apply_range_to)
-    /// can then apply each inter-breakpoint segment of the fused plan.
-    /// At [`OptLevel::Specialize`] cuts are irrelevant (ops are 1:1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cuts` is not sorted ascending.
-    #[must_use]
-    pub fn compile_with_cuts(circuit: &Circuit, opt: OptLevel, cuts: &[usize]) -> Self {
-        assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must be sorted");
-        let instructions = circuit.instructions();
-        let mut ops: Vec<CompiledOp> = Vec::with_capacity(instructions.len());
-        // The pending fusible run: (start, target, accumulated matrix).
-        let mut run: Option<(usize, usize, Matrix2)> = None;
-        let mut next_cut = 0usize;
-
-        let flush =
-            |ops: &mut Vec<CompiledOp>, run: &mut Option<(usize, usize, Matrix2)>, end: usize| {
-                if let Some((start, target, m)) = run.take() {
-                    // A multi-gate fused run composes matrices; it
-                    // carries no Clifford classification even if every
-                    // source gate had one. A single-gate "run" is 1:1
-                    // with its source instruction, so it keeps the
-                    // classification Specialize would have attached.
-                    let clifford = if end == start + 1 {
-                        classify_clifford(&instructions[start])
-                    } else {
-                        None
-                    };
-                    ops.push(lower_matrix(Vec::new(), target, &m, clifford, start, end));
-                }
-            };
-
-        for (pos, inst) in instructions.iter().enumerate() {
-            while next_cut < cuts.len() && cuts[next_cut] <= pos {
-                if cuts[next_cut] == pos {
-                    flush(&mut ops, &mut run, pos);
-                }
-                next_cut += 1;
-            }
-            match inst {
-                Instruction::Gate {
-                    controls,
-                    target,
-                    kind,
-                } if controls.is_empty()
-                    && opt == OptLevel::FuseExact
-                    && is_unit_monomial(&kind.matrix()) =>
-                {
-                    let m = kind.matrix();
-                    match &mut run {
-                        Some((_, t, acc)) if *t == *target => {
-                            // Later gate composes on the left: applying
-                            // g then h is the matrix h·g.
-                            *acc = m.mul(acc);
-                        }
-                        _ => {
-                            flush(&mut ops, &mut run, pos);
-                            run = Some((pos, *target, m));
-                        }
+        let OptLevel::Specialize = opt;
+        let ops = circuit
+            .instructions()
+            .iter()
+            .enumerate()
+            .map(|(position, inst)| {
+                let op = match inst {
+                    Instruction::Gate {
+                        controls,
+                        target,
+                        kind,
+                    } => SimOp::new(controls.clone(), *target, lower_matrix(&kind.matrix())),
+                    Instruction::Swap { controls, a, b } => {
+                        SimOp::new(controls.clone(), *a, KernelOp::Swap { other: *b })
                     }
+                };
+                CompiledOp {
+                    op: op.with_clifford(classify_clifford(inst)),
+                    position,
                 }
-                Instruction::Gate {
-                    controls,
-                    target,
-                    kind,
-                } => {
-                    flush(&mut ops, &mut run, pos);
-                    ops.push(lower_matrix(
-                        controls.clone(),
-                        *target,
-                        &kind.matrix(),
-                        classify_clifford(inst),
-                        pos,
-                        pos + 1,
-                    ));
-                }
-                Instruction::Swap { controls, a, b } => {
-                    flush(&mut ops, &mut run, pos);
-                    ops.push(CompiledOp {
-                        op: SimOp::new(controls.clone(), *a, KernelOp::Swap { other: *b })
-                            .with_clifford(classify_clifford(inst)),
-                        start: pos,
-                        end: pos + 1,
-                    });
-                }
-            }
-        }
-        flush(&mut ops, &mut run, instructions.len());
-
+            })
+            .collect();
         Self {
             num_qubits: circuit.num_qubits(),
-            source_len: instructions.len(),
-            opt,
             ops,
         }
     }
@@ -311,13 +203,7 @@ impl CompiledCircuit {
     /// Number of source instructions this plan was compiled from.
     #[must_use]
     pub fn source_len(&self) -> usize {
-        self.source_len
-    }
-
-    /// The opt level the plan was compiled at.
-    #[must_use]
-    pub fn opt(&self) -> OptLevel {
-        self.opt
+        self.ops.len()
     }
 
     /// The lowered ops in application order.
@@ -327,8 +213,7 @@ impl CompiledCircuit {
     }
 
     /// `true` when every op carries a Clifford classification, i.e. the
-    /// whole plan can execute on the stabilizer tableau backend. Always
-    /// `false` for plans with at least one multi-gate fused op.
+    /// whole plan can execute on the stabilizer tableau backend.
     #[must_use]
     pub fn is_clifford(&self) -> bool {
         self.ops.iter().all(|op| op.clifford().is_some())
@@ -386,7 +271,7 @@ impl CompiledCircuit {
     /// cannot execute an op (a non-Clifford op on the stabilizer
     /// backend — check [`is_clifford`](Self::is_clifford) first).
     pub fn apply_to_backend<B: SimBackend>(&self, backend: &mut B) {
-        self.apply_range_to_backend(backend, 0..self.source_len);
+        self.apply_range_to_backend(backend, 0..self.source_len());
     }
 
     /// Run only the ops covering the **source-instruction** window
@@ -396,10 +281,8 @@ impl CompiledCircuit {
     ///
     /// # Panics
     ///
-    /// Panics if the state is too small, the range is reversed or out
-    /// of bounds, or a boundary splits a fused op (impossible when the
-    /// boundary was passed as a cut at compile time, and at
-    /// [`OptLevel::Specialize`] in general).
+    /// Panics if the state is too small or the range is reversed or out
+    /// of bounds.
     pub fn apply_range_to(&self, state: &mut State, range: std::ops::Range<usize>) {
         self.apply_range_to_backend(state, range);
     }
@@ -431,10 +314,7 @@ impl CompiledCircuit {
     /// The execution governor drives this with a stride chosen so the
     /// per-op polling cost is unmeasurable (`max(1, 2¹⁶ >> n)` for an
     /// `n`-qubit state): each poll then costs a handful of atomic loads
-    /// against ~2¹⁶ amplitude visits of real work. Because the ops are
-    /// batched directly — not by slicing the *source* range, which
-    /// would panic on fused-op boundaries — this is safe at every
-    /// [`OptLevel`], including [`OptLevel::FuseExact`].
+    /// against ~2¹⁶ amplitude visits of real work.
     ///
     /// # Errors
     ///
@@ -475,16 +355,14 @@ impl CompiledCircuit {
     ///
     /// # Panics
     ///
-    /// Panics if the state is too small, or if the plan was compiled
-    /// with [`OptLevel::FuseExact`] (fusion erases the per-instruction
-    /// noise insertion points).
+    /// Panics if the state is too small.
     pub fn apply_to_noisy<R: rand::Rng + ?Sized>(
         &self,
         state: &mut State,
         noise: &qdb_sim::NoiseModel,
         rng: &mut R,
     ) {
-        self.apply_range_to_noisy_backend(state, 0..self.source_len, noise, rng);
+        self.apply_range_to_noisy_backend(state, 0..self.source_len(), noise, rng);
     }
 
     /// Noisy-trajectory replay of a source-instruction window; see
@@ -524,10 +402,6 @@ impl CompiledCircuit {
         noise: &qdb_sim::NoiseModel,
         rng: &mut R,
     ) {
-        assert!(
-            self.opt == OptLevel::Specialize,
-            "noisy replay requires an unfused plan (compile at OptLevel::Specialize)"
-        );
         for op in self.ops_for_range(backend.num_qubits(), &range) {
             backend.apply_op(&op.op);
             if let Some(channel) = noise.gate_noise.as_ref() {
@@ -537,7 +411,7 @@ impl CompiledCircuit {
         }
     }
 
-    /// Validate a source range and resolve it to the ops that tile it.
+    /// Validate a source range and resolve it to the ops that lower it.
     fn ops_for_range(
         &self,
         backend_qubits: usize,
@@ -550,27 +424,11 @@ impl CompiledCircuit {
             self.num_qubits
         );
         assert!(
-            range.start <= range.end && range.end <= self.source_len,
+            range.start <= range.end && range.end <= self.ops.len(),
             "invalid instruction range {range:?} for compiled circuit of source length {}",
-            self.source_len
+            self.ops.len()
         );
-        let lo = self.ops.partition_point(|op| op.end <= range.start);
-        let hi = self.ops.partition_point(|op| op.end <= range.end);
-        if let Some(first) = self.ops.get(lo) {
-            assert!(
-                first.start >= range.start || lo >= hi,
-                "range {range:?} splits fused op covering {:?}; pass the boundary as a cut",
-                first.source_range()
-            );
-        }
-        if let Some(next) = self.ops.get(hi) {
-            assert!(
-                next.start >= range.end,
-                "range {range:?} splits fused op covering {:?}; pass the boundary as a cut",
-                next.source_range()
-            );
-        }
-        &self.ops[lo..hi]
+        &self.ops[range.clone()]
     }
 }
 
@@ -618,7 +476,7 @@ impl CompiledCircuit {
     /// # Panics
     ///
     /// As [`apply_range_to_noisy_backend`](Self::apply_range_to_noisy_backend):
-    /// fused plans and invalid ranges are refused. Panics for a
+    /// invalid ranges are refused. Panics for a
     /// **Kraus** gate channel (amplitude/phase damping, general Kraus
     /// sets): its branch probabilities depend on the evolving state, so
     /// no state-free fault pattern exists — callers gate presampling on
@@ -630,16 +488,12 @@ impl CompiledCircuit {
         rng: &mut R,
         out: &mut Vec<FaultEvent>,
     ) {
-        assert!(
-            self.opt == OptLevel::Specialize,
-            "noisy replay requires an unfused plan (compile at OptLevel::Specialize)"
-        );
         out.clear();
         let Some(channel) = noise.gate_noise.as_ref() else {
             return;
         };
         for op in self.ops_for_range(self.num_qubits, &range) {
-            let pos = op.start;
+            let pos = op.position;
             op.op.for_each_qubit(|q| {
                 if let Some(pauli) = channel.sample_fault(rng) {
                     out.push(FaultEvent {
@@ -674,16 +528,12 @@ impl CompiledCircuit {
         range: std::ops::Range<usize>,
         faults: &[FaultEvent],
     ) {
-        assert!(
-            self.opt == OptLevel::Specialize,
-            "noisy replay requires an unfused plan (compile at OptLevel::Specialize)"
-        );
         let mut pending = faults.iter().peekable();
         for op in self.ops_for_range(backend.num_qubits(), &range) {
             backend.apply_op(&op.op);
-            while let Some(fault) = pending.next_if(|f| f.op < op.end) {
+            while let Some(fault) = pending.next_if(|f| f.op <= op.position) {
                 assert!(
-                    fault.op >= op.start,
+                    fault.op == op.position,
                     "fault at op {} precedes replay window {range:?}",
                     fault.op
                 );
@@ -722,19 +572,15 @@ impl CompiledCircuit {
         batch_ops: usize,
         poll: &mut impl FnMut(&B, usize) -> Result<(), E>,
     ) -> Result<(), E> {
-        assert!(
-            self.opt == OptLevel::Specialize,
-            "noisy replay requires an unfused plan (compile at OptLevel::Specialize)"
-        );
         let batch = batch_ops.max(1);
         let mut since_poll = 0usize;
         let mut total = 0usize;
         let mut pending = faults.iter().peekable();
         for op in self.ops_for_range(backend.num_qubits(), &range) {
             backend.apply_op(&op.op);
-            while let Some(fault) = pending.next_if(|f| f.op < op.end) {
+            while let Some(fault) = pending.next_if(|f| f.op <= op.position) {
                 assert!(
-                    fault.op >= op.start,
+                    fault.op == op.position,
                     "fault at op {} precedes replay window {range:?}",
                     fault.op
                 );
@@ -758,41 +604,9 @@ impl CompiledCircuit {
     }
 }
 
-/// `true` when every entry of `m` lies in `{0, ±1, ±i}` — i.e. every
-/// component of every entry is exactly `0.0`, `1.0`, or `-1.0`, and no
-/// entry has both components nonzero. For a *unitary* 2×2 this makes
-/// the matrix monomial (one nonzero entry per row and column): X, Y, Z,
-/// S, S†, and products thereof qualify; T (`e^{iπ/4}`), Hadamard
-/// (`1/√2`), and rotations do not.
-///
-/// This is the exactness class behind [`OptLevel::FuseExact`].
-/// Multiplying any f64 by `0`, `±1`, or `±i` is exact (component swaps
-/// and sign flips), and each entry of the product of two unit-monomial
-/// matrices is one such exact product plus a structurally-zero term —
-/// adding it can only normalize the sign of an exact zero, the caveat
-/// the specialized kernels already carry. Hence composing a run's
-/// matrices in f64 is exact, the class is closed under products, and
-/// applying the composed matrix is value-identical (`==` on every
-/// amplitude component) to applying the gates one by one.
-fn is_unit_monomial(m: &Matrix2) -> bool {
-    fn unit(x: f64) -> bool {
-        x == 0.0 || x == 1.0 || x == -1.0
-    }
-    m.0.iter()
-        .flatten()
-        .all(|c| unit(c.re) && unit(c.im) && !(c.re != 0.0 && c.im != 0.0))
-}
-
-/// Classify a (possibly fused) 2×2 matrix into its kernel.
-fn lower_matrix(
-    controls: Vec<usize>,
-    target: usize,
-    m: &Matrix2,
-    clifford: Option<CliffordOp>,
-    start: usize,
-    end: usize,
-) -> CompiledOp {
-    let kernel = match classify(m) {
+/// Classify a gate's 2×2 matrix into its kernel.
+fn lower_matrix(m: &Matrix2) -> KernelOp {
+    match classify(m) {
         MatrixClass::Diagonal => KernelOp::Diagonal {
             d0: m.0[0][0],
             d1: m.0[1][1],
@@ -802,11 +616,6 @@ fn lower_matrix(
             a10: m.0[1][0],
         },
         MatrixClass::General => KernelOp::General(*m),
-    };
-    CompiledOp {
-        op: SimOp::new(controls, target, kernel).with_clifford(clifford),
-        start,
-        end,
     }
 }
 
@@ -853,10 +662,7 @@ fn gate1(gate: CliffordGate1, target: usize) -> CliffordOp {
 impl Circuit {
     /// Lower this circuit into a reusable [`CompiledCircuit`].
     ///
-    /// Convenience for [`CompiledCircuit::compile`]; use
-    /// [`CompiledCircuit::compile_with_cuts`] (or
-    /// [`Program::compile`](crate::Program::compile)) when segmented
-    /// application must survive fusion.
+    /// Convenience for [`CompiledCircuit::compile`].
     #[must_use]
     pub fn compile(&self, opt: OptLevel) -> CompiledCircuit {
         CompiledCircuit::compile(self, opt)
@@ -864,8 +670,7 @@ impl Circuit {
 
     /// `true` when every instruction is in the recognized Clifford set
     /// (see the [module docs](self::super::compile) for the exact
-    /// gates) — the same classification a
-    /// [`Specialize`](OptLevel::Specialize) plan's
+    /// gates) — the same classification a compiled plan's
     /// [`CompiledCircuit::is_clifford`] reports, but purely syntactic:
     /// no matrices are built, so a backend chooser can probe a program
     /// without paying for a lowering it may never use.
@@ -1053,56 +858,30 @@ mod tests {
     }
 
     #[test]
-    fn fuse_collapses_adjacent_same_target_runs() {
-        let mut c = Circuit::new(2);
-        c.z(0);
-        c.s(0);
-        c.sdg(0); // one diagonal run of 3
-        c.x(1); // different target: new run
-        c.y(1); // fuses with the previous X
-        c.cx(0, 1); // controlled: never fused
-        c.x(0);
-        let plan = c.compile(OptLevel::FuseExact);
-        assert_eq!(plan.ops().len(), 4);
-        assert_eq!(plan.ops()[0].source_range(), 0..3);
-        // A fused all-diagonal run lowers to the diagonal kernel.
-        assert_eq!(plan.ops()[0].kernel_class(), KernelClass::Diagonal);
-        assert_eq!(plan.ops()[1].source_range(), 3..5);
-        assert_eq!(plan.ops()[2].source_range(), 5..6);
-        assert_eq!(plan.ops()[2].num_controls(), 1);
-        assert_eq!(plan.ops()[3].source_range(), 6..7);
-    }
-
-    #[test]
-    fn cuts_stop_fusion_at_boundaries() {
-        let mut c = Circuit::new(1);
-        c.x(0);
-        c.z(0);
-        c.s(0);
-        c.y(0);
-        // A cut at 2 splits what would otherwise be a single run of 4.
-        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::FuseExact, &[2]);
-        assert_eq!(plan.ops().len(), 2);
-        assert_eq!(plan.ops()[0].source_range(), 0..2);
-        assert_eq!(plan.ops()[1].source_range(), 2..4);
-        // Segmented application at the cut works and matches the whole.
-        let mut segmented = State::zero(1);
-        plan.apply_range_to(&mut segmented, 0..2);
-        plan.apply_range_to(&mut segmented, 2..4);
-        let mut whole = State::zero(1);
-        plan.apply_to(&mut whole);
-        assert_eq!(segmented, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "splits fused op")]
-    fn range_through_fused_op_panics() {
-        let mut c = Circuit::new(1);
-        c.x(0);
-        c.z(0);
-        let plan = c.compile(OptLevel::FuseExact);
-        let mut s = State::zero(1);
-        plan.apply_range_to(&mut s, 0..1);
+    fn compiled_plan_does_less_index_work_than_interpreter() {
+        // Controlled and swap-heavy gates are where the interpreter's
+        // generic mask-filtering scans waste the most index work.
+        let mut c = Circuit::new(4);
+        for q in 0..4 {
+            c.h(q);
+        }
+        for _ in 0..8 {
+            c.ccx(0, 1, 2);
+            c.cphase(2, 3, 0.4);
+            c.cswap(0, 1, 3);
+        }
+        let mut compiled = State::zero(4);
+        c.compile(OptLevel::Specialize).apply_to(&mut compiled);
+        let mut reference = State::zero(4);
+        c.apply_to(&mut reference);
+        assert_eq!(compiled, reference);
+        assert_eq!(compiled.gate_ops(), reference.gate_ops());
+        assert!(
+            compiled.index_ops() < reference.index_ops(),
+            "{} !< {}",
+            compiled.index_ops(),
+            reference.index_ops()
+        );
     }
 
     #[test]
@@ -1254,7 +1033,7 @@ mod tests {
 
     #[test]
     fn empty_circuit_compiles_to_empty_plan() {
-        let plan = Circuit::new(2).compile(OptLevel::FuseExact);
+        let plan = Circuit::new(2).compile(OptLevel::Specialize);
         assert_eq!(plan.ops().len(), 0);
         assert_eq!(plan.source_len(), 0);
         // An empty plan is vacuously Clifford.
@@ -1262,83 +1041,5 @@ mod tests {
         let mut s = State::zero(2);
         plan.apply_to(&mut s);
         assert_eq!(s.gate_ops(), 0);
-    }
-
-    #[test]
-    fn fuse_exact_fuses_monomial_runs_and_stays_bit_identical() {
-        let mut c = Circuit::new(2);
-        c.x(0);
-        c.z(0);
-        c.s(0); // unit-monomial run of 3: fuses exactly
-        c.t(0); // T is not unit-monomial: breaks the run, stays 1:1
-        c.h(1); // H is not unit-monomial either
-        c.y(1);
-        c.sdg(1); // Y·S† run of 2 fuses
-        c.cx(0, 1);
-        let plan = c.compile(OptLevel::FuseExact);
-        // 3+1 on qubit 0 → 2 ops; 1+2 on qubit 1 → 2 ops; cx → 1 op.
-        assert_eq!(plan.ops().len(), 5);
-        assert_eq!(plan.ops()[0].source_range(), 0..3);
-        assert_eq!(plan.ops()[1].source_range(), 3..4);
-        assert_eq!(plan.ops()[2].source_range(), 4..5);
-        assert_eq!(plan.ops()[3].source_range(), 5..7);
-        // Results keep the bit-for-bit guarantee.
-        let mut fused = State::zero(2);
-        plan.apply_to(&mut fused);
-        let mut reference = State::zero(2);
-        c.compile(OptLevel::Specialize).apply_to(&mut reference);
-        assert_eq!(fused, reference);
-        // Op counters advance per *compiled* op: fused runs count once.
-        assert_eq!(fused.gate_ops(), plan.ops().len() as u64);
-    }
-
-    #[test]
-    fn fuse_exact_single_gate_runs_keep_clifford_classification() {
-        // clifford_circuit has no adjacent same-target runs, so every
-        // op stays single-gate and keeps its classification: the plan
-        // remains stabilizer-eligible.
-        let plan = clifford_circuit().compile(OptLevel::FuseExact);
-        assert!(plan.is_clifford());
-        // A genuinely fused run drops it (fusion is matrix-level).
-        let mut c = Circuit::new(1);
-        c.x(0);
-        c.z(0);
-        let plan = c.compile(OptLevel::FuseExact);
-        assert_eq!(plan.ops().len(), 1);
-        assert!(!plan.is_clifford());
-    }
-
-    #[test]
-    fn unit_monomial_classifies_the_exact_gate_set() {
-        use crate::instruction::GateKind;
-        for kind in [
-            GateKind::X,
-            GateKind::Y,
-            GateKind::Z,
-            GateKind::S,
-            GateKind::Sdg,
-        ] {
-            assert!(is_unit_monomial(&kind.matrix()), "{kind:?}");
-        }
-        for kind in [
-            GateKind::H,
-            GateKind::T,
-            GateKind::Rz(0.3),
-            GateKind::Ry(-0.9),
-            GateKind::Phase(0.25),
-        ] {
-            assert!(!is_unit_monomial(&kind.matrix()), "{kind:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires an unfused plan")]
-    fn fuse_exact_noisy_replay_panics() {
-        let mut c = Circuit::new(1);
-        c.x(0);
-        c.z(0);
-        let plan = c.compile(OptLevel::FuseExact);
-        let mut s = State::zero(1);
-        plan.apply_range_to_backend_with_faults(&mut s, 0..2, &[]);
     }
 }

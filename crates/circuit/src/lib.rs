@@ -13,8 +13,7 @@
 //!   gate matrix once and classifies each instruction into a
 //!   specialized `qdb-sim` kernel, so the ensemble engine's hot path
 //!   stops rebuilding rotations and scanning control-unsatisfied
-//!   indices; optional bit-exact same-target gate fusion behind
-//!   [`OptLevel::FuseExact`].
+//!   indices.
 //! * [`register`] — named quantum variables mapped onto qubits (the
 //!   paper's footnote-3 bookkeeping).
 //! * [`program`] — assertion-annotated programs: circuits plus

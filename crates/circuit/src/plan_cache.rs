@@ -1,12 +1,12 @@
 //! A shared LRU cache of compiled plans keyed by content fingerprint.
 //!
 //! Lowering a circuit ([`CompiledCircuit::compile`]) is pure: the plan
-//! is a function of the instruction stream, the [`OptLevel`], and the
-//! breakpoint cut list alone. That makes compiled plans safely
-//! shareable across sessions, threads, and repeated submissions of the
-//! same program — the common case for a long-lived debugging service.
-//! [`PlanCache`] memoizes them under a `(fingerprint, opt level, cuts?)`
-//! key with least-recently-used eviction and hit/miss counters, so a
+//! is a function of the instruction stream alone. That makes compiled
+//! plans safely shareable across sessions, threads, and repeated
+//! submissions of the same program — the common case for a long-lived
+//! debugging service. [`PlanCache`] memoizes them under the program's
+//! content fingerprint with least-recently-used eviction and hit/miss
+//! counters, so a
 //! warm resubmission skips compilation entirely and the saving is
 //! *observable* (the counters are how tests and benches assert it).
 //!
@@ -18,28 +18,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::circuit::Circuit;
 use crate::compile::{CompiledCircuit, OptLevel};
 use crate::program::Program;
-
-/// Cache key: content fingerprint, lowering level, and whether the plan
-/// was compiled with breakpoint cuts (program plans) or without
-/// (whole-circuit plans for the trajectory engines). The fingerprint
-/// domains already separate programs from circuits; the flag keeps the
-/// key self-describing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PlanKey {
-    fingerprint: u64,
-    opt: u8,
-    with_cuts: bool,
-}
-
-fn opt_code(opt: OptLevel) -> u8 {
-    match opt {
-        OptLevel::Specialize => 0,
-        OptLevel::FuseExact => 1,
-    }
-}
 
 /// One cache slot, stamped with its last-touch tick for LRU eviction.
 #[derive(Debug)]
@@ -50,7 +30,8 @@ struct Slot {
 
 #[derive(Debug, Default)]
 struct Shelf {
-    slots: HashMap<PlanKey, Slot>,
+    /// Slots keyed by [`Program::fingerprint`].
+    slots: HashMap<u64, Slot>,
     tick: u64,
 }
 
@@ -80,37 +61,11 @@ impl PlanCache {
         }
     }
 
-    /// The plan for `program` at `opt`, compiled **with** breakpoint
-    /// cuts ([`Program::compile`]) — cached under the program
-    /// fingerprint.
+    /// The plan for `program` ([`Program::compile`]), cached under the
+    /// program fingerprint.
     #[must_use]
-    pub fn plan_for_program(&self, program: &Program, opt: OptLevel) -> Arc<CompiledCircuit> {
-        let key = PlanKey {
-            fingerprint: program.fingerprint(),
-            opt: opt_code(opt),
-            with_cuts: true,
-        };
-        self.get_or_insert(key, || program.compile(opt))
-    }
-
-    /// The plan for a bare `circuit` at `opt`, compiled without cuts
-    /// ([`CompiledCircuit::compile`]) — cached under the circuit
-    /// fingerprint.
-    #[must_use]
-    pub fn plan_for_circuit(&self, circuit: &Circuit, opt: OptLevel) -> Arc<CompiledCircuit> {
-        let key = PlanKey {
-            fingerprint: circuit.fingerprint(),
-            opt: opt_code(opt),
-            with_cuts: false,
-        };
-        self.get_or_insert(key, || CompiledCircuit::compile(circuit, opt))
-    }
-
-    fn get_or_insert(
-        &self,
-        key: PlanKey,
-        compile: impl FnOnce() -> CompiledCircuit,
-    ) -> Arc<CompiledCircuit> {
+    pub fn plan_for_program(&self, program: &Program) -> Arc<CompiledCircuit> {
+        let key = program.fingerprint();
         {
             let mut shelf = self.shelf.lock().unwrap_or_else(|e| e.into_inner());
             shelf.tick += 1;
@@ -126,7 +81,7 @@ impl PlanCache {
         // misses both compile; the values are identical, so last-write
         // wins is harmless (one redundant compile, never a wrong plan).
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(compile());
+        let plan = Arc::new(program.compile(OptLevel::Specialize));
         let mut shelf = self.shelf.lock().unwrap_or_else(|e| e.into_inner());
         shelf.tick += 1;
         let tick = shelf.tick;
@@ -204,23 +159,25 @@ mod tests {
     fn warm_lookup_hits_and_shares_the_plan() {
         let cache = PlanCache::new(8);
         let p = program(0.25);
-        let first = cache.plan_for_program(&p, OptLevel::Specialize);
-        let second = cache.plan_for_program(&p, OptLevel::Specialize);
+        let first = cache.plan_for_program(&p);
+        let second = cache.plan_for_program(&p);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }
 
     #[test]
-    fn opt_level_and_cut_domain_key_separately() {
+    fn programs_differing_only_in_breakpoints_key_separately() {
         let cache = PlanCache::new(8);
         let p = program(0.25);
-        let _ = cache.plan_for_program(&p, OptLevel::Specialize);
-        let _ = cache.plan_for_program(&p, OptLevel::FuseExact);
-        let _ = cache.plan_for_circuit(p.circuit(), OptLevel::Specialize);
-        assert_eq!(cache.misses(), 3);
+        let mut q = p.clone();
+        q.assert_superposition(&q.registers()[0].clone());
+        assert_eq!(p.circuit(), q.circuit());
+        let _ = cache.plan_for_program(&p);
+        let _ = cache.plan_for_program(&q);
+        assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
@@ -229,16 +186,16 @@ mod tests {
         let a = program(0.1);
         let b = program(0.2);
         let c = program(0.3);
-        let _ = cache.plan_for_program(&a, OptLevel::Specialize);
-        let _ = cache.plan_for_program(&b, OptLevel::Specialize);
-        let _ = cache.plan_for_program(&a, OptLevel::Specialize); // touch a
-        let _ = cache.plan_for_program(&c, OptLevel::Specialize); // evicts b
+        let _ = cache.plan_for_program(&a);
+        let _ = cache.plan_for_program(&b);
+        let _ = cache.plan_for_program(&a); // touch a
+        let _ = cache.plan_for_program(&c); // evicts b
         assert_eq!(cache.len(), 2);
         let hits = cache.hits();
-        let _ = cache.plan_for_program(&a, OptLevel::Specialize);
+        let _ = cache.plan_for_program(&a);
         assert_eq!(cache.hits(), hits + 1, "a stayed resident");
         let misses = cache.misses();
-        let _ = cache.plan_for_program(&b, OptLevel::Specialize);
+        let _ = cache.plan_for_program(&b);
         assert_eq!(cache.misses(), misses + 1, "b was evicted");
     }
 
@@ -246,10 +203,9 @@ mod tests {
     fn cached_plan_is_value_identical_to_fresh_compile() {
         let cache = PlanCache::new(4);
         let p = program(1.75);
-        let cached = cache.plan_for_program(&p, OptLevel::Specialize);
+        let cached = cache.plan_for_program(&p);
         let fresh = p.compile(OptLevel::Specialize);
         assert_eq!(cached.ops().len(), fresh.ops().len());
-        assert_eq!(cached.opt(), fresh.opt());
         assert_eq!(cached.num_qubits(), fresh.num_qubits());
         assert_eq!(cached.source_len(), fresh.source_len());
     }

@@ -289,19 +289,13 @@ impl Program {
     }
 
     /// Lower the program's circuit into a reusable
-    /// [`CompiledCircuit`](crate::CompiledCircuit), passing every
-    /// breakpoint position as a fusion cut.
-    ///
-    /// The cuts guarantee that segmented execution along
-    /// [`Program::segments`] remains possible at every opt level: no
-    /// fused op ever straddles an assertion point, so a breakpoint
-    /// sweep can apply each inter-breakpoint window of the compiled
-    /// plan with
+    /// [`CompiledCircuit`](crate::CompiledCircuit). Compiled ops are
+    /// 1:1 with instructions, so a breakpoint sweep can apply each
+    /// window of [`Program::segments`] with
     /// [`CompiledCircuit::apply_range_to`](crate::CompiledCircuit::apply_range_to).
     #[must_use]
     pub fn compile(&self, opt: crate::OptLevel) -> crate::CompiledCircuit {
-        let cuts: Vec<usize> = self.breakpoints.iter().map(|b| b.position).collect();
-        crate::CompiledCircuit::compile_with_cuts(&self.circuit, opt, &cuts)
+        crate::CompiledCircuit::compile(&self.circuit, opt)
     }
 
     /// Total number of qubits allocated.
@@ -315,10 +309,9 @@ impl Program {
     /// every breakpoint (position, label, assertion kind, register
     /// bindings, expected values), order-sensitively and in a separate
     /// hash domain — a program never fingerprints equal to its bare
-    /// circuit, so plans compiled with breakpoint cuts
-    /// ([`Program::compile`]) and plans compiled without them key
-    /// apart in a [`crate::PlanCache`]. Stable across builds and
-    /// processes; any content change changes the fingerprint.
+    /// circuit. [`crate::PlanCache`] keys plans by it. Stable across
+    /// builds and processes; any content change changes the
+    /// fingerprint.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         crate::fingerprint::program_fingerprint(self)

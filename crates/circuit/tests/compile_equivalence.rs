@@ -1,15 +1,13 @@
 //! Property tests pinning the compiled-vs-interpreted equivalence
 //! contract: over random circuits, qubit counts, and seeds, the
-//! compiled path at the default `OptLevel::Specialize` must be
-//! value-identical to the uncompiled reference path (every amplitude
-//! `==`, every probability bit-identical, the same `gate_ops`
-//! accounting, and identical noisy trajectories), while doing no more —
-//! and on controlled/swap-heavy circuits strictly less — index work.
-//! `OptLevel::FuseExact` is held to the same value identity against
-//! `OptLevel::Specialize`, with fewer ops on Pauli/phase runs.
+//! compiled path must be value-identical to the uncompiled reference
+//! path (every amplitude `==`, every probability bit-identical, the
+//! same `gate_ops` accounting, and identical noisy trajectories), while
+//! doing no more — and on controlled/swap-heavy circuits strictly less
+//! — index work.
 
 use proptest::prelude::*;
-use qdb_circuit::{Circuit, CompiledCircuit, GateSink, OptLevel};
+use qdb_circuit::{Circuit, GateSink, OptLevel};
 use qdb_sim::State;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,38 +64,6 @@ fn build_circuit(num_qubits: usize, gates: &[(u8, usize, usize, usize, f64)]) ->
     c
 }
 
-/// Like [`build_circuit`], but op codes past the shared range append
-/// the unit-monomial gates `FuseExact` fuses (X, Y, Z, S, S†), so
-/// same-target runs of them are common on few qubits.
-fn build_monomial_heavy_circuit(
-    num_qubits: usize,
-    gates: &[(u8, usize, usize, usize, f64)],
-) -> Circuit {
-    let mut c = Circuit::new(num_qubits);
-    for &(op, a, b, e, theta) in gates {
-        let q = a % num_qubits;
-        if op < 12 {
-            push_instruction(&mut c, num_qubits, op, a, b, e, theta);
-            continue;
-        }
-        match op % 5 {
-            0 => c.x(q),
-            1 => c.y(q),
-            2 => c.z(q),
-            3 => c.s(q),
-            _ => c.sdg(q),
-        }
-    }
-    c
-}
-
-fn fuse_exact_gate_strategy() -> impl Strategy<Value = Vec<(u8, usize, usize, usize, f64)>> {
-    prop::collection::vec(
-        (0..22u8, 0..16usize, 0..16usize, 0..16usize, -3.0..3.0f64),
-        0..48,
-    )
-}
-
 fn gate_strategy() -> impl Strategy<Value = Vec<(u8, usize, usize, usize, f64)>> {
     prop::collection::vec(
         (0..12u8, 0..16usize, 0..16usize, 0..16usize, -3.0..3.0f64),
@@ -152,7 +118,7 @@ proptest! {
             cuts.sort_unstable();
             cuts
         };
-        let plan = CompiledCircuit::compile_with_cuts(&c, OptLevel::Specialize, &cuts);
+        let plan = c.compile(OptLevel::Specialize);
 
         let mut segmented = State::zero(num_qubits.max(1));
         let mut start = 0usize;
@@ -194,33 +160,5 @@ proptest! {
         // measurement.
         prop_assert_eq!(&compiled, &reference);
         prop_assert_eq!(compiled_draw, reference_draw);
-    }
-
-    #[test]
-    fn fuse_exact_plan_is_value_identical_with_fewer_ops(
-        num_qubits in 1..5usize,
-        gates in fuse_exact_gate_strategy(),
-        input in 0..16u64,
-    ) {
-        let c = build_monomial_heavy_circuit(num_qubits, &gates);
-        let plan = c.compile(OptLevel::FuseExact);
-        prop_assert!(plan.ops().len() <= c.len());
-        // Ops tile the instruction list exactly.
-        let mut expected_start = 0usize;
-        for op in plan.ops() {
-            prop_assert_eq!(op.source_range().start, expected_start);
-            expected_start = op.source_range().end;
-        }
-        prop_assert_eq!(expected_start, c.len());
-
-        let input = input % (1 << num_qubits);
-        let mut fused = State::basis(num_qubits, input).unwrap();
-        plan.apply_to(&mut fused);
-        let mut specialized = State::basis(num_qubits, input).unwrap();
-        c.compile(OptLevel::Specialize).apply_to(&mut specialized);
-        prop_assert_eq!(&fused, &specialized);
-        for (p, q) in fused.probabilities().iter().zip(&specialized.probabilities()) {
-            prop_assert_eq!(p.to_bits(), q.to_bits());
-        }
     }
 }

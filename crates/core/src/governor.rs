@@ -387,6 +387,24 @@ impl Governor {
         None
     }
 
+    /// `|0…0⟩` on backend `B`, allocated fallibly: an allocator refusal
+    /// latches an [`InterruptCause::AllocationFailed`] trip and comes
+    /// back as its sentinel [`trip_error`]; any other construction
+    /// error (e.g. zero qubits) passes through.
+    pub(crate) fn zero_state<B: SimBackend>(
+        &self,
+        num_qubits: usize,
+    ) -> Result<B, crate::CoreError> {
+        B::try_zero_state(num_qubits).map_err(|e| match e {
+            qdb_sim::SimError::AllocationFailed { bytes } => {
+                let cause = InterruptCause::AllocationFailed { bytes };
+                self.trip(cause.clone());
+                trip_error(cause)
+            }
+            e => crate::CoreError::Circuit(qdb_circuit::CircuitError::Sim(e)),
+        })
+    }
+
     /// Run `f` with panic containment: a panic (organic or injected) is
     /// caught, converted into [`InterruptCause::WorkerPanic`], latched
     /// on this governor so sibling workers stop at their next poll, and

@@ -64,9 +64,9 @@ pub use runner::{
 pub use sweep::SweepRunner;
 pub use trajectory::{NoisySessionStats, TrajectoryStats};
 
-// The lowering opt level lives in `qdb-circuit` but is configured per
-// ensemble session, so re-export it beside `EnsembleConfig`; likewise
-// the backend trait and engines live in `qdb-sim` but are selected per
-// session via `BackendChoice`.
+// The (single-valued) lowering level lives in `qdb-circuit`; it is
+// re-exported beside `EnsembleConfig`, whose `opt` field names it.
+// Likewise the backend trait and engines live in `qdb-sim` but are
+// selected per session via `BackendChoice`.
 pub use qdb_circuit::OptLevel;
 pub use qdb_sim::{SimBackend, StabilizerState, StatevectorBackend};

@@ -11,9 +11,9 @@
 //! * [`ExecutionStrategy::Sweep`] (default) — one checkpointed pass
 //!   over the whole program, `O(G)` gate applications total (see
 //!   [`crate::sweep`]);
-//! * [`ExecutionStrategy::PerPrefix`] — re-simulate each breakpoint's
-//!   prefix from `|0…0⟩`, `O(Σᵢ|prefixᵢ|)`; the paper-faithful
-//!   reference implementation and benchmark baseline.
+//! * [`ExecutionStrategy::PerPrefix`] — replay each breakpoint's
+//!   prefix of the compiled plan from `|0…0⟩`, `O(Σᵢ|prefixᵢ|)`; the
+//!   paper-faithful reference implementation and benchmark baseline.
 //!
 //! Reports are bit-for-bit identical across the two strategies.
 //!
@@ -27,32 +27,37 @@
 //! (one full noisy replay per `(breakpoint, shot)`). Reports are
 //! bit-for-bit identical across the two.
 //!
+//! Every backend runs through one engine, generic over [`SimBackend`]:
+//! one sweep, one per-prefix loop, one trajectory-tree call and one
+//! report builder. The dense statevector differs from the other
+//! backends only in how it draws ensembles (see `EnsembleHook`).
+//!
 //! All hot loops are embarrassingly parallel; rayon drives exactly
 //! one of them at a time (never nested). Noiseless per-prefix sessions
-//! check breakpoints concurrently (each one owns seed `seed + index`,
-//! like the paper's per-assertion QX cluster jobs); sweep sessions
-//! parallelize per-shot CDF inversion; per-shot noisy sessions
-//! parallelize the dominant per-shot trajectory loop, and trajectory-
-//! tree sessions the per-fork suffix replays — with each shot's RNG
-//! seeded from `(seed, breakpoint, shot)` alone, so reports are
-//! bit-for-bit identical across thread counts and across the
-//! serial/parallel paths.
+//! check breakpoints concurrently, like the paper's per-assertion QX
+//! cluster jobs; sweep sessions parallelize sampling; per-shot noisy
+//! sessions parallelize the dominant per-shot trajectory loop, and
+//! trajectory-tree sessions the per-fork suffix replays. Every
+//! ensemble is a pure function of the seed and the breakpoint (and,
+//! shot by shot, of the shot index), so reports are bit-for-bit
+//! identical across thread counts and across the serial/parallel
+//! paths.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use qdb_circuit::{
-    Breakpoint, BreakpointKind, Circuit, CompiledCircuit, GateSink, OptLevel, PlanCache, Program,
+    Breakpoint, BreakpointKind, CompiledCircuit, GateSink, OptLevel, PlanCache, Program,
 };
+use qdb_sim::measure::extract_bits;
 use qdb_sim::{NoiseModel, Sampler, SimBackend, SparseState, StabilizerState, State};
-use qdb_stats::Histogram;
 
 use crate::checker::{
-    check_breakpoint_with, check_classical, check_entangled_with, check_product_with,
-    check_superposition, exact_verdict, exact_verdict_on, IndependenceMethod,
+    check_classical, check_entangled_with, check_product_with, check_superposition,
+    exact_verdict_on, IndependenceMethod,
 };
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause, RunBudget};
@@ -188,24 +193,17 @@ pub struct EnsembleConfig {
     /// per-prefix / per-shot reference path. Reports are bit-for-bit
     /// identical either way.
     pub strategy: ExecutionStrategy,
-    /// How the sweep path lowers the program before executing it (see
-    /// [`OptLevel`]). Both levels keep reports bit-for-bit identical to
-    /// the uncompiled reference: the default [`OptLevel::Specialize`]
-    /// lowers 1:1, and [`OptLevel::FuseExact`] additionally fuses
-    /// same-target Pauli/phase runs, exactly. The per-prefix strategy
-    /// ignores this field (it *is* the uncompiled reference), and noisy
-    /// trajectories always replay an unfused
-    /// ([`OptLevel::Specialize`]) plan — fusion would erase the
-    /// per-instruction noise insertion points.
+    /// How the program is lowered (see [`OptLevel`]). Single-valued:
+    /// every session runs the one [`OptLevel::Specialize`] plan. The
+    /// field stays only because the `qdbbench` session benchmark names
+    /// it; it goes with the next change to the benchmark.
     pub opt: OptLevel,
     /// Which simulation engine runs the session (see [`BackendChoice`]).
-    /// The stabilizer backend always executes an unfused plan
-    /// (there is nothing to fuse in `O(n)` tableau updates), ignores
-    /// [`ExecutionStrategy`] cost differences only in constant factors,
-    /// and draws its ensembles from the `(seed, breakpoint, shot)`
-    /// streams the noisy-trajectory engine already uses — reports are
-    /// reproducible and thread-count-invariant, but not bit-comparable
-    /// with statevector ensembles (only verdict-comparable).
+    /// The stabilizer and sparse backends draw their ensembles from the
+    /// `(seed, breakpoint, shot)` streams the noisy-trajectory engine
+    /// already uses — reports are reproducible and
+    /// thread-count-invariant, but not bit-comparable with statevector
+    /// ensembles (only verdict-comparable).
     pub backend: BackendChoice,
     /// Resource budget for the session: wall-clock deadline, resident-
     /// memory ceiling, and a cooperative [`CancelToken`](crate::CancelToken).
@@ -322,13 +320,6 @@ impl EnsembleConfigBuilder {
         self
     }
 
-    /// How the sweep path lowers the program.
-    #[must_use]
-    pub fn opt_level(mut self, opt: OptLevel) -> Self {
-        self.config.opt = opt;
-        self
-    }
-
     /// Which simulation engine runs the session.
     #[must_use]
     pub fn backend(mut self, backend: BackendChoice) -> Self {
@@ -429,16 +420,6 @@ impl EnsembleConfig {
         }
     }
 
-    /// Builder-style lowering opt-level override (see
-    /// [`EnsembleConfig::opt`]).
-    #[must_use]
-    pub fn with_opt_level(&self, opt: OptLevel) -> Self {
-        Self {
-            opt,
-            ..self.clone()
-        }
-    }
-
     /// Builder-style backend override (see [`EnsembleConfig::backend`]).
     #[must_use]
     pub fn with_backend(&self, backend: BackendChoice) -> Self {
@@ -533,28 +514,20 @@ impl EnsembleRunner {
         self
     }
 
-    /// The whole-program plan (with breakpoint cuts) at `opt`, served
-    /// from the plan cache when one is attached.
-    fn plan_for_program(&self, program: &Program, opt: OptLevel) -> Arc<CompiledCircuit> {
+    /// The program's plan, served from the plan cache when one is
+    /// attached.
+    fn plan_for_program(&self, program: &Program) -> Arc<CompiledCircuit> {
         match &self.plan_cache {
-            Some(cache) => cache.plan_for_program(program, opt),
-            None => Arc::new(program.compile(opt)),
+            Some(cache) => cache.plan_for_program(program),
+            None => Arc::new(program.compile(OptLevel::Specialize)),
         }
     }
 
-    /// The bare-circuit plan (no cuts) at `opt`, served from the plan
-    /// cache when one is attached.
-    fn plan_for_circuit(&self, circuit: &Circuit, opt: OptLevel) -> Arc<CompiledCircuit> {
-        match &self.plan_cache {
-            Some(cache) => cache.plan_for_circuit(circuit, opt),
-            None => Arc::new(CompiledCircuit::compile(circuit, opt)),
-        }
-    }
-
-    /// Simulate the prefix for breakpoint `index` and draw the ensemble.
+    /// Simulate the prefix for breakpoint `index` on the dense
+    /// statevector and draw the ensemble.
     ///
-    /// This is the per-prefix *reference* path: it always re-simulates
-    /// the prefix from `|0…0⟩` regardless of
+    /// This is one step of the per-prefix *reference* path: it always
+    /// replays the prefix from `|0…0⟩` regardless of
     /// [`EnsembleConfig::strategy`]. Use
     /// [`run_all`](EnsembleRunner::run_all) to get every breakpoint's
     /// ensemble at sweep cost.
@@ -576,281 +549,51 @@ impl EnsembleRunner {
         program: &Program,
         index: usize,
     ) -> Result<MeasuredEnsemble, CoreError> {
-        let governor = Governor::new(&self.config.budget);
-        self.run_breakpoint_with_plan(program, index, None, &governor)
-            .map_err(|e| finalize_interrupt(program, e))
-    }
-
-    /// [`run_breakpoint`](EnsembleRunner::run_breakpoint) with an
-    /// optional pre-compiled plan of the **whole** program circuit for
-    /// the noisy-trajectory engine. `run_all` / `check_program` compile
-    /// once and pass it here so every breakpoint and every trajectory
-    /// share the same lowering; a bare `run_breakpoint` call compiles
-    /// its prefix locally (still shared across that breakpoint's
-    /// shots). Outcomes are identical either way: at
-    /// [`OptLevel::Specialize`] compiled ops are 1:1 with instructions.
-    /// The per-prefix dense path polls its governor coarsely — once at
-    /// entry (so a latched trip skips the whole prefix simulation) and
-    /// once per noisy shot — because the reference path interprets the
-    /// *uncompiled* prefix, which has no op-batch poll sites. Trips
-    /// surface as sentinel [`CoreError::Interrupted`] errors (empty
-    /// partial) for the caller to re-wrap with real context.
-    fn run_breakpoint_with_plan(
-        &self,
-        program: &Program,
-        index: usize,
-        plan: Option<&CompiledCircuit>,
-        governor: &Governor,
-    ) -> Result<MeasuredEnsemble, CoreError> {
         self.config.validate()?;
-        governor.poll_resident(0).map_err(governor::trip_error)?;
-        if let Some(cause) = governor.injected_fork_fault() {
-            return Err(governor::trip_error(cause));
-        }
-        let prefix = program.prefix_for(index);
-        // `|0…0⟩` via the fallible constructor (an allocator refusal
-        // becomes a trip, not an abort), then the prefix replay —
-        // together bit-identical to `prefix.run_on_basis(0)`.
-        let mut ideal_state = match State::try_zero_state(prefix.num_qubits()) {
-            Ok(state) => state,
-            Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-                let cause = InterruptCause::AllocationFailed { bytes };
-                governor.trip(cause.clone());
-                return Err(governor::trip_error(cause));
-            }
-            Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
-        };
-        prefix.apply_to(&mut ideal_state);
-        let ideal_state = ideal_state;
-        let outcomes = match self.config.noise {
-            None => {
-                // The ideal prefix is deterministic, so sampling is a
-                // cheap serial scan of one shared CDF.
-                governor.poll(&ideal_state).map_err(governor::trip_error)?;
-                let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(index as u64));
-                let sampler = Sampler::new(&ideal_state);
-                sampler.sample_many(&mut rng, self.config.shots)
-            }
-            Some(noise) => {
-                // One independent trajectory per shot. Each shot seeds
-                // its own RNG from (seed, breakpoint, shot), so the
-                // ensemble is identical no matter how shots are
-                // scheduled across threads. Every trajectory replays
-                // the same compiled plan — gates are lowered once, not
-                // once per shot (and never fused: noise channels fire
-                // after every source instruction).
-                let n = program.num_qubits().max(1);
-                let upto = program.breakpoints()[index].position;
-                let local_plan;
-                let plan = match plan {
-                    Some(shared) => shared,
-                    None => {
-                        local_plan = CompiledCircuit::compile(&prefix, OptLevel::Specialize);
-                        &local_plan
-                    }
-                };
-                // Each shot worker polls once (against its own state's
-                // footprint) and runs panic-contained, so a trip or a
-                // worker panic stops the ensemble at shot granularity
-                // without poisoning sibling shots.
-                let trajectory = |shot: usize| -> Result<u64, CoreError> {
-                    governor
-                        .contain(|| -> Result<u64, CoreError> {
-                            if let Some(cause) = governor.injected_fork_fault() {
-                                return Err(governor::trip_error(cause));
-                            }
-                            let mut state = match State::try_zero_state(n) {
-                                Ok(state) => state,
-                                Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-                                    let cause = InterruptCause::AllocationFailed { bytes };
-                                    governor.trip(cause.clone());
-                                    return Err(governor::trip_error(cause));
-                                }
-                                Err(e) => return Err(CoreError::Sim(e)),
-                            };
-                            governor.poll(&state).map_err(governor::trip_error)?;
-                            let mut rng = StdRng::seed_from_u64(shot_seed(
-                                self.config.seed,
-                                index as u64,
-                                shot as u64,
-                            ));
-                            plan.apply_range_to_noisy(&mut state, 0..upto, &noise, &mut rng);
-                            // One shot per trajectory: draw directly,
-                            // skipping the 2ⁿ CDF allocation
-                            // (bit-identical outcome).
-                            let raw = Sampler::sample_once(&state, &mut rng);
-                            Ok(noise.corrupt_readout(raw, n, &mut rng))
-                        })
-                        .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
-                };
-                if self.config.parallel {
-                    (0..self.config.shots)
-                        .into_par_iter()
-                        .map(trajectory)
-                        .collect::<Result<Vec<_>, _>>()?
-                } else {
-                    (0..self.config.shots)
-                        .map(trajectory)
-                        .collect::<Result<Vec<_>, _>>()?
-                }
-            }
-        };
-        Ok(MeasuredEnsemble {
-            outcomes,
-            state: ideal_state,
-        })
+        let governor = Governor::new(&self.config.budget);
+        let plan = self.plan_for_program(program);
+        self.prefix_step::<State, _>(
+            program,
+            &plan,
+            index,
+            &governor,
+            self.config.parallel,
+            &measured_ensemble,
+        )
+        .map_err(|e| finalize_interrupt(program, e))
     }
 
-    /// Produce every breakpoint's measured ensemble (plus the ideal
-    /// state for cross-checking), honoring
-    /// [`EnsembleConfig::strategy`]: the default sweep does one
-    /// checkpointed pass (ideal mode) or one trajectory-tree session
-    /// (noisy mode); per-prefix runs
+    /// Produce every breakpoint's measured ensemble on the dense
+    /// statevector (plus the ideal state for cross-checking), through
+    /// the same engine as [`check_program`](EnsembleRunner::check_program)
+    /// and honoring [`EnsembleConfig::strategy`]. Results are
+    /// bit-for-bit identical across strategies, and to calling
     /// [`run_breakpoint`](EnsembleRunner::run_breakpoint) per index.
-    /// Results are bit-for-bit identical across strategies.
     ///
     /// # Errors
     ///
     /// Propagates configuration and simulation errors.
     pub fn run_all(&self, program: &Program) -> Result<Vec<MeasuredEnsemble>, CoreError> {
         self.config.validate()?;
-        if self.config.noise.is_none() && self.config.strategy == ExecutionStrategy::Sweep {
-            return SweepRunner::new(self.config.clone()).run_all(program);
-        }
         let governor = Governor::new(&self.config.budget);
-        let count = program.breakpoints().len();
-        if let Some(noise) = self.config.noise {
-            // Lower the whole program once; every breakpoint's
-            // trajectories replay windows of the same plan.
-            let plan = self.plan_for_circuit(program.circuit(), OptLevel::Specialize);
-            // The trajectory tree presamples and deduplicates fault
-            // patterns, which only exist for state-independent (Pauli)
-            // channels; Kraus noise takes the per-shot reference path,
-            // which unravels branch-by-branch on the dense state.
-            if self.config.strategy == ExecutionStrategy::Sweep && noise.gate_noise_is_pauli() {
-                // Trajectory tree: the checkpoint the visit receives is
-                // the ideal frontier — value-identical to the replayed
-                // prefix state the reference path stores.
-                let (ensembles, interrupted) = self.run_dense_tree(
-                    program,
-                    &plan,
-                    &noise,
-                    None,
-                    &governor,
-                    0,
-                    |_, _, outcomes, ideal| {
-                        Ok(MeasuredEnsemble {
-                            outcomes,
-                            state: ideal.clone(),
-                        })
-                    },
-                )?;
-                return match interrupted {
-                    None => Ok(ensembles),
-                    Some(cause) => Err(governor::interrupted(program, Vec::new(), cause)),
-                };
-            }
-            // Per-shot reference: shots are the parallel axis (inside
-            // `run_breakpoint_with_plan`).
-            return (0..count)
-                .map(|index| self.run_breakpoint_with_plan(program, index, Some(&plan), &governor))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| finalize_interrupt(program, e));
+        let plan = self.plan_for_program(program);
+        let (ensembles, interrupted) =
+            self.run_session::<State, _>(program, &plan, &governor, 0, None, measured_ensemble)?;
+        match interrupted {
+            None => Ok(ensembles),
+            Some(cause) => Err(governor::interrupted(program, Vec::new(), cause)),
         }
-        let run_one = |index: usize| self.run_breakpoint_with_plan(program, index, None, &governor);
-        let ensembles: Result<Vec<_>, CoreError> = if self.config.parallel {
-            (0..count).into_par_iter().map(run_one).collect()
-        } else {
-            (0..count).map(run_one).collect()
-        };
-        ensembles.map_err(|e| finalize_interrupt(program, e))
     }
 
-    /// Launch a dense (statevector) trajectory-tree session: the shared
-    /// setup — full-register measurement over the reference path's
-    /// `num_qubits().max(1)` width — behind both
-    /// [`run_all`](EnsembleRunner::run_all) and
-    /// [`check_program`](EnsembleRunner::check_program), which differ
-    /// only in what they build from each breakpoint's ensemble.
-    #[allow(clippy::too_many_arguments)]
-    fn run_dense_tree<T>(
+    /// Resolve [`EnsembleConfig::backend`] for this program, together
+    /// with the plan every engine runs: the Clifford classification and
+    /// the sparse-tier support bound are both read off it.
+    fn resolve_backend(
         &self,
         program: &Program,
-        plan: &CompiledCircuit,
-        noise: &NoiseModel,
-        stats: Option<&mut NoisySessionStats>,
-        governor: &Governor,
-        resume_from: usize,
-        visit: impl FnMut(usize, &Breakpoint, Vec<u64>, &State) -> Result<T, CoreError>,
-    ) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
-        let n = program.num_qubits().max(1);
-        let full_register: Vec<usize> = (0..n).collect();
-        crate::trajectory::run_noisy_tree::<State, _>(
-            &crate::trajectory::NoisySession {
-                config: &self.config,
-                program,
-                plan,
-                noise,
-                num_qubits: n,
-                resume_from,
-            },
-            governor,
-            |_| full_register.clone(),
-            visit,
-            stats,
-        )
-    }
-
-    /// Build one assertion report from a breakpoint's measured
-    /// outcomes and ideal state — the check stage shared by every
-    /// execution path.
-    fn report_for(
-        &self,
-        index: usize,
-        bp: &qdb_circuit::Breakpoint,
-        outcomes: &[u64],
-        ideal_state: &State,
-    ) -> Result<AssertionReport, CoreError> {
-        let outcome = check_breakpoint_with(
-            &bp.kind,
-            outcomes,
-            self.config.alpha,
-            self.config.independence,
-        )?;
-        let exact = self
-            .config
-            .exact_cross_check
-            .then(|| exact_verdict(&bp.kind, ideal_state, self.config.exact_tol));
-        let histogram = first_register_histogram(&bp.kind, outcomes);
-        Ok(AssertionReport {
-            index,
-            label: bp.label.clone(),
-            kind: bp.kind.clone(),
-            test: outcome.test,
-            shots: self.config.shots,
-            statistic: outcome.statistic,
-            dof: outcome.dof,
-            p_value: outcome.p_value,
-            verdict: outcome.verdict,
-            histogram,
-            exact,
-        })
-    }
-
-    /// Resolve [`EnsembleConfig::backend`] for this program. The
-    /// stabilizer resolution carries the plan it decided on — always
-    /// compiled at [`OptLevel::Specialize`] with breakpoint cuts,
-    /// regardless of [`EnsembleConfig::opt`]: fusion buys nothing on
-    /// `O(n)` tableau updates and would erase both the Clifford
-    /// classification and the noise insertion points. Classification
-    /// itself is the syntactic [`Circuit::is_clifford`] probe, so a
-    /// session that resolves to the statevector never pays for a
-    /// lowering it would only throw away.
-    ///
-    /// [`Circuit::is_clifford`]: qdb_circuit::Circuit::is_clifford
-    fn resolve_backend(&self, program: &Program) -> Result<ResolvedBackend, CoreError> {
+    ) -> Result<(ResolvedBackend, Arc<CompiledCircuit>), CoreError> {
+        let plan = self.plan_for_program(program);
         let n = program.circuit().num_qubits();
-        let clifford = || program.circuit().is_clifford();
         // A non-Pauli (Kraus) gate channel needs dense amplitudes for
         // its branch norms, so it pins the session to the statevector
         // engine — checked first so a Kraus session can never silently
@@ -860,7 +603,7 @@ impl EnsembleRunner {
             .noise
             .as_ref()
             .is_some_and(|m| !m.gate_noise_is_pauli());
-        match self.config.backend {
+        let engine = match self.config.backend {
             BackendChoice::Stabilizer if kraus => Err(CoreError::backend_unsupported(
                 StabilizerState::NAME,
                 "the noise model's gate channel is a Kraus channel \
@@ -919,12 +662,8 @@ impl EnsembleRunner {
                     ),
                 ))
             }
-            BackendChoice::Sparse => Ok(ResolvedBackend::Sparse(
-                self.plan_for_program(program, OptLevel::Specialize),
-            )),
-            BackendChoice::Auto if clifford() => Ok(ResolvedBackend::Stabilizer(
-                self.plan_for_program(program, OptLevel::Specialize),
-            )),
+            BackendChoice::Sparse => Ok(ResolvedBackend::Sparse),
+            BackendChoice::Auto if plan.is_clifford() => Ok(ResolvedBackend::Stabilizer),
             // Within the dense ceiling, Auto stays bit-identical to the
             // default engine on non-Clifford programs (a documented
             // compatibility guarantee the tier-1 suite pins down).
@@ -936,10 +675,9 @@ impl EnsembleRunner {
                 // tier is the only candidate. Route to it when the
                 // compiled plan's support bound says the state stays
                 // sparse; otherwise fail with a typed error up front.
-                let plan = self.plan_for_program(program, OptLevel::Specialize);
                 let support_log2 = plan.support_log2_bound();
                 if n <= qdb_sim::sparse::MAX_QUBITS && support_log2 <= SPARSE_SUPPORT_LOG2_LIMIT {
-                    Ok(ResolvedBackend::Sparse(plan))
+                    Ok(ResolvedBackend::Sparse)
                 } else {
                     Err(CoreError::backend_unsupported(
                         State::NAME,
@@ -955,26 +693,25 @@ impl EnsembleRunner {
                     ))
                 }
             }
-            BackendChoice::Stabilizer if clifford() => Ok(ResolvedBackend::Stabilizer(
-                self.plan_for_program(program, OptLevel::Specialize),
-            )),
+            BackendChoice::Stabilizer if plan.is_clifford() => Ok(ResolvedBackend::Stabilizer),
             BackendChoice::Stabilizer => Err(CoreError::backend_unsupported(
                 StabilizerState::NAME,
                 "the program contains non-Clifford instructions \
                  (only h/s/sdg/x/y/z/cx/cy/cz/swap lower to the tableau); \
                  use BackendChoice::Auto or Statevector",
             )),
-        }
+        };
+        Ok((engine?, plan))
     }
 
     /// Run and check every breakpoint in the program, producing one
     /// report per assertion.
     ///
-    /// The session's engine follows [`EnsembleConfig::backend`]: the
-    /// statevector paths below are the classic (bit-stable) ones, while
-    /// a stabilizer resolution routes through the backend-generic
-    /// engine (`check_program_on`), which
-    /// scales Clifford programs to hundreds of qubits.
+    /// The session runs on the backend [`EnsembleConfig::backend`]
+    /// resolves to, through the one engine every backend shares: the
+    /// stabilizer tableau scales Clifford programs to hundreds of
+    /// qubits, and the sparse map structured programs past the dense
+    /// ceiling.
     ///
     /// # Errors
     ///
@@ -1168,11 +905,11 @@ impl EnsembleRunner {
     }
 
     /// The governed body of [`check_program`](Self::check_program):
-    /// dispatch to the session's engine, polling the governor at
-    /// op-batch granularity inside each one. Returns the reports of
+    /// resolve the backend and run the session engine on it, polling
+    /// the governor at op-batch granularity. Returns the reports of
     /// every breakpoint completed **in order** plus the trip cause, if
-    /// any — the strict-prefix contract
-    /// [`CoreError::Interrupted`] documents.
+    /// any — the strict-prefix contract [`CoreError::Interrupted`]
+    /// documents.
     fn check_program_governed(
         &self,
         program: &Program,
@@ -1180,330 +917,260 @@ impl EnsembleRunner {
         governor: &Governor,
         resume: Option<&PartialReport>,
     ) -> Result<(Vec<AssertionReport>, Option<InterruptCause>), CoreError> {
-        // Resumed sessions re-enter each engine at the checkpoint
-        // frontier: breakpoints before `start` are never re-simulated —
+        // Resumed sessions re-enter the engine at the checkpoint
+        // frontier: breakpoints before `start` are never re-checked —
         // their reports are spliced back in from the checkpoint, which
         // is sound (and bit-identical to an uninterrupted run) because
-        // every breakpoint's ensemble is a pure function of
-        // `(seed, breakpoint, shot)`.
+        // every breakpoint's ensemble is a pure function of the seed,
+        // the breakpoint and the shot.
         let start = resume.map_or(0, PartialReport::resume_position);
-        let cached = |index: usize| -> AssertionReport {
-            resume
-                .expect("cached() is only called when resuming")
-                .reports[index]
-                .clone()
-        };
-        match self.resolve_backend(program)? {
-            ResolvedBackend::Stabilizer(plan) => {
-                return self
-                    .check_program_on::<StabilizerState>(program, &plan, stats, governor, resume);
-            }
-            ResolvedBackend::Sparse(plan) => {
-                return self
-                    .check_program_on::<SparseState>(program, &plan, stats, governor, resume);
-            }
-            ResolvedBackend::Statevector => {}
-        }
-        if self.config.noise.is_none() && self.config.strategy == ExecutionStrategy::Sweep {
-            // Single checkpointed pass: sample and check each
-            // breakpoint in place from the live state — no prefix
-            // replay, no state clones. Per-shot sampling is the one
-            // rayon axis in here (see `crate::sweep`). One sampler
-            // buffer serves every breakpoint. On resume the walk still
-            // advances the state (later breakpoints need it) but
-            // completed breakpoints skip sampling and statistics.
-            let sweep = SweepRunner::new(self.config.clone());
-            let plan = self.plan_for_program(program, self.config.opt);
-            let mut sampler = Sampler::default();
-            return sweep.walk_backend_governed::<State, _>(
+        let (engine, plan) = self.resolve_backend(program)?;
+        let (tail, interrupted) = match engine {
+            ResolvedBackend::Statevector => self.run_session::<State, _>(
                 program,
                 &plan,
                 governor,
-                |index, bp, state| {
-                    if index < start {
-                        return Ok(cached(index));
-                    }
-                    let outcomes = sweep.draw_ensemble(index, state, &mut sampler);
-                    self.report_for(index, bp, &outcomes, state)
-                },
-            );
-        }
-        let count = program.breakpoints().len();
-        // Pick ONE parallel axis so work never nests (a nested fan-out
-        // runs inline in the rayon shim, so it would gain nothing).
-        // With noise, the per-trajectory work dominates and
-        // parallelizes inside the noisy engines — and the whole program
-        // is lowered once, shared by every trajectory; without noise,
-        // each breakpoint is a single prefix simulation, so fan out here.
-        if let Some(noise) = self.config.noise {
-            let plan = self.plan_for_circuit(program.circuit(), OptLevel::Specialize);
-            // Pauli noise only: the tree's presample/dedup machinery has
-            // no meaning for state-dependent Kraus branches, which fall
-            // through to the per-shot reference path below.
-            if self.config.strategy == ExecutionStrategy::Sweep && noise.gate_noise_is_pauli() {
-                // Trajectory tree: check each breakpoint in place from
-                // the shared ideal frontier (which doubles as the
-                // exact-cross-check state), with fault-identical shots
-                // deduplicated and distinct trajectories replaying only
-                // their faulty suffixes. The tree visits only
-                // breakpoints past the resume frontier; splice the
-                // checkpoint prefix in front of what it returns.
-                let (tail, interrupted) = self.run_dense_tree(
-                    program,
-                    &plan,
-                    &noise,
-                    stats,
-                    governor,
-                    start,
-                    |index, bp, outcomes, ideal| self.report_for(index, bp, &outcomes, ideal),
-                )?;
-                let mut completed: Vec<AssertionReport> = (0..start).map(cached).collect();
-                completed.extend(tail);
-                return Ok((completed, interrupted));
-            }
-            // Per-shot reference: one full noisy replay per shot. Serial
-            // over breakpoints (shots fan out inside), so the first trip
-            // cleanly truncates to a strict prefix.
-            let mut completed = Vec::with_capacity(count);
-            for index in 0..count {
-                if index < start {
-                    completed.push(cached(index));
-                    continue;
-                }
-                let step = governor.contain(|| -> Result<AssertionReport, CoreError> {
-                    let bp = &program.breakpoints()[index];
-                    let ensemble =
-                        self.run_breakpoint_with_plan(program, index, Some(&plan), governor)?;
-                    self.report_for(index, bp, &ensemble.outcomes, &ensemble.state)
-                });
-                match step {
-                    Ok(Ok(report)) => completed.push(report),
-                    Ok(Err(CoreError::Interrupted { cause, .. })) => {
-                        governor.trip(cause.clone());
-                        return Ok((completed, Some(cause)));
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    Err(cause) => return Ok((completed, Some(cause))),
-                }
-            }
-            return Ok((completed, None));
-        }
-        // Noiseless per-prefix: breakpoints are the parallel axis. Every
-        // index is attempted (a mid-list trip can't retract work already
-        // fanned out), but the assembly below keeps only the strictly
-        // completed prefix, so the partial is bit-identical to an
-        // untripped run's prefix regardless of which worker tripped
-        // first. Resumed breakpoints return their cached report without
-        // simulating anything — the per-prefix engine's biggest resume
-        // saving, since each one would otherwise replay its whole
-        // prefix.
-        let check_one = |index: usize| -> Result<AssertionReport, CoreError> {
-            if index < start {
-                return Ok(cached(index));
-            }
-            governor
-                .contain(|| -> Result<AssertionReport, CoreError> {
-                    let bp = &program.breakpoints()[index];
-                    let ensemble = self.run_breakpoint_with_plan(program, index, None, governor)?;
-                    self.report_for(index, bp, &ensemble.outcomes, &ensemble.state)
-                })
-                .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
-        };
-        let attempts: Vec<Result<AssertionReport, CoreError>> = if self.config.parallel {
-            (0..count).into_par_iter().map(check_one).collect()
-        } else {
-            (0..count).map(check_one).collect()
-        };
-        let mut completed = Vec::with_capacity(count);
-        for attempt in attempts {
-            match attempt {
-                Ok(report) => completed.push(report),
-                Err(CoreError::Interrupted { cause, .. }) => return Ok((completed, Some(cause))),
-                Err(e) => return Err(e),
-            }
-        }
-        Ok((completed, None))
+                start,
+                stats,
+                |i, bp, o, s| self.report(i, bp, o, s),
+            ),
+            ResolvedBackend::Stabilizer => self.run_session::<StabilizerState, _>(
+                program,
+                &plan,
+                governor,
+                start,
+                stats,
+                |i, bp, o, s| self.report(i, bp, o, s),
+            ),
+            ResolvedBackend::Sparse => self.run_session::<SparseState, _>(
+                program,
+                &plan,
+                governor,
+                start,
+                stats,
+                |i, bp, o, s| self.report(i, bp, o, s),
+            ),
+        }?;
+        let mut completed: Vec<AssertionReport> =
+            resume.map_or_else(Vec::new, |p| p.reports[..start].to_vec());
+        completed.extend(tail);
+        Ok((completed, interrupted))
     }
 
-    /// The backend-generic session engine: run and check every
-    /// breakpoint of a pre-compiled plan on backend `B`.
+    /// The session engine: run every breakpoint from `start` on
+    /// backend `B` and hand each one's ensemble to `visit`, in order.
     ///
-    /// This is the path a stabilizer resolution takes, written against
-    /// [`SimBackend`] alone so any engine slots in:
+    /// Written against [`SimBackend`] alone, so every backend takes the
+    /// same path:
     ///
-    /// * the ideal state walks the plan once per
+    /// * in ideal mode the state walks the plan per
     ///   [`EnsembleConfig::strategy`] — a single `O(G)` sweep
     ///   ([`SweepRunner::walk_backend`]) or a per-breakpoint prefix
-    ///   replay (the generic form of the per-prefix reference path);
-    ///   both produce identical reports because every ensemble is a
-    ///   pure function of `(seed, breakpoint, shot)` and the ideal
-    ///   checkpoint state;
-    /// * each breakpoint's ensemble measures only the qubits its
-    ///   assertion reads (a 100-qubit GHZ check samples 2 qubits, not
-    ///   100), with one RNG per shot seeded from
-    ///   `(seed, breakpoint, shot)` — the same stream discipline the
-    ///   noisy-trajectory engine has always used, so results are
-    ///   identical across thread counts and the serial/parallel switch;
+    ///   replay with breakpoints fanned out; both produce identical
+    ///   ensembles because each is a pure function of the
+    ///   configuration and the ideal checkpoint state;
     /// * with noise, the default [`ExecutionStrategy::Sweep`] runs the
-    ///   trajectory tree ([`crate::trajectory`]) — every noise channel
-    ///   is a stochastic Pauli, so presampled fault patterns replay on
-    ///   the tableau exactly as on the dense engine — while
-    ///   [`ExecutionStrategy::PerPrefix`] replays each shot as an
-    ///   independent noisy trajectory on a fresh backend; classical
-    ///   readout corruption then flips the measured bits;
-    /// * the exact cross-check reads the *ideal* backend state through
-    ///   [`exact_verdict_on`].
+    ///   trajectory tree ([`crate::trajectory`]) for Pauli channels,
+    ///   while [`ExecutionStrategy::PerPrefix`] and Kraus channels
+    ///   replay each shot as an independent noisy trajectory on a fresh
+    ///   backend, shots fanned out; classical readout corruption then
+    ///   flips the measured bits;
+    /// * `visit` receives each breakpoint's outcomes packed over
+    ///   [`EnsembleHook::measured_qubits`] and the *ideal* backend
+    ///   state, the basis of the exact cross-check.
     ///
-    /// # Errors
-    ///
-    /// Propagates configuration, simulation, and statistics errors.
-    fn check_program_on<B: SimBackend>(
+    /// Returns the visits of breakpoints `start..` completed before a
+    /// trip (a strict prefix), plus the cause.
+    fn run_session<B: EnsembleHook, T: Send>(
         &self,
         program: &Program,
         plan: &CompiledCircuit,
-        stats: Option<&mut NoisySessionStats>,
         governor: &Governor,
-        resume: Option<&PartialReport>,
-    ) -> Result<(Vec<AssertionReport>, Option<InterruptCause>), CoreError> {
-        let start = resume.map_or(0, PartialReport::resume_position);
-        let cached = |index: usize| -> AssertionReport {
-            resume
-                .expect("cached() is only called when resuming")
-                .reports[index]
-                .clone()
-        };
-        if let Some(noise) = self.config.noise {
-            if self.config.strategy == ExecutionStrategy::Sweep {
-                // The tree engine measures with `sample_once`, whose
-                // 64-qubit packing limit is a panic; surface the
-                // reference path's typed error up front instead.
-                for bp in program.breakpoints() {
-                    let width = breakpoint_qubits(&bp.kind).len();
-                    if width > 64 {
-                        return Err(CoreError::RegisterTooWide {
-                            name: bp.label.clone(),
-                            width,
-                            max: 64,
-                        });
-                    }
-                }
-                let (tail, interrupted) = crate::trajectory::run_noisy_tree::<B, _>(
+        start: usize,
+        stats: Option<&mut NoisySessionStats>,
+        visit: impl Fn(usize, &Breakpoint, Vec<u64>, &B) -> Result<T, CoreError> + Sync,
+    ) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
+        let config = &self.config;
+        let n = program.circuit().num_qubits();
+        let measured = |bp: &Breakpoint| B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
+        // Outcomes pack into a u64; surface a typed error up front
+        // rather than the samplers' packing-limit panic.
+        for bp in program.breakpoints() {
+            let width = measured(bp).len();
+            if width > 64 {
+                return Err(CoreError::RegisterTooWide {
+                    name: bp.label.clone(),
+                    width,
+                    max: 64,
+                });
+            }
+        }
+        match (&config.noise, config.strategy) {
+            (Some(noise), ExecutionStrategy::Sweep) if noise.gate_noise_is_pauli() => {
+                crate::trajectory::run_noisy_tree::<B, _>(
                     &crate::trajectory::NoisySession {
-                        config: &self.config,
+                        config,
                         program,
                         plan,
-                        noise: &noise,
-                        num_qubits: program.circuit().num_qubits(),
+                        noise,
+                        num_qubits: n,
                         resume_from: start,
                     },
                     governor,
-                    |bp| breakpoint_qubits(&bp.kind),
-                    |index, bp, outcomes, ideal| self.backend_report(index, bp, outcomes, ideal),
+                    measured,
+                    visit,
                     stats,
-                )?;
-                let mut completed: Vec<AssertionReport> = (0..start).map(cached).collect();
-                completed.extend(tail);
-                return Ok((completed, interrupted));
+                )
             }
-        }
-        match self.config.strategy {
-            ExecutionStrategy::Sweep => SweepRunner::new(self.config.clone())
-                .walk_backend_governed::<B, _>(program, plan, governor, |index, bp, ideal| {
-                    if index < start {
-                        return Ok(cached(index));
-                    }
-                    self.report_for_backend(plan, index, bp, ideal, governor)
-                }),
-            ExecutionStrategy::PerPrefix => {
-                // `check_program` validated the config before routing
-                // here (the Sweep arm leans on the same fact —
-                // `walk_backend_governed` merely re-validates). Serial
-                // over breakpoints (the backend-generic reference path
-                // has always been), so the first trip truncates to a
-                // strict prefix with no retraction needed. Resumed
-                // breakpoints skip their whole prefix replay.
-                let n = program.circuit().num_qubits();
-                let batch = Governor::batch_ops(n);
-                let mut completed = Vec::with_capacity(program.breakpoints().len());
-                for (index, bp) in program.breakpoints().iter().enumerate() {
-                    if index < start {
-                        completed.push(cached(index));
-                        continue;
-                    }
-                    let step = governor.contain(|| -> Result<AssertionReport, CoreError> {
-                        if let Some(cause) = governor.injected_fork_fault() {
-                            return Err(governor::trip_error(cause));
-                        }
-                        let mut ideal = match B::try_zero_state(n) {
-                            Ok(backend) => backend,
-                            Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-                                let cause = InterruptCause::AllocationFailed { bytes };
-                                governor.trip(cause.clone());
-                                return Err(governor::trip_error(cause));
+            (None, ExecutionStrategy::Sweep) => {
+                // Completed breakpoints skip sampling and statistics;
+                // the walk still advances the state through them.
+                let mut sampler = Sampler::default();
+                let (visits, interrupted) = SweepRunner::new(config.clone())
+                    .walk_backend_governed::<B, _>(
+                        program,
+                        plan,
+                        governor,
+                        |index, bp, ideal| {
+                            if index < start {
+                                return Ok(None);
                             }
-                            Err(e) => {
-                                return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e)))
-                            }
-                        };
-                        plan.apply_range_to_backend_polled(
-                            &mut ideal,
-                            0..bp.position,
-                            batch,
-                            &mut |state: &B, _| governor.poll(state),
-                        )
-                        .map_err(governor::trip_error)?;
-                        self.report_for_backend(plan, index, bp, &ideal, governor)
-                    });
-                    match step {
-                        Ok(Ok(report)) => completed.push(report),
-                        Ok(Err(CoreError::Interrupted { cause, .. })) => {
-                            governor.trip(cause.clone());
-                            return Ok((completed, Some(cause)));
-                        }
-                        Ok(Err(e)) => return Err(e),
-                        Err(cause) => return Ok((completed, Some(cause))),
-                    }
+                            let outcomes = ideal.draw_ideal(
+                                config,
+                                index,
+                                &measured(bp),
+                                governor,
+                                config.parallel,
+                                &mut sampler,
+                            )?;
+                            visit(index, bp, outcomes, ideal).map(Some)
+                        },
+                    )?;
+                Ok((visits.into_iter().flatten().collect(), interrupted))
+            }
+            _ => {
+                // One parallel axis, never nested: ideal sessions fan
+                // out breakpoints; noisy ones run breakpoints serially
+                // and fan out shots inside each.
+                let fan_out = config.parallel && config.noise.is_none();
+                let step = |index: usize| {
+                    let parallel_shots = config.parallel && !fan_out;
+                    self.prefix_step(program, plan, index, governor, parallel_shots, &visit)
+                };
+                let count = program.breakpoints().len();
+                if fan_out {
+                    // Every index is attempted (fanned-out work can't be
+                    // retracted), but only the strictly completed prefix
+                    // is kept, whichever worker tripped first.
+                    let attempts: Vec<_> = (start..count).into_par_iter().map(step).collect();
+                    strict_prefix(governor, attempts)
+                } else {
+                    strict_prefix(governor, (start..count).map(step))
                 }
-                Ok((completed, None))
             }
         }
     }
 
-    /// Check one breakpoint from its ideal backend checkpoint: draw the
-    /// ensemble, run the statistical test on the measured register
-    /// values, and attach the exact verdict and histogram.
-    fn report_for_backend<B: SimBackend>(
+    /// One per-prefix breakpoint: replay the plan's prefix onto a fresh
+    /// ideal state with op-batch governor polling, draw the ensemble —
+    /// the backend's ideal draw, or one noisy trajectory per shot — and
+    /// visit. Panic-contained; trips surface as sentinel
+    /// [`CoreError::Interrupted`] errors.
+    fn prefix_step<B: EnsembleHook, T>(
         &self,
+        program: &Program,
         plan: &CompiledCircuit,
         index: usize,
-        bp: &Breakpoint,
-        ideal: &B,
         governor: &Governor,
-    ) -> Result<AssertionReport, CoreError> {
-        let qubits = breakpoint_qubits(&bp.kind);
-        if qubits.len() > 64 {
-            return Err(CoreError::RegisterTooWide {
-                name: bp.label.clone(),
-                width: qubits.len(),
-                max: 64,
-            });
-        }
-        let outcomes = self.draw_backend_ensemble(plan, index, bp, ideal, &qubits, governor)?;
-        self.backend_report(index, bp, outcomes, ideal)
+        parallel_shots: bool,
+        visit: &impl Fn(usize, &Breakpoint, Vec<u64>, &B) -> Result<T, CoreError>,
+    ) -> Result<T, CoreError> {
+        let bp = &program.breakpoints()[index];
+        governor
+            .contain(|| {
+                // A latched trip skips the whole prefix replay.
+                governor.poll_resident(0).map_err(governor::trip_error)?;
+                if let Some(cause) = governor.injected_fork_fault() {
+                    return Err(governor::trip_error(cause));
+                }
+                let n = program.circuit().num_qubits();
+                let mut ideal = governor.zero_state::<B>(n)?;
+                plan.apply_range_to_backend_polled(
+                    &mut ideal,
+                    0..bp.position,
+                    Governor::batch_ops(n),
+                    &mut |state: &B, _| governor.poll(state),
+                )
+                .map_err(governor::trip_error)?;
+                let qubits = B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
+                let outcomes = match &self.config.noise {
+                    None => ideal.draw_ideal(
+                        &self.config,
+                        index,
+                        &qubits,
+                        governor,
+                        parallel_shots,
+                        &mut Sampler::default(),
+                    )?,
+                    Some(noise) => fan_out_shots(parallel_shots, self.config.shots, |shot| {
+                        governor.contain(|| {
+                            if let Some(cause) = governor.injected_fork_fault() {
+                                return Err(governor::trip_error(cause));
+                            }
+                            let mut trajectory = governor.zero_state::<B>(n)?;
+                            governor.poll(&trajectory).map_err(governor::trip_error)?;
+                            let mut rng = StdRng::seed_from_u64(shot_seed(
+                                self.config.seed,
+                                index as u64,
+                                shot as u64,
+                            ));
+                            plan.apply_range_to_noisy_backend(
+                                &mut trajectory,
+                                0..bp.position,
+                                noise,
+                                &mut rng,
+                            );
+                            let raw = trajectory.sample_once(&qubits, &mut rng);
+                            Ok(noise.corrupt_readout(raw, qubits.len(), &mut rng))
+                        })
+                    })?,
+                };
+                visit(index, bp, outcomes, &ideal)
+            })
+            .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
     }
 
-    /// Assemble one breakpoint's report from an already-measured
-    /// ensemble of packed outcomes and the ideal backend state — the
-    /// stage [`report_for_backend`](Self::report_for_backend) and the
-    /// trajectory-tree engine share.
-    fn backend_report<B: SimBackend>(
+    /// The one report builder: project a breakpoint's outcomes (packed
+    /// over [`EnsembleHook::measured_qubits`]) onto the asserted
+    /// qubits, run the statistical test, and attach the exact verdict
+    /// from the ideal state and the first register's histogram.
+    fn report<B: EnsembleHook>(
         &self,
         index: usize,
         bp: &Breakpoint,
         outcomes: Vec<u64>,
         ideal: &B,
     ) -> Result<AssertionReport, CoreError> {
-        // `outcomes` packs the measured bits of `qubits` in order, so a
+        let asserted = breakpoint_qubits(&bp.kind);
+        let measured = B::measured_qubits(ideal.num_qubits(), &asserted);
+        let outcomes = if measured == asserted {
+            outcomes
+        } else {
+            let positions: Vec<usize> = asserted
+                .iter()
+                .map(|q| {
+                    measured
+                        .iter()
+                        .position(|m| m == q)
+                        .expect("every asserted qubit is measured")
+                })
+                .collect();
+            outcomes
+                .iter()
+                .map(|&o| extract_bits(o, &positions))
+                .collect()
+        };
+        // `outcomes` now packs the bits of `asserted` in order, so a
         // single register's values are the outcomes themselves, and a
         // register pair splits at the first register's width.
         let outcome = match &bp.kind {
@@ -1559,81 +1226,6 @@ impl EnsembleRunner {
             exact,
         })
     }
-
-    /// Draw breakpoint `index`'s ensemble of packed outcomes of
-    /// `qubits` on backend `B`. Shot `s` owns the RNG stream
-    /// `shot_seed(seed, index, s)`, so the ensemble is a pure function
-    /// of the configuration — independent of scheduling, thread count,
-    /// and the serial/parallel switch — and shots are free to fan out.
-    fn draw_backend_ensemble<B: SimBackend>(
-        &self,
-        plan: &CompiledCircuit,
-        index: usize,
-        bp: &Breakpoint,
-        ideal: &B,
-        qubits: &[usize],
-        governor: &Governor,
-    ) -> Result<Vec<u64>, CoreError> {
-        let one_shot = |shot: usize| -> Result<u64, CoreError> {
-            governor
-                .contain(|| -> Result<u64, CoreError> {
-                    let mut rng = StdRng::seed_from_u64(shot_seed(
-                        self.config.seed,
-                        index as u64,
-                        shot as u64,
-                    ));
-                    match self.config.noise {
-                        None => {
-                            // Sampling works on the shared ideal state;
-                            // poll against its footprint so a
-                            // cancel/deadline still lands between shots.
-                            governor.poll(ideal).map_err(governor::trip_error)?;
-                            Ok(ideal.sample_once(qubits, &mut rng))
-                        }
-                        Some(noise) => {
-                            // An independent noisy trajectory per shot; the
-                            // classical readout error then flips each *measured*
-                            // bit — same per-register marginal as the dense
-                            // path's full-outcome corruption.
-                            if let Some(cause) = governor.injected_fork_fault() {
-                                return Err(governor::trip_error(cause));
-                            }
-                            let mut trajectory = match B::try_zero_state(ideal.num_qubits()) {
-                                Ok(backend) => backend,
-                                Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-                                    let cause = InterruptCause::AllocationFailed { bytes };
-                                    governor.trip(cause.clone());
-                                    return Err(governor::trip_error(cause));
-                                }
-                                Err(e) => {
-                                    return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(
-                                        e,
-                                    )))
-                                }
-                            };
-                            governor.poll(&trajectory).map_err(governor::trip_error)?;
-                            plan.apply_range_to_noisy_backend(
-                                &mut trajectory,
-                                0..bp.position,
-                                &noise,
-                                &mut rng,
-                            );
-                            let raw = trajectory.sample_once(qubits, &mut rng);
-                            Ok(noise.corrupt_readout(raw, qubits.len(), &mut rng))
-                        }
-                    }
-                })
-                .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
-        };
-        if self.config.parallel {
-            (0..self.config.shots)
-                .into_par_iter()
-                .map(one_shot)
-                .collect()
-        } else {
-            (0..self.config.shots).map(one_shot).collect()
-        }
-    }
 }
 
 /// `BackendChoice::Auto` routes past the dense ceiling to the sparse
@@ -1647,18 +1239,155 @@ const SPARSE_SUPPORT_LOG2_LIMIT: usize = 20;
 
 /// How [`EnsembleRunner::resolve_backend`] routed a session.
 enum ResolvedBackend {
-    /// The classic dense paths (bit-stable against the pre-backend
-    /// engine).
+    /// The dense statevector.
     Statevector,
-    /// The backend-generic engine on the stabilizer tableau, with the
-    /// Clifford-only plan the resolution verified.
-    Stabilizer(Arc<CompiledCircuit>),
-    /// The backend-generic engine on the sparse amplitude map, with the
-    /// plan the resolution compiled (and, for `Auto`, judged
-    /// sparse-friendly by [`CompiledCircuit::support_log2_bound`]).
-    ///
-    /// [`CompiledCircuit::support_log2_bound`]: qdb_circuit::CompiledCircuit::support_log2_bound
-    Sparse(Arc<CompiledCircuit>),
+    /// The stabilizer tableau (the plan is Clifford-only).
+    Stabilizer,
+    /// The sparse amplitude map (for `Auto`, the plan's
+    /// [`CompiledCircuit::support_log2_bound`] judged it sparse-friendly).
+    Sparse,
+}
+
+/// How a backend draws its ensembles — the one place the session
+/// engine treats backends differently. The stabilizer and sparse
+/// backends take the defaults; the dense impl keeps the sampling
+/// convention every pre-backend seed in this repository was chosen
+/// against.
+pub(crate) trait EnsembleHook: SimBackend {
+    /// The qubits each shot of a breakpoint's ensemble reads out,
+    /// packed LSB-first, given the session width and the qubits the
+    /// assertion reads (which the report builder projects onto).
+    /// Default: the asserted qubits alone, so readout error flips only
+    /// them.
+    fn measured_qubits(num_qubits: usize, asserted: &[usize]) -> Vec<usize> {
+        let _ = num_qubits;
+        asserted.to_vec()
+    }
+
+    /// Draw breakpoint `index`'s ideal ensemble of packed outcomes of
+    /// `qubits` from `self`. Default: shot `s` owns the RNG stream
+    /// `shot_seed(seed, index, s)` and polls the governor, so shots are
+    /// free to fan out (when `parallel`) without changing a bit.
+    /// `sampler` is a scratch buffer the caller keeps across
+    /// breakpoints.
+    fn draw_ideal(
+        &self,
+        config: &EnsembleConfig,
+        index: usize,
+        qubits: &[usize],
+        governor: &Governor,
+        parallel: bool,
+        sampler: &mut Sampler,
+    ) -> Result<Vec<u64>, CoreError> {
+        let _ = sampler;
+        fan_out_shots(parallel, config.shots, |shot| {
+            governor.contain(|| {
+                governor.poll(self).map_err(governor::trip_error)?;
+                let mut rng =
+                    StdRng::seed_from_u64(shot_seed(config.seed, index as u64, shot as u64));
+                Ok(self.sample_once(qubits, &mut rng))
+            })
+        })
+    }
+}
+
+impl EnsembleHook for StabilizerState {}
+
+impl EnsembleHook for SparseState {}
+
+/// Below this many shots the dense draw's per-shot CDF inversions (one
+/// binary search each) are cheaper than fanning work out to threads, so
+/// sampling stays on the calling thread even with `parallel` on. The
+/// choice never affects results.
+pub(crate) const PARALLEL_SAMPLING_MIN_SHOTS: usize = 4096;
+
+impl EnsembleHook for State {
+    /// The full register, `num_qubits.max(1)` bits: every bit of a
+    /// noisy shot's readout is corrupted, then projected.
+    fn measured_qubits(num_qubits: usize, _asserted: &[usize]) -> Vec<usize> {
+        (0..num_qubits.max(1)).collect()
+    }
+
+    /// One `StdRng` seeded `seed + index` per breakpoint, inverted
+    /// through the state's CDF over the full register (the caller's
+    /// `sampler` is rebuilt, so one `2ⁿ` buffer serves a whole sweep).
+    /// With `parallel` on and enough shots the uniforms are still drawn
+    /// serially from that stream; only the CDF inversions fan out, so
+    /// the ensemble is identical either way. The governor is polled
+    /// once, against the sampled state, before the draw.
+    fn draw_ideal(
+        &self,
+        config: &EnsembleConfig,
+        index: usize,
+        _qubits: &[usize],
+        governor: &Governor,
+        parallel: bool,
+        sampler: &mut Sampler,
+    ) -> Result<Vec<u64>, CoreError> {
+        governor.poll(self).map_err(governor::trip_error)?;
+        let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
+        sampler.rebuild(self);
+        Ok(if parallel && config.shots >= PARALLEL_SAMPLING_MIN_SHOTS {
+            let uniforms: Vec<f64> = (0..config.shots).map(|_| rng.gen::<f64>()).collect();
+            let sampler = &*sampler;
+            (0..config.shots)
+                .into_par_iter()
+                .map(|shot| sampler.sample_at(uniforms[shot]))
+                .collect()
+        } else {
+            sampler.sample_many(&mut rng, config.shots)
+        })
+    }
+}
+
+/// Run `shots` panic-contained shots, fanned out when `parallel`; a
+/// contained panic surfaces as its sentinel trip error.
+fn fan_out_shots(
+    parallel: bool,
+    shots: usize,
+    one_shot: impl Fn(usize) -> Result<Result<u64, CoreError>, InterruptCause> + Sync,
+) -> Result<Vec<u64>, CoreError> {
+    let one_shot = |shot| one_shot(shot).unwrap_or_else(|cause| Err(governor::trip_error(cause)));
+    if parallel {
+        (0..shots).into_par_iter().map(one_shot).collect()
+    } else {
+        (0..shots).map(one_shot).collect()
+    }
+}
+
+/// Keep the strictly completed prefix of per-breakpoint attempts: stop
+/// at the first trip (returning its cause) or error.
+fn strict_prefix<T>(
+    governor: &Governor,
+    attempts: impl IntoIterator<Item = Result<T, CoreError>>,
+) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
+    let mut completed = Vec::new();
+    for attempt in attempts {
+        match attempt {
+            Ok(item) => completed.push(item),
+            Err(CoreError::Interrupted { cause, .. }) => {
+                governor.trip(cause.clone());
+                return Ok((completed, Some(cause)));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((completed, None))
+}
+
+/// The visit behind [`EnsembleRunner::run_all`] and
+/// [`EnsembleRunner::run_breakpoint`]: keep the full-register outcomes
+/// and a copy of the ideal state.
+fn measured_ensemble(
+    _index: usize,
+    _bp: &Breakpoint,
+    outcomes: Vec<u64>,
+    ideal: &State,
+) -> Result<MeasuredEnsemble, CoreError> {
+    Ok(MeasuredEnsemble {
+        outcomes,
+        state: ideal.clone(),
+    })
 }
 
 /// The qubits a breakpoint's assertion measures, in packing order: the
@@ -1730,15 +1459,6 @@ pub(crate) fn shot_seed(seed: u64, breakpoint: u64, shot: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn first_register_histogram(kind: &qdb_circuit::BreakpointKind, outcomes: &[u64]) -> Histogram {
-    use qdb_circuit::BreakpointKind as K;
-    let reg = match kind {
-        K::Classical { register, .. } | K::Superposition { register } => register,
-        K::Entangled { a, .. } | K::Product { a, .. } => a,
-    };
-    outcomes.iter().map(|&o| reg.value_of(o)).collect()
 }
 
 #[cfg(test)]
@@ -2032,47 +1752,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_sweep_reports_are_bit_identical() {
-        let mut p = Program::new();
-        let r = p.alloc_register("r", 3);
-        p.prep_int(&r, 5);
-        p.assert_classical(&r, 5);
-        for i in 0..3 {
-            p.h(r.bit(i));
-            p.s(r.bit(i));
-            p.z(r.bit(i)); // S·Z run: fuses exactly
-            p.t(r.bit(i));
-            p.rz(r.bit(i), 0.3);
-            p.x(r.bit(i));
-            p.y(r.bit(i));
-            p.sdg(r.bit(i)); // X·Y·S† run: fuses exactly
-        }
-        p.assert_superposition(&r);
-        let fused_plan = p.compile(OptLevel::FuseExact);
-        assert!(fused_plan.ops().len() < p.circuit().len(), "no run fused");
-        let base = EnsembleConfig::default().with_shots(128).with_seed(17);
-        let exact = EnsembleRunner::new(base.clone()).check_program(&p).unwrap();
-        let fused = EnsembleRunner::new(base.with_opt_level(OptLevel::FuseExact))
-            .check_program(&p)
-            .unwrap();
-        assert_reports_bit_identical(&exact, &fused);
-        // Sampling can hide a last-bit drift; the walked states cannot.
-        let walk = |opt| {
-            EnsembleRunner::new(base.with_opt_level(opt))
-                .run_all(&p)
-                .unwrap()
-        };
-        for (e, f) in walk(OptLevel::Specialize)
-            .iter()
-            .zip(&walk(OptLevel::FuseExact))
-        {
-            assert_eq!(e.state, f.state);
-            assert_eq!(e.outcomes, f.outcomes);
-        }
-    }
-
-    #[test]
-    fn compiled_sweep_does_less_index_work_than_reference() {
+    fn sweep_and_per_prefix_do_the_same_gate_work_per_breakpoint() {
         let mut p = Program::new();
         let r = p.alloc_register("r", 4);
         for i in 0..4 {
@@ -2089,12 +1769,11 @@ mod tests {
         let replayed = EnsembleRunner::new(config.with_strategy(ExecutionStrategy::PerPrefix))
             .run_all(&p)
             .unwrap();
-        // Same ensembles and gate counts, strictly less index work: the
-        // sweep runs the compiled subspace kernels, the per-prefix
-        // reference runs the generic mask-filtering scans.
+        // Same ensembles and gate counts. (Both replay the compiled
+        // plan; `qdb-circuit` checks that it does strictly less index
+        // work than the interpreter.)
         assert_eq!(swept[0].outcomes, replayed[0].outcomes);
         assert_eq!(swept[0].state.gate_ops(), replayed[0].state.gate_ops());
-        assert!(swept[0].state.index_ops() < replayed[0].state.index_ops());
     }
 
     #[test]

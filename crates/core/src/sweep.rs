@@ -11,28 +11,25 @@
 //! [`State::gate_ops`](qdb_sim::State::gate_ops).
 //!
 //! The sweep runs the *compiled* program: the circuit is lowered once
-//! per walk ([`Program::compile`](qdb_circuit::Program::compile) at
-//! [`EnsembleConfig::opt`]) and each inter-breakpoint segment replays a
-//! window of that plan
-//! ([`CompiledCircuit::apply_range_to`](qdb_circuit::CompiledCircuit::apply_range_to)).
-//! At either [`OptLevel`](qdb_circuit::OptLevel) the sweep is
-//! report-equivalent to the per-prefix path, bit for bit:
+//! ([`Program::compile`](qdb_circuit::Program::compile)) and each
+//! inter-breakpoint segment replays a window of that plan
+//! ([`CompiledCircuit::apply_range_to`](qdb_circuit::CompiledCircuit::apply_range_to)),
+//! the same plan the per-prefix path replays from `|0…0⟩`. The sweep is
+//! therefore report-equivalent to the per-prefix path, bit for bit:
 //!
-//! * compiled ops are value-identical to interpreting the instructions
-//!   they cover (every probability bit-identical — see
-//!   `qdb_sim::kernels` for the contract, and `OptLevel::FuseExact`
-//!   for why its fused Pauli/phase runs are exact), so the state at
-//!   breakpoint `i` samples exactly as the replayed prefix would;
-//! * each breakpoint samples with its own `StdRng` seeded
-//!   `seed + index` — the same stream the per-prefix path uses — so the
-//!   outcomes, histograms, p-values, and verdicts are identical.
+//! * the state at breakpoint `i` is value-identical to the replayed
+//!   prefix's (the same ops in the same order), and compiled ops are
+//!   value-identical to interpreting the instructions they lower (see
+//!   `qdb_sim::kernels` for the contract);
+//! * each breakpoint draws its ensemble the same way on both paths (a
+//!   pure function of the seed, the breakpoint and the ideal state), so
+//!   the outcomes, histograms, p-values, and verdicts are identical.
 //!
 //! With [`EnsembleConfig::parallel`] on, the sweep parallelizes in two
-//! places, both bit-neutral. Per-shot sampling: the uniform variates
-//! are drawn serially (they *are* the determinism contract) and the
-//! CDF inversions fan out over rayon
-//! ([`Sampler::sample_at`](qdb_sim::Sampler::sample_at)). Intra-state
-//! kernels: at ≥
+//! places, both bit-neutral. Sampling: shots fan out over rayon (on the
+//! dense statevector the uniform variates are drawn serially — they
+//! *are* the determinism contract — and only the CDF inversions fan
+//! out). Intra-state kernels: at ≥
 //! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
 //! qubits the walked backend chunks each gate's amplitude runs across
 //! workers — same pairs, same order, same arithmetic, so the evolution
@@ -53,22 +50,17 @@
 //! [`EnsembleRunner::run_breakpoint`]: crate::runner::EnsembleRunner::run_breakpoint
 //! [`ExecutionStrategy::PerPrefix`]: crate::runner::ExecutionStrategy::PerPrefix
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-
 use qdb_circuit::{Breakpoint, CompiledCircuit, GateSink, Program};
-use qdb_sim::{Sampler, SimBackend, State};
+use qdb_sim::{NoiseModel, SimBackend};
 
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause};
-use crate::runner::{EnsembleConfig, MeasuredEnsemble};
+use crate::runner::{EnsembleConfig, EnsembleRunner, ExecutionStrategy, MeasuredEnsemble};
 
 /// Single-pass checkpointed executor for ideal (noiseless) ensembles.
 ///
 /// Usually reached through
-/// [`EnsembleRunner`](crate::runner::EnsembleRunner) with the default
-/// [`ExecutionStrategy::Sweep`](crate::runner::ExecutionStrategy::Sweep);
+/// [`EnsembleRunner`] with the default [`ExecutionStrategy::Sweep`];
 /// constructing one directly is useful when the caller wants the
 /// snapshot states themselves ([`SweepRunner::run_all`]).
 #[derive(Debug, Clone, Default)]
@@ -90,35 +82,12 @@ impl SweepRunner {
         &self.config
     }
 
-    /// Evolve the ideal state through the program once, invoking
-    /// `visit` with the live (borrowed) state at each breakpoint.
-    ///
-    /// This is the engine under both [`SweepRunner::run_all`] (which
-    /// snapshots) and the report path (which checks in place and never
-    /// clones the state). The program is lowered once at the configured
-    /// opt level; `Program::compile` cuts fusion at breakpoint
-    /// positions, so segment boundaries are always op boundaries.
-    pub(crate) fn walk<T>(
-        &self,
-        program: &Program,
-        visit: impl FnMut(usize, &Breakpoint, &State) -> Result<T, CoreError>,
-    ) -> Result<Vec<T>, CoreError> {
-        let plan = program.compile(self.config.opt);
-        self.walk_backend::<State, T>(program, &plan, visit)
-    }
-
     /// The backend-generic sweep: evolve `B`'s `|0…0⟩` state through
     /// `plan` once, invoking `visit` with the live (borrowed) backend
-    /// state at each breakpoint.
-    ///
-    /// This is the classic `walk` with the engine abstracted: the
-    /// dense path instantiates it with [`State`] (bit-for-bit the
-    /// classic sweep), the Clifford path with
-    /// [`StabilizerState`](qdb_sim::StabilizerState) — same `O(G)`
-    /// gate-application bound either way. The caller supplies the plan
-    /// (compile via [`Program::compile`] so breakpoint positions are
-    /// fusion cuts); [`EnsembleConfig::noise`] is ignored — the walk is
-    /// always the *ideal* evolution.
+    /// state at each breakpoint — the same `O(G)` gate-application
+    /// bound on every backend. The caller supplies the plan (compile
+    /// via [`Program::compile`]); [`EnsembleConfig::noise`] is ignored —
+    /// the walk is always the *ideal* evolution.
     ///
     /// # Errors
     ///
@@ -128,7 +97,7 @@ impl SweepRunner {
     ///   [`RunBudget`](crate::RunBudget) trips mid-walk (the partial
     ///   report carries only `Unevaluated` markers here — the typed
     ///   visit results cannot be turned back into reports; use
-    ///   [`EnsembleRunner::check_program`](crate::runner::EnsembleRunner::check_program)
+    ///   [`EnsembleRunner::check_program`]
     ///   for interruption with a real evaluated prefix);
     /// * whatever `visit` returns.
     pub fn walk_backend<B: SimBackend, T>(
@@ -172,17 +141,12 @@ impl SweepRunner {
             Ok(None) => {}
             Ok(Some(cause)) | Err(cause) => return Ok((out, Some(cause))),
         }
-        // Matches the per-prefix path's `prefix.run_on_basis(0)` start
-        // state (and its error for zero-qubit programs); the fallible
-        // allocation degrades an allocator refusal into a trip.
-        let mut backend = match B::try_zero_state(num_qubits) {
+        // Matches the per-prefix path's start state (and its error for
+        // zero-qubit programs); an allocator refusal becomes a trip.
+        let mut backend = match governor.zero_state::<B>(num_qubits) {
             Ok(backend) => backend,
-            Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-                let cause = InterruptCause::AllocationFailed { bytes };
-                governor.trip(cause.clone());
-                return Ok((out, Some(cause)));
-            }
-            Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
+            Err(CoreError::Interrupted { cause, .. }) => return Ok((out, Some(cause))),
+            Err(e) => return Err(e),
         };
         // The walk is a single serial state, so intra-state kernel
         // chunking never competes with shot fan-out here (the sweep's
@@ -214,47 +178,13 @@ impl SweepRunner {
         Ok((out, None))
     }
 
-    /// Below this many shots the per-shot CDF inversions (one binary
-    /// search each) are cheaper than fanning work out to threads, so
-    /// sampling stays on the calling thread even with `parallel` on.
-    /// The choice never affects results — see
-    /// [`draw_ensemble`](SweepRunner::draw_ensemble).
-    const PARALLEL_SAMPLING_MIN_SHOTS: usize = 4096;
-
-    /// Draw breakpoint `index`'s ideal ensemble from `state`, rebuilding
-    /// the caller's `sampler` over the state's CDF (the caller owns the
-    /// buffer so one `2ⁿ` allocation serves the whole sweep instead of
-    /// one per breakpoint — see [`Sampler::rebuild`]).
-    ///
-    /// The RNG stream is `StdRng::seed_from_u64(seed + index)` exactly
-    /// as in the per-prefix path. With `parallel` enabled (and enough
-    /// shots to amortize the fan-out) the uniforms are still drawn
-    /// serially from that stream; only the CDF inversion fans out, so
-    /// the ensemble is identical either way.
-    pub(crate) fn draw_ensemble(
-        &self,
-        index: usize,
-        state: &State,
-        sampler: &mut Sampler,
-    ) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(index as u64));
-        sampler.rebuild(state);
-        if self.config.parallel && self.config.shots >= Self::PARALLEL_SAMPLING_MIN_SHOTS {
-            let uniforms: Vec<f64> = (0..self.config.shots).map(|_| rng.gen::<f64>()).collect();
-            (0..self.config.shots)
-                .into_par_iter()
-                .map(|shot| sampler.sample_at(uniforms[shot]))
-                .collect()
-        } else {
-            sampler.sample_many(&mut rng, self.config.shots)
-        }
-    }
-
-    /// Run every breakpoint in one sweep, returning each breakpoint's
-    /// measured ensemble plus a checkpoint of the ideal state.
+    /// Run every breakpoint in one sweep on the dense statevector,
+    /// returning each breakpoint's measured ensemble plus a checkpoint
+    /// of the ideal state: [`EnsembleRunner::run_all`] under
+    /// [`ExecutionStrategy::Sweep`] with noise ignored.
     ///
     /// Equivalent to calling
-    /// [`run_breakpoint`](crate::runner::EnsembleRunner::run_breakpoint)
+    /// [`run_breakpoint`](EnsembleRunner::run_breakpoint)
     /// for every index (same outcomes, same states, bit for bit) at
     /// `O(G)` instead of `O(Σᵢ|prefixᵢ|)` total gate applications. Each
     /// returned checkpoint inherits the sweep's cumulative
@@ -269,21 +199,18 @@ impl SweepRunner {
     /// * [`CoreError::BadConfig`] for invalid configurations;
     /// * simulator errors for malformed programs.
     pub fn run_all(&self, program: &Program) -> Result<Vec<MeasuredEnsemble>, CoreError> {
-        let mut sampler = Sampler::default();
-        self.walk(program, |index, _bp, state| {
-            Ok(MeasuredEnsemble {
-                outcomes: self.draw_ensemble(index, state, &mut sampler),
-                state: state.clone(),
-            })
-        })
+        let config = self
+            .config
+            .with_strategy(ExecutionStrategy::Sweep)
+            .with_noise(NoiseModel::noiseless());
+        EnsembleRunner::new(config).run_all(program)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{EnsembleRunner, ExecutionStrategy};
-    use qdb_circuit::GateSink;
+    use crate::runner::PARALLEL_SAMPLING_MIN_SHOTS;
 
     /// prep 5 → assert classical → H layer → assert superposition →
     /// more gates → assert superposition.
@@ -347,7 +274,7 @@ mod tests {
         let p = staircase_program();
         // Past the fan-out threshold, so the parallel arm really runs.
         let base = EnsembleConfig::default()
-            .with_shots(SweepRunner::PARALLEL_SAMPLING_MIN_SHOTS + 1)
+            .with_shots(PARALLEL_SAMPLING_MIN_SHOTS + 1)
             .with_seed(31);
         let serial = SweepRunner::new(base.with_parallel(false))
             .run_all(&p)

@@ -183,7 +183,7 @@ const WAVE_CAP: usize = 32;
 /// Everything a trajectory-tree run reads: the session configuration,
 /// the program and its compiled plan, the unwrapped noise model
 /// (`config.noise` is ignored in its favor), and the backend width
-/// (`num_qubits`, the caller's reference-path convention).
+/// (`num_qubits`).
 ///
 /// `resume_from` skips the first breakpoints entirely — no presample,
 /// no forks, no serving, no visit — so a checkpoint-resumed session
@@ -323,14 +323,10 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
     } {
         return Ok((out, Some(cause)));
     }
-    let mut frontier = match B::try_zero_state(num_qubits) {
+    let mut frontier = match governor.zero_state::<B>(num_qubits) {
         Ok(state) => state,
-        Err(qdb_sim::SimError::AllocationFailed { bytes }) => {
-            let cause = InterruptCause::AllocationFailed { bytes };
-            governor.trip(cause.clone());
-            return Ok((out, Some(cause)));
-        }
-        Err(e) => return Err(CoreError::Circuit(qdb_circuit::CircuitError::Sim(e))),
+        Err(CoreError::Interrupted { cause, .. }) => return Ok((out, Some(cause))),
+        Err(e) => return Err(e),
     };
     // Parallelism never nests: the frontier walk is serial (one state),
     // so it may chunk amplitudes, while forks replay serially — as units

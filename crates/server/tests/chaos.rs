@@ -71,7 +71,7 @@ fn fault_plan(kind_ix: usize, site_ix: usize, n: u64) -> FaultPlan {
         FaultKind::WorkerPanic,
         FaultKind::DeadlineExhaustion,
     ][kind_ix % 3];
-    let site = if site_ix % 2 == 0 {
+    let site = if site_ix.is_multiple_of(2) {
         FaultSite::Op
     } else {
         FaultSite::Fork

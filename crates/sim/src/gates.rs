@@ -150,10 +150,8 @@ pub fn z() -> Matrix2 {
 /// Phase gate S = diag(1, i).
 ///
 /// Built from exact literals rather than `phase(π/2)`: `cos(π/2)`
-/// rounds to `6.1e-17`, not zero, and the residue would both leak tiny
-/// spurious real parts into amplitudes and disqualify S from the
-/// exact-fusion class (entries in `{0, ±1, ±i}`) that `qdb-circuit`'s
-/// `OptLevel::FuseExact` fuses bit-exactly.
+/// rounds to `6.1e-17`, not zero, and the residue would leak tiny
+/// spurious real parts into amplitudes.
 #[must_use]
 pub fn s() -> Matrix2 {
     Matrix2([[Complex::ONE, Complex::ZERO], [Complex::ZERO, Complex::I]])

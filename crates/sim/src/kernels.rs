@@ -87,7 +87,7 @@ pub enum MatrixClass {
     Diagonal,
     /// Both diagonal entries are exactly zero (`x`, `y`).
     AntiDiagonal,
-    /// No exploitable structure (`h`, generic rotations, fused runs).
+    /// No exploitable structure (`h`, generic rotations).
     General,
 }
 
