@@ -3,8 +3,8 @@
 //!
 //! Every session now runs under the execution governor: all three
 //! engines poll the `RunBudget` at op-batch granularity (every
-//! `max(1, 2¹⁶ ≫ n)` compiled ops). The design claim is that the
-//! amortized poll — a handful of atomic loads against ~2¹⁶ amplitude
+//! `max(1, 2²⁴ ≫ n)` compiled ops). The design claim is that the
+//! amortized poll — a handful of atomic loads against ~2²⁴ amplitude
 //! visits of real work — is unmeasurable. This bench pins it: on the
 //! `noisy_ensemble_shor_n15` flagship (the same paper §4.6 session
 //! `noisy_trajectory.rs` benchmarks), a session with an *armed* budget

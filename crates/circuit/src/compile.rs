@@ -70,66 +70,6 @@ pub enum OptLevel {
     Specialize,
 }
 
-/// Which specialized kernel a [`CompiledOp`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelClass {
-    /// `diag(d0, d1)` — two scalar multiplies per pair.
-    Diagonal,
-    /// Anti-diagonal — amplitude permutation with per-branch phases.
-    AntiDiagonal,
-    /// Dense 2×2 on the control-satisfying subspace.
-    General,
-    /// (Controlled) swap enumerating exactly the exchanged pairs.
-    Swap,
-}
-
-/// One lowered instruction: a classified [`SimOp`] plus the position
-/// of the source instruction it lowers.
-#[derive(Debug, Clone)]
-pub struct CompiledOp {
-    op: SimOp,
-    position: usize,
-}
-
-impl CompiledOp {
-    /// The backend-neutral lowered op (kernel data plus optional
-    /// Clifford classification).
-    #[must_use]
-    pub fn sim_op(&self) -> &SimOp {
-        &self.op
-    }
-
-    /// The kernel this op dispatches to.
-    #[must_use]
-    pub fn kernel_class(&self) -> KernelClass {
-        match self.op.kernel() {
-            KernelOp::Diagonal { .. } => KernelClass::Diagonal,
-            KernelOp::AntiDiagonal { .. } => KernelClass::AntiDiagonal,
-            KernelOp::General(_) => KernelClass::General,
-            KernelOp::Swap { .. } => KernelClass::Swap,
-        }
-    }
-
-    /// The Clifford form of the source instruction, when it has one.
-    #[must_use]
-    pub fn clifford(&self) -> Option<&CliffordOp> {
-        self.op.clifford()
-    }
-
-    /// The source-instruction range this op covers (always the one
-    /// instruction it lowers).
-    #[must_use]
-    pub fn source_range(&self) -> std::ops::Range<usize> {
-        self.position..self.position + 1
-    }
-
-    /// Number of control qubits.
-    #[must_use]
-    pub fn num_controls(&self) -> usize {
-        self.op.controls().len()
-    }
-}
-
 /// A circuit lowered once and applied many times, on any backend.
 ///
 /// Build with [`CompiledCircuit::compile`] (or
@@ -159,7 +99,9 @@ impl CompiledOp {
 #[derive(Debug, Clone)]
 pub struct CompiledCircuit {
     num_qubits: usize,
-    ops: Vec<CompiledOp>,
+    /// One lowered op per source instruction, at the instruction's
+    /// position.
+    ops: Vec<SimOp>,
 }
 
 impl CompiledCircuit {
@@ -170,8 +112,7 @@ impl CompiledCircuit {
         let ops = circuit
             .instructions()
             .iter()
-            .enumerate()
-            .map(|(position, inst)| {
+            .map(|inst| {
                 let op = match inst {
                     Instruction::Gate {
                         controls,
@@ -182,10 +123,7 @@ impl CompiledCircuit {
                         SimOp::new(controls.clone(), *a, KernelOp::Swap { other: *b })
                     }
                 };
-                CompiledOp {
-                    op: op.with_clifford(classify_clifford(inst)),
-                    position,
-                }
+                op.with_clifford(classify_clifford(inst))
             })
             .collect();
         Self {
@@ -206,9 +144,10 @@ impl CompiledCircuit {
         self.ops.len()
     }
 
-    /// The lowered ops in application order.
+    /// The lowered ops in application order, one per source
+    /// instruction: op `i` lowers instruction `i`.
     #[must_use]
-    pub fn ops(&self) -> &[CompiledOp] {
+    pub fn ops(&self) -> &[SimOp] {
         &self.ops
     }
 
@@ -225,11 +164,11 @@ impl CompiledCircuit {
     pub fn kernel_census(&self) -> (usize, usize, usize, usize) {
         let mut census = (0, 0, 0, 0);
         for op in &self.ops {
-            match op.kernel_class() {
-                KernelClass::Diagonal => census.0 += 1,
-                KernelClass::AntiDiagonal => census.1 += 1,
-                KernelClass::General => census.2 += 1,
-                KernelClass::Swap => census.3 += 1,
+            match op.kernel() {
+                KernelOp::Diagonal { .. } => census.0 += 1,
+                KernelOp::AntiDiagonal { .. } => census.1 += 1,
+                KernelOp::General(_) => census.2 += 1,
+                KernelOp::Swap { .. } => census.3 += 1,
             }
         }
         census
@@ -287,7 +226,8 @@ impl CompiledCircuit {
         self.apply_range_to_backend(state, range);
     }
 
-    /// [`apply_range_to`](Self::apply_range_to) on any backend.
+    /// [`apply_range_to`](Self::apply_range_to) on any backend: the
+    /// window's ops go to [`SimBackend::apply_ops`] as one batch.
     ///
     /// # Panics
     ///
@@ -298,23 +238,23 @@ impl CompiledCircuit {
         backend: &mut B,
         range: std::ops::Range<usize>,
     ) {
-        for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(&op.op);
-        }
+        backend.apply_ops(self.ops_for_range(backend.num_qubits(), &range));
     }
 
     /// [`apply_range_to_backend`](Self::apply_range_to_backend) with an
-    /// amortized interruption check: after every `batch_ops` compiled
-    /// ops — and once more at the window's end if a partial batch
-    /// remains — `poll` is invoked with the backend and the cumulative
-    /// op count so far. A poll returning `Err` stops the replay
-    /// immediately and propagates the error; the backend is left at the
-    /// last op applied (mid-window, so callers treat it as consumed).
+    /// amortized interruption check: the window is applied in batches
+    /// of `batch_ops` compiled ops (the last may be shorter), each
+    /// handed to [`SimBackend::apply_ops`], and after each batch `poll`
+    /// is invoked with the backend and the cumulative op count so far.
+    /// A poll returning `Err` stops the replay immediately and
+    /// propagates the error; the backend is left at the end of the last
+    /// batch applied (mid-window, so callers treat it as consumed).
     ///
     /// The execution governor drives this with a stride chosen so the
-    /// per-op polling cost is unmeasurable (`max(1, 2¹⁶ >> n)` for an
-    /// `n`-qubit state): each poll then costs a handful of atomic loads
-    /// against ~2¹⁶ amplitude visits of real work.
+    /// polling cost is unmeasurable (`max(1, 2²⁴ >> n)` for an `n`-qubit
+    /// state): each poll then costs a handful of atomic loads against
+    /// ~2²⁴ amplitude visits of real work, and a batch is long enough
+    /// for the dense statevector's blocked runs.
     ///
     /// # Errors
     ///
@@ -330,19 +270,13 @@ impl CompiledCircuit {
         batch_ops: usize,
         poll: &mut impl FnMut(&B, usize) -> Result<(), E>,
     ) -> Result<(), E> {
-        let batch = batch_ops.max(1);
-        let mut since_poll = 0usize;
         let mut total = 0usize;
-        for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(&op.op);
-            total += 1;
-            since_poll += 1;
-            if since_poll >= batch {
-                since_poll = 0;
-                poll(backend, total)?;
-            }
-        }
-        if since_poll > 0 {
+        for batch in self
+            .ops_for_range(backend.num_qubits(), &range)
+            .chunks(batch_ops.max(1))
+        {
+            backend.apply_ops(batch);
+            total += batch.len();
             poll(backend, total)?;
         }
         Ok(())
@@ -403,20 +337,15 @@ impl CompiledCircuit {
         rng: &mut R,
     ) {
         for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(&op.op);
+            backend.apply_op(op);
             if let Some(channel) = noise.gate_noise.as_ref() {
-                op.op
-                    .for_each_qubit(|q| channel.apply_to_backend(backend, q, rng));
+                op.for_each_qubit(|q| channel.apply_to_backend(backend, q, rng));
             }
         }
     }
 
     /// Validate a source range and resolve it to the ops that lower it.
-    fn ops_for_range(
-        &self,
-        backend_qubits: usize,
-        range: &std::ops::Range<usize>,
-    ) -> &[CompiledOp] {
+    fn ops_for_range(&self, backend_qubits: usize, range: &std::ops::Range<usize>) -> &[SimOp] {
         assert!(
             backend_qubits >= self.num_qubits,
             "backend has {} qubits, compiled circuit needs {}",
@@ -492,9 +421,9 @@ impl CompiledCircuit {
         let Some(channel) = noise.gate_noise.as_ref() else {
             return;
         };
-        for op in self.ops_for_range(self.num_qubits, &range) {
-            let pos = op.position;
-            op.op.for_each_qubit(|q| {
+        let ops = self.ops_for_range(self.num_qubits, &range);
+        for (pos, op) in range.zip(ops) {
+            op.for_each_qubit(|q| {
                 if let Some(pauli) = channel.sample_fault(rng) {
                     out.push(FaultEvent {
                         op: pos,
@@ -529,11 +458,12 @@ impl CompiledCircuit {
         faults: &[FaultEvent],
     ) {
         let mut pending = faults.iter().peekable();
-        for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(&op.op);
-            while let Some(fault) = pending.next_if(|f| f.op <= op.position) {
+        let ops = self.ops_for_range(backend.num_qubits(), &range);
+        for (position, op) in range.clone().zip(ops) {
+            backend.apply_op(op);
+            while let Some(fault) = pending.next_if(|f| f.op <= position) {
                 assert!(
-                    fault.op == op.position,
+                    fault.op == position,
                     "fault at op {} precedes replay window {range:?}",
                     fault.op
                 );
@@ -549,9 +479,9 @@ impl CompiledCircuit {
     /// [`apply_range_to_backend_with_faults`](Self::apply_range_to_backend_with_faults)
     /// with the same amortized interruption check as
     /// [`apply_range_to_backend_polled`](Self::apply_range_to_backend_polled):
-    /// `poll` runs after every `batch_ops` ops (faults fire with their
-    /// op before the poll) and once at the window's end, and an `Err`
-    /// stops the replay immediately. The trajectory tree drives its
+    /// ops are applied one at a time, faults firing with their op, and
+    /// `poll` runs after every `batch_ops` ops and once at the window's
+    /// end; an `Err` stops the replay immediately. The trajectory tree drives its
     /// forked suffix replays through this so a budget trip interrupts
     /// even a single long trajectory, not just the gaps between them.
     ///
@@ -576,11 +506,12 @@ impl CompiledCircuit {
         let mut since_poll = 0usize;
         let mut total = 0usize;
         let mut pending = faults.iter().peekable();
-        for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(&op.op);
-            while let Some(fault) = pending.next_if(|f| f.op <= op.position) {
+        let ops = self.ops_for_range(backend.num_qubits(), &range);
+        for (position, op) in range.clone().zip(ops) {
+            backend.apply_op(op);
+            while let Some(fault) = pending.next_if(|f| f.op <= position) {
                 assert!(
-                    fault.op == op.position,
+                    fault.op == position,
                     "fault at op {} precedes replay window {range:?}",
                     fault.op
                 );
@@ -727,8 +658,10 @@ mod tests {
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
         assert_eq!(plan.ops().len(), c.len());
-        for (pos, op) in plan.ops().iter().enumerate() {
-            assert_eq!(op.source_range(), pos..pos + 1);
+        for (op, inst) in plan.ops().iter().zip(c.instructions()) {
+            let mut qubits = Vec::new();
+            op.for_each_qubit(|q| qubits.push(q));
+            assert_eq!(qubits, inst.qubits());
         }
         let mut compiled = State::zero(4);
         plan.apply_to(&mut compiled);

@@ -57,7 +57,7 @@ mod error;
 mod fingerprint;
 
 pub use circuit::{Circuit, GateSink};
-pub use compile::{CompiledCircuit, CompiledOp, FaultEvent, KernelClass, OptLevel};
+pub use compile::{CompiledCircuit, FaultEvent, OptLevel};
 pub use error::CircuitError;
 pub use instruction::{GateKind, Instruction};
 pub use plan_cache::PlanCache;

@@ -27,8 +27,8 @@
 //!   costs about a microsecond on a 2-core host.
 //! - **Idle workers.** After each chunk a worker spins for about 50 µs
 //!   waiting for the next one, then parks. Back-to-back dispatches,
-//!   such as one per gate in the kernels, find their workers awake,
-//!   and an idle pool costs no CPU.
+//!   such as the kernels' (one per block run or per op), find their
+//!   workers awake, and an idle pool costs no CPU.
 //! - **Thread count.** The CPU count is read once per process.
 //!   `RAYON_NUM_THREADS` is re-read on every call (about 0.1 µs), so
 //!   tests can toggle it at runtime.

@@ -35,6 +35,7 @@ use rand::Rng;
 use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gates::Matrix2;
+use crate::kernels::BLOCK_QUBITS;
 use crate::measure::{extract_bits, Sampler};
 use crate::state::{Pauli, State};
 
@@ -322,6 +323,26 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     /// of range.
     fn apply_op(&mut self, op: &SimOp);
 
+    /// Apply a batch of lowered ops in order.
+    ///
+    /// Equivalent to calling [`apply_op`](SimBackend::apply_op) on each
+    /// op in turn — the same state, bit for bit, and the same
+    /// instrumentation counters — and that is the default. The dense
+    /// statevector overrides it to apply runs of ops block by block on
+    /// states larger than one cache block (see
+    /// [`kernels`](crate::kernels)). Only a batch that panics can end in
+    /// a different state: the ops of a blocked run are all validated
+    /// before any of them is applied.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_op`](SimBackend::apply_op), for any op in the batch.
+    fn apply_ops(&mut self, ops: &[SimOp]) {
+        for op in ops {
+            self.apply_op(op);
+        }
+    }
+
     /// Apply a single-qubit Pauli (the *Pauli* noise-channel primitive:
     /// Pauli conjugation is Clifford, so stochastic-Pauli trajectories
     /// replay on any backend).
@@ -461,15 +482,16 @@ impl SimBackend for State {
     }
 
     fn apply_op(&mut self, op: &SimOp) {
-        match &op.kernel {
-            KernelOp::Diagonal { d0, d1 } => {
-                self.apply_diagonal(&op.controls, op.target, *d0, *d1);
+        self.apply_sim_op(op);
+    }
+
+    fn apply_ops(&mut self, ops: &[SimOp]) {
+        if self.num_qubits() <= BLOCK_QUBITS {
+            for op in ops {
+                self.apply_sim_op(op);
             }
-            KernelOp::AntiDiagonal { a01, a10 } => {
-                self.apply_antidiagonal(&op.controls, op.target, *a01, *a10);
-            }
-            KernelOp::General(m) => self.apply_1q_subspace(&op.controls, op.target, m),
-            KernelOp::Swap { other } => self.apply_swap_subspace(&op.controls, op.target, *other),
+        } else {
+            self.apply_ops_blocked(ops, BLOCK_QUBITS);
         }
     }
 

@@ -1,4 +1,5 @@
-//! Specialized gate kernels and control-subspace enumeration.
+//! Specialized gate kernels, control-subspace enumeration and blocked
+//! gate runs.
 //!
 //! The generic entry points on [`State`] treat every gate the same way:
 //! [`State::apply_controlled_1q`] scans half the basis indices and
@@ -14,7 +15,11 @@
 //! * [`State::apply_antidiagonal`] — anti-diagonal gates (`x`, `y`):
 //!   a pure amplitude permutation with per-branch phases;
 //! * [`State::apply_1q_subspace`] — the dense 2×2 kernel, but touching
-//!   only the control-satisfying subspace;
+//!   only the control-satisfying subspace. A matrix whose four
+//!   imaginary parts are exactly zero (`h`, `ry`: the QFT and diffusion
+//!   gates) runs in a *real lane* that scales the real and imaginary
+//!   parts of each amplitude by real coefficients: 12 flops per pair
+//!   instead of the complex product's 28;
 //! * [`State::apply_swap_subspace`] — (controlled) swap enumerating
 //!   exactly the index pairs it exchanges.
 //!
@@ -37,34 +42,64 @@
 //! ## Equivalence contract
 //!
 //! Each kernel touches the same amplitude pairs as its generic
-//! counterpart, in the same ascending order. The subspace kernels
-//! ([`State::apply_1q_subspace`], [`State::apply_swap_subspace`])
-//! perform the *identical* arithmetic on each pair, so their results are
-//! bit-for-bit identical to the generic path. The diagonal and
-//! anti-diagonal kernels skip the structurally-zero products the dense
-//! kernel still computes (`m₀₁·b` when `m₀₁ = 0`); adding such a term
-//! only ever normalizes the sign of an exactly-zero component
-//! (`-0.0 + 0.0 = +0.0`), so their results are **value-identical**
-//! (`==` on every component, hence [`State`] equality holds and every
-//! probability is bit-identical) but a zero amplitude component may
-//! carry the opposite sign. No downstream computation — probabilities,
-//! sampling, inner products, reports — can observe the difference.
+//! counterpart, in the same ascending order. The subspace swap and the
+//! complex lane of [`State::apply_1q_subspace`] perform the *identical*
+//! arithmetic on each pair, so their results are bit-for-bit identical
+//! to the generic path. The diagonal and anti-diagonal kernels skip the
+//! structurally-zero products the dense kernel still computes (`m₀₁·b`
+//! when `m₀₁ = 0`), and the real lane skips the `0·im` products of a
+//! real matrix; adding such a term only ever normalizes the sign of an
+//! exactly-zero component (`-0.0 + 0.0 = +0.0`), so their results are
+//! **value-identical** (`==` on every component, hence [`State`]
+//! equality holds and every probability is bit-identical) but a zero
+//! amplitude component may carry the opposite sign. No downstream
+//! computation — probabilities, sampling, inner products, reports — can
+//! observe the difference.
+//!
+//! ## Blocked runs
+//!
+//! One gate on a state larger than the cache streams every amplitude
+//! through memory. On a state above [`BLOCK_QUBITS`] qubits,
+//! [`SimBackend::apply_ops`](crate::SimBackend::apply_ops) therefore
+//! splits its batch into maximal runs of *block-local* ops — ops that
+//! never pair an amplitude with one outside its aligned block of
+//! `2^BLOCK_QUBITS` amplitudes — and applies each run block by block,
+//! so a block stays cache-resident for the whole run:
+//!
+//! * a diagonal op is always block-local: when its target is at or
+//!   above the block width it is constant over a block, which is then
+//!   scaled by `d₀` or `d₁` (a `d₀ = 1` block is skipped, exactly as
+//!   the per-op kernel skips that branch);
+//! * an anti-diagonal or general op is block-local when its target is
+//!   below the block width, and a swap when both of its qubits are;
+//! * controls at or above the block width select whole blocks; the
+//!   lower controls stay in-block masks.
+//!
+//! Every other op runs alone through its per-op kernel, and states of
+//! [`BLOCK_QUBITS`] qubits or fewer apply every op that way. Within a
+//! block each op touches the same pairs with the same arithmetic as its
+//! per-op kernel, and every amplitude sees the batch's ops in order, so
+//! the result is **bit-for-bit** that of per-op application. Each op is
+//! validated and counted ([`State::gate_ops`], [`State::index_ops`])
+//! once, before any block is touched.
 //!
 //! ## Amplitude-parallel chunking
 //!
 //! When a state is opted in ([`State::set_intra_parallel`]), is at or
 //! above [`INTRA_PAR_MIN_QUBITS`], and more than one rayon worker is
-//! configured, each kernel partitions its *run space* into contiguous
-//! chunks and dispatches them across workers
-//! ([`rayon::dispatch_chunks`]). Runs are disjoint and every run's
-//! work is self-contained (the same pairs, the same in-run order, the
-//! same arithmetic as the serial loop — a chunk seeks to its first run
-//! with `Subspace::base_at` and then steps with the identical carry
-//! trick), so the amplitudes produced are **bit-for-bit identical at
-//! any thread count**; only wall-clock changes. Serial invocations and
-//! below-threshold states run the exact safe-slice loops documented
-//! above.
+//! configured, work is split into contiguous chunks dispatched across
+//! workers ([`rayon::dispatch_chunks`]): a blocked run fans its blocks
+//! out with one dispatch per run, and an op outside a run partitions
+//! its *run space* with one dispatch per op. Blocks and runs are
+//! disjoint and each one's work is self-contained (the same pairs, the
+//! same order, the same arithmetic as the serial loop — a chunk of runs
+//! seeks to its first run with `Subspace::base_at` and then steps with
+//! the identical carry trick), so the amplitudes produced are
+//! **bit-for-bit identical at any thread count**; only wall-clock
+//! changes. Serial invocations and below-threshold states run the exact
+//! safe-slice loops documented above.
 
+use crate::backend::{KernelOp, SimOp};
 use crate::complex::Complex;
 use crate::gates::Matrix2;
 use crate::state::State;
@@ -77,6 +112,15 @@ use crate::state::State;
 /// threshold (`2¹⁵` amplitudes, ½ MiB) chunking wins on multi-core
 /// hosts.
 pub const INTRA_PAR_MIN_QUBITS: usize = 15;
+
+/// Width, in qubits, of the blocks a blocked run is applied on (see the
+/// [module docs](self)): `2¹⁴` amplitudes, 256 KiB, which stays
+/// resident in a core's L2 cache while a run of ops passes over it.
+/// States of this many qubits or fewer apply every op on its own.
+pub const BLOCK_QUBITS: usize = 14;
+
+// Every state that chunks its kernels has at least two blocks to fan out.
+const _: () = assert!(BLOCK_QUBITS < INTRA_PAR_MIN_QUBITS);
 
 /// The sparsity structure of a 2×2 unitary, used by the lowering layer
 /// in `qdb-circuit` to pick a kernel once per compiled instruction.
@@ -116,7 +160,7 @@ pub fn classify(m: &Matrix2) -> MatrixClass {
 /// indices.
 ///
 /// The indices to touch are exactly those with every fixed bit zero
-/// (the control bits are OR-ed back in by the caller), in ascending
+/// (the `cmask` bits are OR-ed back in), in ascending
 /// order. All positions below the lowest fixed bit are free, so the
 /// set decomposes into `runs` contiguous runs of `run_len = 2^lowest`
 /// indices each. Successive run bases are enumerated with the carry
@@ -128,7 +172,9 @@ pub fn classify(m: &Matrix2) -> MatrixClass {
 pub(crate) struct Subspace {
     /// Carry-trick step mask: fixed bits plus the in-run low bits.
     pub(crate) step: usize,
-    /// The control bits, OR-ed into every enumerated index.
+    /// Bits OR-ed into every enumerated index: the controls, plus a
+    /// target bit that selects the runs (a phase-type diagonal's set
+    /// branch, a swap's lower qubit).
     pub(crate) cmask: usize,
     /// Length of each contiguous run (`2^lowest_fixed_bit`).
     pub(crate) run_len: usize,
@@ -139,9 +185,13 @@ pub(crate) struct Subspace {
 impl Subspace {
     /// Build the enumeration for `count` touched representatives over
     /// fixed mask `fixed` (`count` is `2ⁿ⁻¹⁻ᶜ` for single-target
-    /// kernels, `2ⁿ⁻²⁻ᶜ` for swaps).
+    /// kernels, `2ⁿ⁻²⁻ᶜ` for swaps). With no fixed bits, the whole
+    /// space of `count` indices is one run.
     pub(crate) fn new(fixed: usize, cmask: usize, count: usize) -> Self {
-        let low = fixed.trailing_zeros() as usize;
+        // `count` has at least as many trailing zeros as `fixed` (every
+        // bit below the lowest fixed bit is free), so this is the lowest
+        // fixed bit, or the width of `count` when no bit is fixed.
+        let low = (fixed | count).trailing_zeros() as usize;
         let run_len = 1usize << low;
         Self {
             step: fixed | (run_len - 1),
@@ -181,13 +231,14 @@ impl Subspace {
 
 /// Raw pointer to the amplitude buffer, shared across chunk workers.
 ///
-/// Sharing is sound because the run enumeration is a *partition*: each
-/// worker owns a disjoint contiguous range of run indices, every run is
-/// visited by exactly one worker, and a run's slices never overlap any
-/// other run's (run bases differ in bits at or above the lowest fixed
-/// bit while each slice spans only the `run_len = 2^lowest` indices
-/// below it; within a pair, the `target = 1` slice starts `tmask ≥
-/// run_len` above the `target = 0` slice).
+/// Sharing is sound because every fan-out is a *partition*: each worker
+/// owns a disjoint contiguous range of run (or block) indices, and
+/// every run or block is visited by exactly one worker. Blocks are
+/// aligned and disjoint. A run's slices never overlap any other run's
+/// (run bases differ in bits at or above the lowest fixed bit while
+/// each slice spans only the `run_len = 2^lowest` indices below it),
+/// and within a pair the second slice starts at least `run_len` above
+/// the first (see [`split_pair`]).
 #[derive(Clone, Copy)]
 struct SharedAmps(*mut Complex);
 
@@ -201,7 +252,7 @@ impl SharedAmps {
     ///
     /// `[start, start + len)` must be in bounds of the buffer and no
     /// other live reference (on any thread) may overlap it — which the
-    /// run-disjointness argument above guarantees when each run is
+    /// disjointness argument above guarantees when each run or block is
     /// handed to exactly one worker.
     #[inline]
     #[allow(clippy::mut_from_ref)]
@@ -210,7 +261,8 @@ impl SharedAmps {
     }
 }
 
-/// Apply `body` to every `(target = 0, target = 1)` run pair of `sub`,
+/// Apply `body` to every run pair of `sub` — the run at `base | cmask`
+/// and its partner at that index with the `flip` bits toggled —
 /// chunking the run space across rayon workers when `workers > 1`.
 /// Returns the number of parallel chunks dispatched (0 when serial).
 ///
@@ -220,13 +272,7 @@ impl SharedAmps {
 /// serial loop uses, so each run sees the same base, the same slices,
 /// and the same per-pair arithmetic in the same in-run order — results
 /// are bit-for-bit identical across thread counts.
-fn pair_run_chunks<F>(
-    workers: usize,
-    sub: &Subspace,
-    tmask: usize,
-    amps: &mut [Complex],
-    body: F,
-) -> usize
+fn pair_runs<F>(workers: usize, sub: &Subspace, flip: usize, amps: &mut [Complex], body: F) -> usize
 where
     F: Fn(&mut [Complex], &mut [Complex]) + Sync,
 {
@@ -240,7 +286,7 @@ where
                 // exclusively and the two slices of a pair are disjoint
                 // (see `SharedAmps`).
                 let run0 = unsafe { shared.run(start0, sub.run_len) };
-                let run1 = unsafe { shared.run(start0 | tmask, sub.run_len) };
+                let run1 = unsafe { shared.run(start0 ^ flip, sub.run_len) };
                 body(run0, run1);
                 base = sub.next(base);
             }
@@ -248,8 +294,36 @@ where
     } else {
         let mut base = 0usize;
         for _ in 0..sub.runs {
-            let (run0, run1) = pair_runs(amps, base | sub.cmask, tmask, sub.run_len);
+            let (run0, run1) = split_pair(amps, base | sub.cmask, flip, sub.run_len);
             body(run0, run1);
+            base = sub.next(base);
+        }
+        0
+    }
+}
+
+/// [`pair_runs`] for kernels that touch single runs: `body` gets the
+/// run at `base | cmask`.
+fn single_runs<F>(workers: usize, sub: &Subspace, amps: &mut [Complex], body: F) -> usize
+where
+    F: Fn(&mut [Complex]) + Sync,
+{
+    if workers > 1 && sub.runs > 1 {
+        let shared = SharedAmps(amps.as_mut_ptr());
+        rayon::dispatch_chunks(sub.runs, |chunk| {
+            let mut base = sub.base_at(chunk.start);
+            for _ in chunk {
+                // SAFETY: this chunk owns its runs exclusively (see
+                // `SharedAmps`).
+                body(unsafe { shared.run(base | sub.cmask, sub.run_len) });
+                base = sub.next(base);
+            }
+        })
+    } else {
+        let mut base = 0usize;
+        for _ in 0..sub.runs {
+            let start = base | sub.cmask;
+            body(&mut amps[start..start + sub.run_len]);
             base = sub.next(base);
         }
         0
@@ -292,27 +366,192 @@ where
 /// Shortest run [`for_each_pair`] hands to its out-of-line loop.
 const OUT_OF_LINE_RUN: usize = 8;
 
-/// The two disjoint contiguous runs of one enumeration step: the
-/// `target = 0` run starting at `base | cmask` and the `target = 1` run
-/// `tmask` above it. `run_len ≤ tmask` always holds (the target bit is
-/// fixed, so every free in-run bit lies below it), hence the runs never
-/// overlap and a `split_at_mut` at the second run's start yields two
+/// Exchange two runs.
+fn exchange(run0: &mut [Complex], run1: &mut [Complex]) {
+    run0.swap_with_slice(run1);
+}
+
+/// Multiply every amplitude of `run` by `d`.
+#[inline(always)]
+fn scale(run: &mut [Complex], d: Complex) {
+    for a in run {
+        *a = d * *a;
+    }
+}
+
+/// The two disjoint contiguous runs of one enumeration step: the run
+/// starting at `start0` and its partner at `start0 ^ flip`. The partner
+/// always lies above: for a single-target kernel `start0` has the
+/// target bit clear and `flip` is that bit; for a swap `start0` has the
+/// lower swapped bit set and the higher clear, and `flip` is both.
+/// Either way the partner starts at least the lowest fixed bit above
+/// `start0`, and `run_len` is at most that bit (every free in-run bit
+/// lies below it), so a `split_at_mut` at the partner's start yields two
 /// independently borrowable slices.
 #[inline]
-fn pair_runs(
+fn split_pair(
     amps: &mut [Complex],
     start0: usize,
-    tmask: usize,
+    flip: usize,
     run_len: usize,
 ) -> (&mut [Complex], &mut [Complex]) {
-    let start1 = start0 | tmask;
+    let start1 = start0 ^ flip;
     let (lo, hi) = amps.split_at_mut(start1);
     (&mut lo[start0..start0 + run_len], &mut hi[..run_len])
 }
 
+/// What a kernel does to each amplitude pair (or amplitude) it touches.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    /// `diag(d0, d1)`.
+    Diagonal(Complex, Complex),
+    /// `[[0, a01], [a10, 0]]`.
+    AntiDiagonal(Complex, Complex),
+    /// A dense 2×2 with complex entries.
+    General([[Complex; 2]; 2]),
+    /// A dense 2×2 whose entries are all real: the real lane.
+    Real([[f64; 2]; 2]),
+    /// Exchange the two amplitudes.
+    Swap,
+    /// Multiply each touched amplitude by one scalar: a diagonal op
+    /// restricted to a block its target bit is constant over.
+    Scale(Complex),
+}
+
+/// The lane a dense 2×2 runs in: real when all four imaginary parts
+/// are exactly zero (the exact-zero test [`classify`] uses), complex
+/// otherwise.
+fn general(m: &Matrix2) -> Action {
+    let m = m.0;
+    if m.iter().flatten().all(|z| z.im == 0.0) {
+        Action::Real(m.map(|row| row.map(|z| z.re)))
+    } else {
+        Action::General(m)
+    }
+}
+
+/// One validated kernel call: what it does and which indices it
+/// touches. The touched pairs are enumerated as a [`Subspace`] over the
+/// `fixed` bits; the first index of each pair has the `set` bits set,
+/// and its partner differs from it in the `flip` bits.
+#[derive(Debug, Clone, Copy)]
+struct Kernel {
+    action: Action,
+    /// Controls, target, and a swap's second qubit.
+    fixed: usize,
+    /// The controls, plus a swap's lower qubit.
+    set: usize,
+    /// The target, or a swap's two qubits; zero for [`Action::Scale`].
+    flip: usize,
+}
+
+impl Kernel {
+    /// Apply this kernel to `amps`, a slice longer than its highest
+    /// fixed bit, chunking its run space across `workers` when more
+    /// than one. Returns the number of parallel chunks dispatched.
+    ///
+    /// Each arm is the one copy of its kernel's arithmetic: the
+    /// whole-state kernel is the one-block case of a blocked run.
+    fn run(&self, amps: &mut [Complex], workers: usize) -> usize {
+        let count = amps.len() >> self.fixed.count_ones();
+        let pairs = Subspace::new(self.fixed, self.set, count);
+        let flip = self.flip;
+        match self.action {
+            Action::Scale(d) => single_runs(workers, &pairs, amps, |run| scale(run, d)),
+            // Phase-type gates (`s`, `t`, `phase`, every `cphase` /
+            // `ccphase` of the QFT ladders): the |…0⟩ branch is
+            // untouched, so only the set branch is multiplied.
+            Action::Diagonal(d0, d1) if d0 == Complex::ONE => {
+                let set_branch = Subspace::new(self.fixed, self.set | flip, count);
+                single_runs(workers, &set_branch, amps, |run| scale(run, d1))
+            }
+            Action::Diagonal(d0, d1) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
+                for_each_pair(r0, r1, |a, b| {
+                    *a = d0 * *a;
+                    *b = d1 * *b;
+                });
+            }),
+            // Swaps and X-type gates (`x`, CNOT, Toffoli): a pure
+            // amplitude permutation, no arithmetic at all.
+            Action::Swap => pair_runs(workers, &pairs, flip, amps, exchange),
+            Action::AntiDiagonal(a01, a10) if a01 == Complex::ONE && a10 == Complex::ONE => {
+                pair_runs(workers, &pairs, flip, amps, exchange)
+            }
+            Action::AntiDiagonal(a01, a10) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
+                for_each_pair(r0, r1, |x, y| {
+                    let a = *x;
+                    let b = *y;
+                    *x = a01 * b;
+                    *y = a10 * a;
+                });
+            }),
+            Action::General(m) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
+                for_each_pair(r0, r1, |x, y| {
+                    let a = *x;
+                    let b = *y;
+                    *x = m[0][0] * a + m[0][1] * b;
+                    *y = m[1][0] * a + m[1][1] * b;
+                });
+            }),
+            Action::Real(m) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
+                for_each_pair(r0, r1, |x, y| {
+                    let a = *x;
+                    let b = *y;
+                    x.re = m[0][0] * a.re + m[0][1] * b.re;
+                    x.im = m[0][0] * a.im + m[0][1] * b.im;
+                    y.re = m[1][0] * a.re + m[1][1] * b.re;
+                    y.im = m[1][0] * a.im + m[1][1] * b.im;
+                });
+            }),
+        }
+    }
+
+    /// This block-local kernel restricted to the block of `len`
+    /// amplitudes at `offset` (a multiple of `len`), with indices
+    /// relative to the block, or `None` when it leaves the block
+    /// untouched: a control above the block is clear there, or a
+    /// phase-type diagonal's target bit is.
+    fn in_block(&self, offset: usize, len: usize) -> Option<Kernel> {
+        let low = len - 1;
+        let high = self.set & !low;
+        if offset & high != high {
+            return None;
+        }
+        let mut local = Kernel {
+            fixed: self.fixed & low,
+            set: self.set & low,
+            ..*self
+        };
+        if self.flip & low == 0 {
+            let Action::Diagonal(d0, d1) = self.action else {
+                unreachable!("only a diagonal kernel is block-local above the block width");
+            };
+            local.action = Action::Scale(if offset & self.flip != 0 {
+                d1
+            } else if d0 == Complex::ONE {
+                return None;
+            } else {
+                d0
+            });
+            local.flip = 0;
+        }
+        Some(local)
+    }
+}
+
+/// Whether `op` is block-local at blocks of `2^block_qubits` amplitudes
+/// (see the [module docs](self)).
+fn is_block_local(op: &SimOp, block_qubits: usize) -> bool {
+    match op.kernel() {
+        KernelOp::Diagonal { .. } => true,
+        KernelOp::AntiDiagonal { .. } | KernelOp::General(_) => op.target() < block_qubits,
+        KernelOp::Swap { other } => op.target() < block_qubits && *other < block_qubits,
+    }
+}
+
 impl State {
-    /// Validate controls/target and build the enumeration scaffolding.
-    fn control_subspace(&self, controls: &[usize], target: usize) -> Subspace {
+    /// Validate the controls and target of a single-target kernel call.
+    fn single_target(&self, controls: &[usize], target: usize, action: Action) -> Kernel {
         self.check_qubit(target);
         let mut fixed = 1usize << target;
         let mut cmask = 0usize;
@@ -326,7 +565,151 @@ impl State {
             fixed |= 1 << c;
             cmask |= 1 << c;
         }
-        Subspace::new(fixed, cmask, self.dim() >> (1 + controls.len()))
+        Kernel {
+            action,
+            fixed,
+            set: cmask,
+            flip: 1 << target,
+        }
+    }
+
+    /// Validate the controls and qubits of a (controlled) swap.
+    fn swap_kernel(&self, controls: &[usize], a: usize, b: usize) -> Kernel {
+        self.check_qubit(a);
+        self.check_qubit(b);
+        assert!(a != b, "swap targets must differ");
+        let lo_mask = 1usize << a.min(b);
+        let hi_mask = 1usize << a.max(b);
+        let mut fixed = lo_mask | hi_mask;
+        let mut cmask = 0usize;
+        for &c in controls {
+            self.check_qubit(c);
+            assert!(c != a && c != b, "control {c} overlaps swap target");
+            assert!(
+                fixed & (1 << c) == 0,
+                "qubit {c} used twice in one kernel call"
+            );
+            fixed |= 1 << c;
+            cmask |= 1 << c;
+        }
+        // Representative run: controls 1, low bit 1, high bit 0 —
+        // exchanged with the run at low bit 0, high bit 1.
+        Kernel {
+            action: Action::Swap,
+            fixed,
+            set: cmask | lo_mask,
+            flip: lo_mask | hi_mask,
+        }
+    }
+
+    /// Validate a lowered op and build its kernel.
+    fn kernel_for(&self, op: &SimOp) -> Kernel {
+        let (controls, target) = (op.controls(), op.target());
+        match op.kernel() {
+            KernelOp::Diagonal { d0, d1 } => {
+                self.single_target(controls, target, Action::Diagonal(*d0, *d1))
+            }
+            KernelOp::AntiDiagonal { a01, a10 } => {
+                self.single_target(controls, target, Action::AntiDiagonal(*a01, *a10))
+            }
+            KernelOp::General(m) => self.single_target(controls, target, general(m)),
+            KernelOp::Swap { other } => self.swap_kernel(controls, target, *other),
+        }
+    }
+
+    /// Count one kernel call: a gate op, and an index op per pair (run
+    /// representative) it touches.
+    fn record_kernel(&mut self, kernel: &Kernel) {
+        self.record_gate_op();
+        self.record_index_ops((self.dim() >> kernel.fixed.count_ones()) as u64);
+    }
+
+    /// Count a validated kernel call and apply it to the whole state.
+    fn apply_kernel(&mut self, kernel: Kernel) {
+        self.record_kernel(&kernel);
+        let workers = self.kernel_workers();
+        let chunks = kernel.run(self.amps_mut(), workers);
+        if chunks > 0 {
+            self.record_par_chunks(chunks as u64);
+        }
+    }
+
+    /// Apply one lowered op through its per-op kernel.
+    pub(crate) fn apply_sim_op(&mut self, op: &SimOp) {
+        let kernel = self.kernel_for(op);
+        self.apply_kernel(kernel);
+    }
+
+    /// Apply `ops` in order, running maximal runs of ops that are
+    /// block-local at `2^block_qubits` amplitudes block by block and
+    /// every other op through its per-op kernel (see the
+    /// [module docs](self)). Bit-for-bit per-op application, with the
+    /// same [`gate_ops`](State::gate_ops) and
+    /// [`index_ops`](State::index_ops); the block width is a parameter
+    /// so tests can block small states.
+    pub(crate) fn apply_ops_blocked(&mut self, ops: &[SimOp], block_qubits: usize) {
+        debug_assert!(
+            block_qubits <= self.num_qubits(),
+            "blocks wider than the state"
+        );
+        let mut rest = ops;
+        while let Some((op, tail)) = rest.split_first() {
+            let local = rest
+                .iter()
+                .take_while(|op| is_block_local(op, block_qubits))
+                .count();
+            if local == 0 {
+                self.apply_sim_op(op);
+                rest = tail;
+            } else {
+                let (run, tail) = rest.split_at(local);
+                self.apply_block_run(run, block_qubits);
+                rest = tail;
+            }
+        }
+    }
+
+    /// Apply a run of block-local ops block by block: every op is
+    /// validated and counted first, then each block gets the whole run
+    /// before the next block is touched. On an opted-in state the
+    /// blocks fan out across workers with one dispatch for the run.
+    fn apply_block_run(&mut self, run: &[SimOp], block_qubits: usize) {
+        let kernels: Vec<Kernel> = run
+            .iter()
+            .map(|op| {
+                let kernel = self.kernel_for(op);
+                self.record_kernel(&kernel);
+                kernel
+            })
+            .collect();
+        let len = 1usize << block_qubits;
+        let blocks = self.dim() >> block_qubits;
+        let apply_block = |index: usize, block: &mut [Complex]| {
+            let offset = index << block_qubits;
+            for kernel in &kernels {
+                if let Some(local) = kernel.in_block(offset, len) {
+                    local.run(block, 1);
+                }
+            }
+        };
+        let workers = self.kernel_workers();
+        let amps = self.amps_mut();
+        if workers > 1 && blocks > 1 {
+            let shared = SharedAmps(amps.as_mut_ptr());
+            let chunks = rayon::dispatch_chunks(blocks, |chunk| {
+                for index in chunk {
+                    // SAFETY: this chunk owns blocks
+                    // `chunk.start..chunk.end` exclusively, and blocks
+                    // are disjoint (see `SharedAmps`).
+                    apply_block(index, unsafe { shared.run(index << block_qubits, len) });
+                }
+            });
+            self.record_par_chunks(chunks as u64);
+        } else {
+            for (index, block) in amps.chunks_exact_mut(len).enumerate() {
+                apply_block(index, block);
+            }
+        }
     }
 
     /// Worker count the kernels may chunk over: 1 (serial) unless this
@@ -351,54 +734,8 @@ impl State {
     ///
     /// Panics if any qubit is out of range or repeats.
     pub fn apply_diagonal(&mut self, controls: &[usize], target: usize, d0: Complex, d1: Complex) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let amps = self.amps_mut();
-        let chunks = if d0 == Complex::ONE {
-            // Phase-type gates (`s`, `t`, `phase`, every `cphase` /
-            // `ccphase` of the QFT ladders): the |…0⟩ branch is
-            // untouched, so only the set branch is multiplied.
-            let scale = |run1: &mut [Complex]| {
-                for a in run1 {
-                    *a = d1 * *a;
-                }
-            };
-            if workers > 1 && sub.runs > 1 {
-                let shared = SharedAmps(amps.as_mut_ptr());
-                rayon::dispatch_chunks(sub.runs, |chunk| {
-                    let mut base = sub.base_at(chunk.start);
-                    for _ in chunk {
-                        let start1 = base | sub.cmask | tmask;
-                        // SAFETY: this chunk owns its runs exclusively
-                        // (see `SharedAmps`).
-                        scale(unsafe { shared.run(start1, sub.run_len) });
-                        base = sub.next(base);
-                    }
-                })
-            } else {
-                let mut base = 0usize;
-                for _ in 0..sub.runs {
-                    let start1 = base | sub.cmask | tmask;
-                    scale(&mut amps[start1..start1 + sub.run_len]);
-                    base = sub.next(base);
-                }
-                0
-            }
-        } else {
-            pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-                for_each_pair(run0, run1, |a, b| {
-                    *a = d0 * *a;
-                    *b = d1 * *b;
-                });
-            })
-        };
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let kernel = self.single_target(controls, target, Action::Diagonal(d0, d1));
+        self.apply_kernel(kernel);
     }
 
     /// Apply the anti-diagonal gate `[[0, a01], [a10, 0]]` to `target`,
@@ -416,65 +753,28 @@ impl State {
         a01: Complex,
         a10: Complex,
     ) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let pure_x = a01 == Complex::ONE && a10 == Complex::ONE;
-        let amps = self.amps_mut();
-        let chunks = pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-            if pure_x {
-                // X-type gates (`x`, CNOT, Toffoli): a pure amplitude
-                // permutation, no arithmetic at all.
-                run0.swap_with_slice(run1);
-            } else {
-                for_each_pair(run0, run1, |x, y| {
-                    let a = *x;
-                    let b = *y;
-                    *x = a01 * b;
-                    *y = a10 * a;
-                });
-            }
-        });
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let kernel = self.single_target(controls, target, Action::AntiDiagonal(a01, a10));
+        self.apply_kernel(kernel);
     }
 
     /// Apply a dense 2×2 unitary to `target`, conditioned on all
     /// `controls` being `|1⟩`, visiting only the control-satisfying
-    /// subspace.
+    /// subspace: `2ⁿ⁻¹⁻ᶜ` pairs instead of the `2ⁿ⁻¹` candidates
+    /// [`State::apply_controlled_1q`] scans, on exactly the pairs that
+    /// path touches.
     ///
-    /// Performs exactly the arithmetic of
-    /// [`State::apply_controlled_1q`] on exactly the pairs that path
-    /// touches (bit-for-bit identical results) while enumerating
-    /// `2ⁿ⁻¹⁻ᶜ` pairs instead of scanning `2ⁿ⁻¹` candidates.
+    /// A complex matrix gets exactly that path's arithmetic, so results
+    /// are bit-for-bit identical. A matrix whose four imaginary parts
+    /// are exactly zero runs in the real lane, which skips the `0·im`
+    /// products: results are value-identical (see the
+    /// [module docs](crate::kernels)).
     ///
     /// # Panics
     ///
     /// Panics if any qubit is out of range or repeats.
     pub fn apply_1q_subspace(&mut self, controls: &[usize], target: usize, m: &Matrix2) {
-        let sub = self.control_subspace(controls, target);
-        let tmask = 1usize << target;
-        let pairs = self.dim() >> (1 + controls.len());
-        self.record_gate_op();
-        self.record_index_ops(pairs as u64);
-        let workers = self.kernel_workers();
-        let m = m.0;
-        let amps = self.amps_mut();
-        let chunks = pair_run_chunks(workers, &sub, tmask, amps, |run0, run1| {
-            for_each_pair(run0, run1, |x, y| {
-                let a = *x;
-                let b = *y;
-                *x = m[0][0] * a + m[0][1] * b;
-                *y = m[1][0] * a + m[1][1] * b;
-            });
-        });
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let kernel = self.single_target(controls, target, general(m));
+        self.apply_kernel(kernel);
     }
 
     /// Swap qubits `a` and `b`, conditioned on all `controls` being
@@ -491,71 +791,15 @@ impl State {
     /// Panics if qubits are out of range, `a == b`, or a control
     /// overlaps a swap target.
     pub fn apply_swap_subspace(&mut self, controls: &[usize], a: usize, b: usize) {
-        self.check_qubit(a);
-        self.check_qubit(b);
-        assert!(a != b, "swap targets must differ");
-        let (lo, hi) = (a.min(b), a.max(b));
-        let lo_mask = 1usize << lo;
-        let hi_mask = 1usize << hi;
-        let mut fixed = lo_mask | hi_mask;
-        let mut cmask = 0usize;
-        for &c in controls {
-            self.check_qubit(c);
-            assert!(c != a && c != b, "control {c} overlaps swap target");
-            assert!(
-                fixed & (1 << c) == 0,
-                "qubit {c} used twice in one kernel call"
-            );
-            fixed |= 1 << c;
-            cmask |= 1 << c;
-        }
-        let count = self.dim() >> (2 + controls.len());
-        let sub = Subspace::new(fixed, cmask, count);
-        self.record_gate_op();
-        self.record_index_ops(count as u64);
-        let workers = self.kernel_workers();
-        let amps = self.amps_mut();
-        let chunks = if workers > 1 && sub.runs > 1 {
-            let shared = SharedAmps(amps.as_mut_ptr());
-            rayon::dispatch_chunks(sub.runs, |chunk| {
-                let mut base = sub.base_at(chunk.start);
-                for _ in chunk {
-                    let start_i = base | sub.cmask | lo_mask;
-                    let start_j = (start_i & !lo_mask) | hi_mask;
-                    // SAFETY: this chunk owns its runs exclusively; the
-                    // partner run starts strictly above the
-                    // representative and `run_len ≤ lo_mask < hi_mask`,
-                    // so the two slices never overlap (see `SharedAmps`).
-                    let run_i = unsafe { shared.run(start_i, sub.run_len) };
-                    let run_j = unsafe { shared.run(start_j, sub.run_len) };
-                    run_i.swap_with_slice(run_j);
-                    base = sub.next(base);
-                }
-            })
-        } else {
-            let mut base = 0usize;
-            for _ in 0..sub.runs {
-                // Representative run: controls 1, low bit 1, high bit 0 —
-                // swapped with the run at low bit 0, high bit 1. Both runs
-                // are contiguous (`run_len ≤ lo_mask < hi_mask`) and the
-                // partner run starts strictly above the representative.
-                let start_i = base | sub.cmask | lo_mask;
-                let start_j = (start_i & !lo_mask) | hi_mask;
-                let (lo, hi) = amps.split_at_mut(start_j);
-                lo[start_i..start_i + sub.run_len].swap_with_slice(&mut hi[..sub.run_len]);
-                base = sub.next(base);
-            }
-            0
-        };
-        if chunks > 0 {
-            self.record_par_chunks(chunks as u64);
-        }
+        let kernel = self.swap_kernel(controls, a, b);
+        self.apply_kernel(kernel);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SimBackend;
     use crate::gates;
     use crate::state::State;
 
@@ -649,6 +893,27 @@ mod tests {
             reference.apply_controlled_1q(&controls, 2, &g);
             assert_bits_identical(&fast, &reference);
         }
+    }
+
+    #[test]
+    fn real_lane_matches_generic_values() {
+        for g in [gates::h(), gates::ry(0.37), gates::ry(-2.1)] {
+            assert!(matches!(general(&g), Action::Real(_)));
+            for controls in [vec![], vec![0], vec![0, 3]] {
+                let mut fast = dense_state();
+                fast.apply_1q_subspace(&controls, 2, &g);
+                let mut reference = dense_state();
+                reference.apply_controlled_1q(&controls, 2, &g);
+                assert_eq!(fast, reference, "controls {controls:?}");
+                for (a, b) in fast.probabilities().iter().zip(&reference.probabilities()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "controls {controls:?}");
+                }
+            }
+        }
+        assert!(matches!(
+            general(&gates::u3(0.3, 1.1, -0.4)),
+            Action::General(_)
+        ));
     }
 
     #[test]
@@ -782,6 +1047,121 @@ mod tests {
         assert!(chunked.par_chunks() > 0, "chunking never engaged");
         assert_eq!(serial.index_ops(), chunked.index_ops());
         assert_eq!(serial.gate_ops(), chunked.gate_ops());
+    }
+
+    /// A state on `n` qubits with every amplitude nonzero and distinct
+    /// phases, counters reset.
+    fn spread_state(n: usize) -> State {
+        let mut s = State::zero(n);
+        for q in 0..n {
+            s.apply_1q(q, &gates::h());
+            s.apply_1q(q, &gates::rz(0.3 + q as f64));
+        }
+        s.reset_gate_ops();
+        s.reset_index_ops();
+        s
+    }
+
+    /// A seeded batch of `len` lowered ops on `n ≥ 4` qubits covering
+    /// every kernel — phase-type and general diagonals, `x` and `y`,
+    /// complex and real 2×2s, swaps — each with up to two controls
+    /// anywhere in the register.
+    fn random_ops(n: usize, len: usize, seed: u64) -> Vec<SimOp> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let mut qubits: Vec<usize> = (0..n).collect();
+                for i in 0..4 {
+                    let j = rng.gen_range(i..n);
+                    qubits.swap(i, j);
+                }
+                let controls = qubits[2..2 + rng.gen_range(0..3)].to_vec();
+                let theta = rng.gen_range(-3.0..3.0);
+                let diagonal = |g: Matrix2| KernelOp::Diagonal {
+                    d0: g.0[0][0],
+                    d1: g.0[1][1],
+                };
+                let antidiagonal = |g: Matrix2| KernelOp::AntiDiagonal {
+                    a01: g.0[0][1],
+                    a10: g.0[1][0],
+                };
+                let kernel = match rng.gen_range(0..8u8) {
+                    0 => diagonal(gates::phase(theta)),
+                    1 => diagonal(gates::rz(theta)),
+                    2 => antidiagonal(gates::x()),
+                    3 => antidiagonal(gates::y()),
+                    4 => KernelOp::General(gates::u3(theta, 1.1, -0.4)),
+                    5 => KernelOp::General(gates::h()),
+                    6 => KernelOp::General(gates::ry(theta)),
+                    _ => KernelOp::Swap { other: qubits[1] },
+                };
+                SimOp::new(controls, qubits[0], kernel)
+            })
+            .collect()
+    }
+
+    /// Apply a random batch per op and as blocked runs at every block
+    /// width `1..=n` (on an opted-in state when `intra`), asserting
+    /// bit-identical amplitudes and identical gate and index counts.
+    /// Returns the parallel chunks the blocked passes dispatched.
+    fn check_blocked_runs(n: usize, seed: u64, intra: bool) -> u64 {
+        let ops = random_ops(n, 80, seed);
+        // The batch exercises the block-local rule's every case at a
+        // middle width: diagonals above the boundary, in-block swaps,
+        // and controls on both sides of it.
+        let mid = n / 2;
+        assert!(ops
+            .iter()
+            .any(|op| { matches!(op.kernel(), KernelOp::Diagonal { .. }) && op.target() >= mid }));
+        assert!(ops.iter().any(
+            |op| matches!(op.kernel(), KernelOp::Swap { other } if op.target().max(*other) < mid)
+        ));
+        assert!(ops.iter().any(|op| {
+            is_block_local(op, mid)
+                && op.controls().iter().any(|&c| c < mid)
+                && op.controls().iter().any(|&c| c >= mid)
+        }));
+        let mut reference = spread_state(n);
+        for op in &ops {
+            reference.apply_op(op);
+        }
+        let mut chunks = 0;
+        for width in 1..=n {
+            let mut blocked = spread_state(n);
+            blocked.set_intra_parallel(intra);
+            blocked.apply_ops_blocked(&ops, width);
+            for i in 0..reference.dim() {
+                let (a, b) = (reference.amplitude(i), blocked.amplitude(i));
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "width {width}, re at {i}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "width {width}, im at {i}");
+            }
+            assert_eq!(reference.gate_ops(), blocked.gate_ops(), "width {width}");
+            assert_eq!(reference.index_ops(), blocked.index_ops(), "width {width}");
+            chunks += blocked.par_chunks();
+        }
+        chunks
+    }
+
+    #[test]
+    fn blocked_runs_match_per_op_application() {
+        for (n, seed) in [(4, 1), (6, 2), (6, 3), (9, 4)] {
+            check_blocked_runs(n, seed, false);
+        }
+    }
+
+    #[test]
+    fn blocked_runs_are_bit_identical_at_any_thread_count() {
+        let _guard = ENV_LOCK.lock().unwrap();
+        for threads in [1, 2, 4] {
+            std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+            check_blocked_runs(6, 5, true);
+            // At the chunking threshold every width below it fans out.
+            let chunks = check_blocked_runs(INTRA_PAR_MIN_QUBITS, 6, true);
+            assert_eq!(chunks > 0, threads > 1, "{threads} threads");
+        }
+        std::env::remove_var("RAYON_NUM_THREADS");
     }
 
     #[test]
