@@ -41,10 +41,18 @@ fn bench_statistical_vs_exact_checker(c: &mut Criterion) {
         b: m1.clone(),
     };
     group.bench_function("statistical_contingency", |b| {
-        b.iter(|| checker::check_breakpoint(&kind, &ensemble.outcomes, 0.05).expect("check"));
+        b.iter(|| {
+            checker::check_breakpoint_with(
+                &kind,
+                &ensemble.outcomes,
+                0.05,
+                checker::IndependenceMethod::default(),
+            )
+            .expect("check")
+        });
     });
     group.bench_function("exact_amplitude_based", |b| {
-        b.iter(|| checker::exact_verdict(&kind, &ensemble.state, 1e-9));
+        b.iter(|| checker::exact_verdict_on(&kind, &ensemble.state, 1e-9));
     });
     group.finish();
 }

@@ -21,10 +21,20 @@
 //!    can run on the polynomial-time stabilizer backend.
 //!
 //! The result is reused across every application: the ensemble sweep,
-//! per-prefix replays, and noisy trajectories all walk the same plan —
-//! on *any* [`SimBackend`] via the `*_backend` entry points (the
-//! `State`-typed entry points are thin wrappers over the statevector
-//! backend).
+//! per-prefix replays, trajectory-tree forks and per-shot noisy
+//! trajectories all walk the same plan, on *any* [`SimBackend`],
+//! through three entry points:
+//!
+//! * [`CompiledCircuit::apply_to`] — the whole plan, one
+//!   [`SimBackend::apply_ops`] batch;
+//! * [`CompiledCircuit::apply_range`] — a window of the plan with a
+//!   presampled Pauli fault pattern spliced in (empty for the ideal
+//!   replay), handing each fault-free stretch to
+//!   [`SimBackend::apply_ops`] and polling a caller's closure every
+//!   `batch_ops` ops;
+//! * [`CompiledCircuit::apply_range_noisy`] — a window as one noisy
+//!   trajectory, sampling the gate channel after every op (the only
+//!   replay Kraus channels can take), polled the same way.
 //!
 //! ## Equivalence contract
 //!
@@ -48,10 +58,12 @@
 //!
 //! [`State::gate_ops`]: qdb_sim::State::gate_ops
 
+use std::ops::Range;
+
 use crate::circuit::{Circuit, GateSink};
 use crate::instruction::{GateKind, Instruction};
 use qdb_sim::kernels::{classify, MatrixClass};
-use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp, State};
+use qdb_sim::{CliffordGate1, CliffordOp, KernelOp, Matrix2, SimBackend, SimOp};
 
 /// How [`CompiledCircuit::compile`] lowers a circuit.
 ///
@@ -74,10 +86,9 @@ pub enum OptLevel {
 ///
 /// Build with [`CompiledCircuit::compile`] (or
 /// [`Program::compile`](crate::Program::compile)); apply with
-/// [`CompiledCircuit::apply_to`]
-/// / [`apply_range_to`](CompiledCircuit::apply_range_to) /
-/// [`apply_to_noisy`](CompiledCircuit::apply_to_noisy) on a dense
-/// [`State`], or with the `*_backend` generic entry points on any
+/// [`apply_to`](CompiledCircuit::apply_to),
+/// [`apply_range`](CompiledCircuit::apply_range) or
+/// [`apply_range_noisy`](CompiledCircuit::apply_range_noisy) on any
 /// [`SimBackend`] (e.g. the stabilizer tableau for Clifford-only plans).
 ///
 /// ```
@@ -193,68 +204,41 @@ impl CompiledCircuit {
         general.min(self.num_qubits)
     }
 
-    /// Run the whole compiled circuit on a state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has fewer qubits than the circuit.
-    pub fn apply_to(&self, state: &mut State) {
-        self.apply_to_backend(state);
-    }
-
-    /// Run the whole compiled circuit on any backend.
+    /// Run the whole plan on any backend: every op goes to
+    /// [`SimBackend::apply_ops`] as one batch.
     ///
     /// # Panics
     ///
     /// Panics if the backend has fewer qubits than the circuit or
     /// cannot execute an op (a non-Clifford op on the stabilizer
     /// backend — check [`is_clifford`](Self::is_clifford) first).
-    pub fn apply_to_backend<B: SimBackend>(&self, backend: &mut B) {
-        self.apply_range_to_backend(backend, 0..self.source_len());
+    pub fn apply_to<B: SimBackend>(&self, backend: &mut B) {
+        backend.apply_ops(self.ops_for_range(backend.num_qubits(), &(0..self.ops.len())));
     }
 
-    /// Run only the ops covering the **source-instruction** window
-    /// `range` — the compiled counterpart of
-    /// [`Circuit::apply_range_to`], sharing its coordinates so a
-    /// breakpoint sweep can switch plans without renumbering anything.
+    /// Replay the **source-instruction** window `range` — the compiled
+    /// counterpart of [`Circuit::apply_range_to`], sharing its
+    /// coordinates so an engine can switch plans without renumbering
+    /// anything — with a presampled fault pattern spliced in and an
+    /// amortized interruption check.
     ///
-    /// # Panics
+    /// Each fault-free stretch of the window goes to
+    /// [`SimBackend::apply_ops`]; each fault in `faults` fires (as
+    /// [`SimBackend::apply_pauli`]) right after the op at its position,
+    /// in recorded order. With empty `faults` this is the ideal replay;
+    /// with the pattern [`presample_faults`](Self::presample_faults)
+    /// drew, the state is bit-for-bit the one
+    /// [`apply_range_noisy`](Self::apply_range_noisy) would have
+    /// produced from the RNG stream that drew it. `faults` must be
+    /// sorted by [`FaultEvent::op`] (presampling produces them sorted)
+    /// and lie within `range`.
     ///
-    /// Panics if the state is too small or the range is reversed or out
-    /// of bounds.
-    pub fn apply_range_to(&self, state: &mut State, range: std::ops::Range<usize>) {
-        self.apply_range_to_backend(state, range);
-    }
-
-    /// [`apply_range_to`](Self::apply_range_to) on any backend: the
-    /// window's ops go to [`SimBackend::apply_ops`] as one batch.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_range_to`](Self::apply_range_to), plus unsupported
-    /// ops (see [`apply_to_backend`](Self::apply_to_backend)).
-    pub fn apply_range_to_backend<B: SimBackend>(
-        &self,
-        backend: &mut B,
-        range: std::ops::Range<usize>,
-    ) {
-        backend.apply_ops(self.ops_for_range(backend.num_qubits(), &range));
-    }
-
-    /// [`apply_range_to_backend`](Self::apply_range_to_backend) with an
-    /// amortized interruption check: the window is applied in batches
-    /// of `batch_ops` compiled ops (the last may be shorter), each
-    /// handed to [`SimBackend::apply_ops`], and after each batch `poll`
-    /// is invoked with the backend and the cumulative op count so far.
-    /// A poll returning `Err` stops the replay immediately and
-    /// propagates the error; the backend is left at the end of the last
-    /// batch applied (mid-window, so callers treat it as consumed).
-    ///
-    /// The execution governor drives this with a stride chosen so the
-    /// polling cost is unmeasurable (`max(1, 2²⁴ >> n)` for an `n`-qubit
-    /// state): each poll then costs a handful of atomic loads against
-    /// ~2²⁴ amplitude visits of real work, and a batch is long enough
-    /// for the dense statevector's blocked runs.
+    /// `poll` runs after every `batch_ops` ops (the last batch may be
+    /// shorter); an `Err` stops the replay at once and is returned,
+    /// leaving the backend mid-window (callers treat it as consumed).
+    /// `qdb-core`'s execution governor picks the stride, long enough
+    /// that a poll costs nothing measurable and a batch holds the dense
+    /// statevector's blocked runs.
     ///
     /// # Errors
     ///
@@ -262,90 +246,100 @@ impl CompiledCircuit {
     ///
     /// # Panics
     ///
-    /// As [`apply_range_to_backend`](Self::apply_range_to_backend).
-    pub fn apply_range_to_backend_polled<B: SimBackend, E>(
+    /// As [`apply_to`](Self::apply_to), plus a reversed or
+    /// out-of-bounds range and a fault positioned outside `range` (a
+    /// fault past the window's end is only detected if the replay runs
+    /// to completion).
+    pub fn apply_range<B: SimBackend, E>(
         &self,
         backend: &mut B,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
+        faults: &[FaultEvent],
         batch_ops: usize,
-        poll: &mut impl FnMut(&B, usize) -> Result<(), E>,
+        mut poll: impl FnMut(&B) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut total = 0usize;
-        for batch in self
-            .ops_for_range(backend.num_qubits(), &range)
-            .chunks(batch_ops.max(1))
-        {
-            backend.apply_ops(batch);
-            total += batch.len();
-            poll(backend, total)?;
+        let ops = self.ops_for_range(backend.num_qubits(), &range);
+        let mut pending = faults;
+        let mut done = 0;
+        for batch in ops.chunks(batch_ops.max(1)) {
+            let end = done + batch.len();
+            while done < end {
+                // A stretch runs through the next faulty op, or to the
+                // end of the batch; the op's faults fire after it.
+                let stop = match pending.first() {
+                    Some(fault) if fault.op < range.start + end => {
+                        assert!(
+                            fault.op >= range.start + done,
+                            "fault at op {} precedes replay window {range:?}",
+                            fault.op
+                        );
+                        fault.op + 1 - range.start
+                    }
+                    _ => end,
+                };
+                backend.apply_ops(&ops[done..stop]);
+                done = stop;
+                while let Some((fault, rest)) = pending.split_first() {
+                    if fault.op + 1 != range.start + done {
+                        break;
+                    }
+                    backend.apply_pauli(fault.qubit, fault.pauli);
+                    pending = rest;
+                }
+            }
+            poll(backend)?;
+        }
+        assert!(
+            pending.is_empty(),
+            "fault pattern extends past replay window {range:?}"
+        );
+        Ok(())
+    }
+
+    /// Replay the source window `range` as one noisy trajectory,
+    /// bit-compatible with [`Circuit::apply_to_noisy`]: after each op
+    /// the gate channel is sampled ([`NoiseChannel::apply`]) on every
+    /// qubit the source instruction touched, in source order, and
+    /// `poll` runs after every `batch_ops` ops as in
+    /// [`apply_range`](Self::apply_range). Stochastic-Pauli channels
+    /// replay on every backend; Kraus channels (amplitude/phase
+    /// damping, general Kraus sets) need dense branch norms and
+    /// therefore the statevector.
+    ///
+    /// [`NoiseChannel::apply`]: qdb_sim::NoiseChannel::apply
+    ///
+    /// # Errors
+    ///
+    /// Whatever `poll` returns, unchanged.
+    ///
+    /// # Panics
+    ///
+    /// As [`apply_range`](Self::apply_range), plus Kraus noise on a
+    /// backend without amplitude access.
+    pub fn apply_range_noisy<B: SimBackend, R: rand::Rng + ?Sized, E>(
+        &self,
+        backend: &mut B,
+        range: Range<usize>,
+        noise: &qdb_sim::NoiseModel,
+        rng: &mut R,
+        batch_ops: usize,
+        mut poll: impl FnMut(&B) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let ops = self.ops_for_range(backend.num_qubits(), &range);
+        for batch in ops.chunks(batch_ops.max(1)) {
+            for op in batch {
+                backend.apply_op(op);
+                if let Some(channel) = noise.gate_noise.as_ref() {
+                    op.for_each_qubit(|q| channel.apply(backend, q, rng));
+                }
+            }
+            poll(backend)?;
         }
         Ok(())
     }
 
-    /// Run the whole compiled circuit as one noisy trajectory,
-    /// bit-compatible with [`Circuit::apply_to_noisy`]: after each op
-    /// the noise channel is sampled on every qubit the source
-    /// instruction touched, in source order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is too small.
-    pub fn apply_to_noisy<R: rand::Rng + ?Sized>(
-        &self,
-        state: &mut State,
-        noise: &qdb_sim::NoiseModel,
-        rng: &mut R,
-    ) {
-        self.apply_range_to_noisy_backend(state, 0..self.source_len(), noise, rng);
-    }
-
-    /// Noisy-trajectory replay of a source-instruction window; see
-    /// [`apply_to_noisy`](Self::apply_to_noisy).
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_to_noisy`](Self::apply_to_noisy), plus the range
-    /// conditions of [`apply_range_to`](Self::apply_range_to).
-    pub fn apply_range_to_noisy<R: rand::Rng + ?Sized>(
-        &self,
-        state: &mut State,
-        range: std::ops::Range<usize>,
-        noise: &qdb_sim::NoiseModel,
-        rng: &mut R,
-    ) {
-        self.apply_range_to_noisy_backend(state, range, noise, rng);
-    }
-
-    /// Noisy-trajectory replay on any backend. Stochastic-Pauli
-    /// channels replay on every backend (Clifford plans run noisy
-    /// trajectories on the stabilizer backend too); Kraus channels
-    /// (amplitude/phase damping, general Kraus sets) need dense branch
-    /// norms and therefore a backend with
-    /// [`SimBackend::supports_kraus`]` == true` — the statevector
-    /// engine.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_range_to_noisy`](Self::apply_range_to_noisy), plus
-    /// unsupported ops (see [`apply_to_backend`](Self::apply_to_backend)),
-    /// plus Kraus noise on a backend without Kraus support.
-    pub fn apply_range_to_noisy_backend<B: SimBackend, R: rand::Rng + ?Sized>(
-        &self,
-        backend: &mut B,
-        range: std::ops::Range<usize>,
-        noise: &qdb_sim::NoiseModel,
-        rng: &mut R,
-    ) {
-        for op in self.ops_for_range(backend.num_qubits(), &range) {
-            backend.apply_op(op);
-            if let Some(channel) = noise.gate_noise.as_ref() {
-                op.for_each_qubit(|q| channel.apply_to_backend(backend, q, rng));
-            }
-        }
-    }
-
     /// Validate a source range and resolve it to the ops that lower it.
-    fn ops_for_range(&self, backend_qubits: usize, range: &std::ops::Range<usize>) -> &[SimOp] {
+    fn ops_for_range(&self, backend_qubits: usize, range: &Range<usize>) -> &[SimOp] {
         assert!(
             backend_qubits >= self.num_qubits,
             "backend has {} qubits, compiled circuit needs {}",
@@ -372,7 +366,8 @@ impl CompiledCircuit {
 /// A shot's `Vec<FaultEvent>` is therefore a complete, canonical
 /// description of its trajectory — two shots with equal fault vectors
 /// evolve through bit-for-bit identical states, which is what makes
-/// ensemble deduplication sound.
+/// ensemble deduplication sound. [`CompiledCircuit::apply_range`]
+/// splices a pattern back into a replay.
 ///
 /// [`pauli`]: FaultEvent::pauli
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -392,8 +387,8 @@ impl CompiledCircuit {
     /// caller's to reuse across shots).
     ///
     /// The RNG consumption is identical — draw for draw — to
-    /// [`apply_range_to_noisy_backend`](Self::apply_range_to_noisy_backend)
-    /// over the same window: one decision per (op, touched qubit) in
+    /// [`apply_range_noisy`](Self::apply_range_noisy) over the same
+    /// window: one decision per (op, touched qubit) in
     /// op order then source qubit order, with
     /// [`NoiseChannel::sample_fault`](qdb_sim::NoiseChannel::sample_fault)'s
     /// contract per decision. After this call the RNG sits exactly
@@ -404,15 +399,15 @@ impl CompiledCircuit {
     ///
     /// # Panics
     ///
-    /// As [`apply_range_to_noisy_backend`](Self::apply_range_to_noisy_backend):
-    /// invalid ranges are refused. Panics for a
+    /// As [`apply_range_noisy`](Self::apply_range_noisy): invalid
+    /// ranges are refused. Panics for a
     /// **Kraus** gate channel (amplitude/phase damping, general Kraus
     /// sets): its branch probabilities depend on the evolving state, so
     /// no state-free fault pattern exists — callers gate presampling on
     /// [`NoiseModel::gate_noise_is_pauli`](qdb_sim::NoiseModel::gate_noise_is_pauli).
     pub fn presample_faults<R: rand::Rng + ?Sized>(
         &self,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         noise: &qdb_sim::NoiseModel,
         rng: &mut R,
         out: &mut Vec<FaultEvent>,
@@ -433,105 +428,6 @@ impl CompiledCircuit {
                 }
             });
         }
-    }
-
-    /// Replay the source window `range` with a presampled fault pattern
-    /// spliced back in: each op is applied, then every fault recorded
-    /// against its position fires in recorded order.
-    ///
-    /// `faults` must be sorted by [`FaultEvent::op`] (presampling
-    /// produces them sorted) and must lie within `range`; the replayed
-    /// state is bit-for-bit the one
-    /// [`apply_range_to_noisy_backend`](Self::apply_range_to_noisy_backend)
-    /// would have produced from the RNG stream that presampled the
-    /// pattern. The trajectory-tree engine uses this to replay only a
-    /// trajectory's *faulty suffix* from a forked ideal checkpoint.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_range_to_noisy_backend`](Self::apply_range_to_noisy_backend),
-    /// plus a fault positioned outside `range`.
-    pub fn apply_range_to_backend_with_faults<B: SimBackend>(
-        &self,
-        backend: &mut B,
-        range: std::ops::Range<usize>,
-        faults: &[FaultEvent],
-    ) {
-        let mut pending = faults.iter().peekable();
-        let ops = self.ops_for_range(backend.num_qubits(), &range);
-        for (position, op) in range.clone().zip(ops) {
-            backend.apply_op(op);
-            while let Some(fault) = pending.next_if(|f| f.op <= position) {
-                assert!(
-                    fault.op == position,
-                    "fault at op {} precedes replay window {range:?}",
-                    fault.op
-                );
-                backend.apply_pauli(fault.qubit, fault.pauli);
-            }
-        }
-        assert!(
-            pending.next().is_none(),
-            "fault pattern extends past replay window {range:?}"
-        );
-    }
-
-    /// [`apply_range_to_backend_with_faults`](Self::apply_range_to_backend_with_faults)
-    /// with the same amortized interruption check as
-    /// [`apply_range_to_backend_polled`](Self::apply_range_to_backend_polled):
-    /// ops are applied one at a time, faults firing with their op, and
-    /// `poll` runs after every `batch_ops` ops and once at the window's
-    /// end; an `Err` stops the replay immediately. The trajectory tree drives its
-    /// forked suffix replays through this so a budget trip interrupts
-    /// even a single long trajectory, not just the gaps between them.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `poll` returns, unchanged.
-    ///
-    /// # Panics
-    ///
-    /// As [`apply_range_to_backend_with_faults`](Self::apply_range_to_backend_with_faults),
-    /// except that a fault pattern extending past the replay window is
-    /// only detected if the replay runs to completion.
-    pub fn apply_range_to_backend_with_faults_polled<B: SimBackend, E>(
-        &self,
-        backend: &mut B,
-        range: std::ops::Range<usize>,
-        faults: &[FaultEvent],
-        batch_ops: usize,
-        poll: &mut impl FnMut(&B, usize) -> Result<(), E>,
-    ) -> Result<(), E> {
-        let batch = batch_ops.max(1);
-        let mut since_poll = 0usize;
-        let mut total = 0usize;
-        let mut pending = faults.iter().peekable();
-        let ops = self.ops_for_range(backend.num_qubits(), &range);
-        for (position, op) in range.clone().zip(ops) {
-            backend.apply_op(op);
-            while let Some(fault) = pending.next_if(|f| f.op <= position) {
-                assert!(
-                    fault.op == position,
-                    "fault at op {} precedes replay window {range:?}",
-                    fault.op
-                );
-                backend.apply_pauli(fault.qubit, fault.pauli);
-            }
-            total += 1;
-            since_poll += 1;
-            if since_poll >= batch {
-                since_poll = 0;
-                poll(backend, total)?;
-            }
-        }
-        assert!(
-            pending.next().is_none(),
-            "fault pattern extends past replay window {range:?}"
-        );
-        if since_poll > 0 {
-            poll(backend, total)?;
-        }
-        Ok(())
     }
 }
 
@@ -617,7 +513,33 @@ impl Circuit {
 mod tests {
     use super::*;
     use crate::circuit::GateSink;
-    use qdb_sim::StabilizerState;
+    use qdb_sim::{NoiseModel, StabilizerState, State};
+    use std::convert::Infallible;
+
+    /// Replay `range` with `faults` spliced in, never interrupted.
+    fn replay<B: SimBackend>(
+        plan: &CompiledCircuit,
+        backend: &mut B,
+        range: Range<usize>,
+        faults: &[FaultEvent],
+    ) {
+        let Ok(()) = plan.apply_range(backend, range, faults, usize::MAX, |_| {
+            Ok::<_, Infallible>(())
+        });
+    }
+
+    /// Replay the whole plan as one noisy trajectory, never interrupted.
+    fn replay_noisy<B: SimBackend>(
+        plan: &CompiledCircuit,
+        backend: &mut B,
+        noise: &NoiseModel,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let range = 0..plan.source_len();
+        let Ok(()) = plan.apply_range_noisy(backend, range, noise, rng, usize::MAX, |_| {
+            Ok::<_, Infallible>(())
+        });
+    }
 
     /// A circuit exercising every kernel class and control arity.
     fn mixed_circuit() -> Circuit {
@@ -738,7 +660,7 @@ mod tests {
         let c = clifford_circuit();
         let plan = c.compile(OptLevel::Specialize);
         let mut tableau = StabilizerState::zero(3).unwrap();
-        plan.apply_to_backend(&mut tableau);
+        plan.apply_to(&mut tableau);
         let dense = c.run_on_basis(0).unwrap();
         let qubits = [0, 1, 2];
         let td = tableau.outcome_distribution(&qubits);
@@ -756,7 +678,7 @@ mod tests {
     fn stabilizer_backend_rejects_non_clifford_plan() {
         let plan = mixed_circuit().compile(OptLevel::Specialize);
         let mut tableau = StabilizerState::zero(4).unwrap();
-        plan.apply_to_backend(&mut tableau);
+        plan.apply_to(&mut tableau);
     }
 
     #[test]
@@ -781,9 +703,9 @@ mod tests {
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
         let mut compiled = State::zero(4);
-        plan.apply_range_to(&mut compiled, 0..5);
-        plan.apply_range_to(&mut compiled, 5..5);
-        plan.apply_range_to(&mut compiled, 5..c.len());
+        replay(&plan, &mut compiled, 0..5, &[]);
+        replay(&plan, &mut compiled, 5..5, &[]);
+        replay(&plan, &mut compiled, 5..c.len(), &[]);
         let mut reference = State::zero(4);
         c.apply_to(&mut reference);
         assert_eq!(compiled, reference);
@@ -822,11 +744,11 @@ mod tests {
         use rand::SeedableRng;
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
-        let noise = qdb_sim::NoiseModel::depolarizing(0.2);
+        let noise = NoiseModel::depolarizing(0.2);
         for seed in 0..16 {
             let mut compiled = State::zero(4);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            plan.apply_to_noisy(&mut compiled, &noise, &mut rng);
+            replay_noisy(&plan, &mut compiled, &noise, &mut rng);
             let mut reference = State::zero(4);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             c.apply_to_noisy(&mut reference, &noise, &mut rng);
@@ -839,16 +761,16 @@ mod tests {
         use rand::SeedableRng;
         let c = clifford_circuit();
         let plan = c.compile(OptLevel::Specialize);
-        let noise = qdb_sim::NoiseModel::depolarizing(0.3);
+        let noise = NoiseModel::depolarizing(0.3);
         // Same seed ⇒ same Pauli insertions on both backends ⇒ same
         // trajectory state, hence identical exact distributions.
         for seed in 0..8 {
             let mut tableau = StabilizerState::zero(3).unwrap();
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            plan.apply_range_to_noisy_backend(&mut tableau, 0..c.len(), &noise, &mut rng);
+            replay_noisy(&plan, &mut tableau, &noise, &mut rng);
             let mut dense = State::zero(3);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            plan.apply_to_noisy(&mut dense, &noise, &mut rng);
+            replay_noisy(&plan, &mut dense, &noise, &mut rng);
             let td = tableau.outcome_distribution(&[0, 1, 2]);
             let dd = SimBackend::outcome_distribution(&dense, &[0, 1, 2]);
             for key in td.keys().chain(dd.keys()) {
@@ -867,18 +789,18 @@ mod tests {
         use rand::SeedableRng;
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
-        let noise = qdb_sim::NoiseModel::depolarizing(0.25);
+        let noise = NoiseModel::depolarizing(0.25);
         let mut pattern = Vec::new();
         for seed in 0..32 {
             // Presample, then splice the pattern into an ideal replay.
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             plan.presample_faults(0..c.len(), &noise, &mut rng, &mut pattern);
             let mut spliced = State::zero(4);
-            plan.apply_range_to_backend_with_faults(&mut spliced, 0..c.len(), &pattern);
+            replay(&plan, &mut spliced, 0..c.len(), &pattern);
             // Reference: the classic interleaved noisy replay.
             let mut reference = State::zero(4);
             let mut rng2 = rand::rngs::StdRng::seed_from_u64(seed);
-            plan.apply_to_noisy(&mut reference, &noise, &mut rng2);
+            replay_noisy(&plan, &mut reference, &noise, &mut rng2);
             assert_eq!(spliced, reference, "seed {seed}");
             // Both RNG routes end at the same stream position.
             use rand::RngCore;
@@ -893,7 +815,7 @@ mod tests {
         use rand::SeedableRng;
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
-        let noise = qdb_sim::NoiseModel::depolarizing(0.3);
+        let noise = NoiseModel::depolarizing(0.3);
         let mut pattern = Vec::new();
         let mut tried_forks = 0;
         for seed in 0..32 {
@@ -906,22 +828,90 @@ mod tests {
             // Fork: ideal prefix through the first faulty op, then the
             // fault(s) at that op, then the faulty suffix.
             let mut forked = State::zero(4);
-            plan.apply_range_to(&mut forked, 0..first.op + 1);
+            replay(&plan, &mut forked, 0..first.op + 1, &[]);
             let at_fork = pattern.partition_point(|f| f.op == first.op);
             for fault in &pattern[..at_fork] {
                 use qdb_sim::SimBackend as _;
                 forked.apply_pauli(fault.qubit, fault.pauli);
             }
-            plan.apply_range_to_backend_with_faults(
+            replay(
+                &plan,
                 &mut forked,
                 first.op + 1..c.len(),
                 &pattern[at_fork..],
             );
             let mut whole = State::zero(4);
-            plan.apply_range_to_backend_with_faults(&mut whole, 0..c.len(), &pattern);
+            replay(&plan, &mut whole, 0..c.len(), &pattern);
             assert_eq!(forked, whole, "seed {seed}");
         }
         assert!(tried_forks > 10, "noise too quiet to exercise forking");
+    }
+
+    #[test]
+    fn batched_replays_poll_per_batch_and_match_unbatched() {
+        use rand::SeedableRng;
+        let c = mixed_circuit();
+        let plan = c.compile(OptLevel::Specialize);
+        let noise = NoiseModel::depolarizing(0.3);
+        let mut pattern = Vec::new();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        plan.presample_faults(0..c.len(), &noise, &mut rng, &mut pattern);
+        assert!(pattern.len() > 1, "noise too quiet to splice faults");
+        let mut whole = State::zero(4);
+        replay(&plan, &mut whole, 0..c.len(), &pattern);
+        let mut noisy_whole = State::zero(4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        replay_noisy(&plan, &mut noisy_whole, &noise, &mut rng);
+        for batch in [0, 1, 2, 5, c.len()] {
+            let mut polls = 0;
+            let mut batched = State::zero(4);
+            let Ok(()) = plan.apply_range(&mut batched, 0..c.len(), &pattern, batch, |_| {
+                polls += 1;
+                Ok::<_, Infallible>(())
+            });
+            assert_eq!(batched, whole, "batch {batch}");
+            assert_eq!(polls, c.len().div_ceil(batch.max(1)), "batch {batch}");
+            let mut polls = 0;
+            let mut noisy = State::zero(4);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+            let Ok(()) =
+                plan.apply_range_noisy(&mut noisy, 0..c.len(), &noise, &mut rng, batch, |_| {
+                    polls += 1;
+                    Ok::<_, Infallible>(())
+                });
+            assert_eq!(noisy, noisy_whole, "batch {batch}");
+            assert_eq!(polls, c.len().div_ceil(batch.max(1)), "batch {batch}");
+        }
+        // An empty window applies and polls nothing.
+        let mut polls = 0;
+        let mut s = State::zero(4);
+        let Ok(()) = plan.apply_range(&mut s, 3..3, &[], 1, |_| {
+            polls += 1;
+            Ok::<_, Infallible>(())
+        });
+        assert_eq!((polls, s.gate_ops()), (0, 0));
+    }
+
+    #[test]
+    fn failed_poll_stops_the_replay_after_its_batch() {
+        let c = mixed_circuit();
+        let plan = c.compile(OptLevel::Specialize);
+        let mut s = State::zero(4);
+        let stopped = plan.apply_range(&mut s, 0..c.len(), &[], 5, |s: &State| {
+            if s.gate_ops() >= 5 {
+                Err(s.gate_ops())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(stopped, Err(5));
+        let mut s = State::zero(4);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
+        let noise = NoiseModel::depolarizing(0.0);
+        let stopped = plan.apply_range_noisy(&mut s, 0..c.len(), &noise, &mut rng, 4, |s| {
+            Err::<(), _>(s.gate_ops())
+        });
+        assert_eq!(stopped, Err(4));
     }
 
     #[test]
@@ -929,7 +919,7 @@ mod tests {
         use rand::{RngCore, SeedableRng};
         let c = mixed_circuit();
         let plan = c.compile(OptLevel::Specialize);
-        let readout_only = qdb_sim::NoiseModel::readout_only(0.1);
+        let readout_only = NoiseModel::readout_only(0.1);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut untouched = rand::rngs::StdRng::seed_from_u64(9);
         let mut pattern = vec![FaultEvent {
@@ -953,7 +943,7 @@ mod tests {
             qubit: 0,
             pauli: qdb_sim::Pauli::X,
         }];
-        plan.apply_range_to_backend_with_faults(&mut s, 0..3, &stray);
+        replay(&plan, &mut s, 0..3, &stray);
     }
 
     #[test]
@@ -961,7 +951,7 @@ mod tests {
     fn out_of_bounds_range_panics() {
         let plan = mixed_circuit().compile(OptLevel::Specialize);
         let mut s = State::zero(4);
-        plan.apply_range_to(&mut s, 0..99);
+        replay(&plan, &mut s, 0..99, &[]);
     }
 
     #[test]

@@ -23,9 +23,10 @@ use crate::register::QReg;
 
 /// Domain-separation seed for [`Circuit::fingerprint`].
 const CIRCUIT_DOMAIN: u64 = 0x5143_4952_4355_4954; // "QCIRCUIT"
-/// Domain-separation seed for [`Program::fingerprint`] — a program and
-/// its bare circuit never collide, so plans compiled *with* breakpoint
-/// cuts and plans compiled without them key differently.
+/// Domain-separation seed for [`Program::fingerprint`]: a program and
+/// its bare circuit never collide, so a cache keyed by program
+/// fingerprints (breakpoints and registers included) cannot confuse an
+/// entry with one keyed by the circuit alone.
 const PROGRAM_DOMAIN: u64 = 0x5150_524f_4752_414d; // "QPROGRAM"
 
 /// One splitmix64 avalanche round: the word `v` is absorbed into the

@@ -292,7 +292,7 @@ impl Program {
     /// [`CompiledCircuit`](crate::CompiledCircuit). Compiled ops are
     /// 1:1 with instructions, so a breakpoint sweep can apply each
     /// window of [`Program::segments`] with
-    /// [`CompiledCircuit::apply_range_to`](crate::CompiledCircuit::apply_range_to).
+    /// [`CompiledCircuit::apply_range`](crate::CompiledCircuit::apply_range).
     #[must_use]
     pub fn compile(&self, opt: crate::OptLevel) -> crate::CompiledCircuit {
         crate::CompiledCircuit::compile(&self.circuit, opt)

@@ -123,10 +123,14 @@ proptest! {
         let mut segmented = State::zero(num_qubits.max(1));
         let mut start = 0usize;
         for &cut in &cuts {
-            plan.apply_range_to(&mut segmented, start..cut);
+            let Ok(()) = plan.apply_range(&mut segmented, start..cut, &[], usize::MAX, |_| {
+                Ok::<_, std::convert::Infallible>(())
+            });
             start = cut;
         }
-        plan.apply_range_to(&mut segmented, start..c.len());
+        let Ok(()) = plan.apply_range(&mut segmented, start..c.len(), &[], usize::MAX, |_| {
+            Ok::<_, std::convert::Infallible>(())
+        });
 
         let mut reference = State::zero(num_qubits.max(1));
         c.apply_to(&mut reference);
@@ -147,7 +151,10 @@ proptest! {
 
         let mut compiled = State::zero(num_qubits);
         let mut rng = StdRng::seed_from_u64(seed);
-        plan.apply_to_noisy(&mut compiled, &noise, &mut rng);
+        let Ok(()) =
+            plan.apply_range_noisy(&mut compiled, 0..c.len(), &noise, &mut rng, usize::MAX, |_| {
+                Ok::<_, std::convert::Infallible>(())
+            });
         let compiled_draw: u64 = qdb_sim::Sampler::new(&compiled).sample(&mut rng);
 
         let mut reference = State::zero(num_qubits);

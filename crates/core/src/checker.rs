@@ -9,7 +9,8 @@
 //! tableau (polynomial branch enumeration at 100+ qubits).
 
 use qdb_circuit::BreakpointKind;
-use qdb_sim::{SimBackend, State};
+use qdb_sim::measure::extract_bits;
+use qdb_sim::SimBackend;
 use qdb_stats::chi2::DEFAULT_POINT_MASS_EPSILON;
 use qdb_stats::exact::{fisher_exact_table, g_test};
 use qdb_stats::{ContingencyTable, GoodnessOfFit, StatsError};
@@ -190,20 +191,11 @@ fn contingency(
 }
 
 /// `assert_entangled`: measurement outcomes of the two registers should be
-/// *dependent* — the assertion passes when the independence hypothesis is
-/// rejected (`p ≤ α`), as in §4.4.
+/// *dependent* — the assertion passes when the `method` independence
+/// test rejects its hypothesis (`p ≤ α`), as in §4.4.
 ///
 /// A degenerate table (one register constant) is evidence of *no*
 /// correlation and therefore fails the assertion.
-///
-/// # Errors
-///
-/// [`CoreError::Stats`] on an empty ensemble.
-pub fn check_entangled(pairs: &[(u64, u64)], alpha: f64) -> Result<CheckOutcome, CoreError> {
-    check_entangled_with(pairs, alpha, IndependenceMethod::default())
-}
-
-/// [`check_entangled`] with an explicit independence-test method.
 ///
 /// # Errors
 ///
@@ -236,20 +228,11 @@ pub fn check_entangled_with(
 }
 
 /// `assert_product`: measurement outcomes of the two registers should be
-/// *independent* — the assertion passes when the independence hypothesis
-/// is **not** rejected (`p > α`), as in §4.5.
+/// *independent* — the assertion passes when the `method` independence
+/// test does **not** reject its hypothesis (`p > α`), as in §4.5.
 ///
 /// A degenerate table (one register constant) is consistent with a
 /// product state and passes.
-///
-/// # Errors
-///
-/// [`CoreError::Stats`] on an empty ensemble.
-pub fn check_product(pairs: &[(u64, u64)], alpha: f64) -> Result<CheckOutcome, CoreError> {
-    check_product_with(pairs, alpha, IndependenceMethod::default())
-}
-
-/// [`check_product`] with an explicit independence-test method.
 ///
 /// # Errors
 ///
@@ -281,23 +264,27 @@ pub fn check_product_with(
     })
 }
 
-/// Dispatch an ensemble of *full-register* outcomes to the right test for
-/// a breakpoint.
-///
-/// # Errors
-///
-/// Propagates the individual checkers' errors.
-pub fn check_breakpoint(
-    kind: &BreakpointKind,
-    outcomes: &[u64],
-    alpha: f64,
-) -> Result<CheckOutcome, CoreError> {
-    check_breakpoint_with(kind, outcomes, alpha, IndependenceMethod::default())
+/// The qubits a breakpoint's assertion measures, in packing order: the
+/// register's qubits (LSB first), or the first register's then the
+/// second's for two-register assertions.
+pub(crate) fn breakpoint_qubits(kind: &BreakpointKind) -> Vec<usize> {
+    match kind {
+        BreakpointKind::Classical { register, .. } | BreakpointKind::Superposition { register } => {
+            register.qubits().to_vec()
+        }
+        BreakpointKind::Entangled { a, b } | BreakpointKind::Product { a, b } => {
+            a.qubits().iter().chain(b.qubits()).copied().collect()
+        }
+    }
 }
 
-/// [`check_breakpoint`] with an explicit independence-test method for
-/// the entanglement/product assertions (classical and superposition
-/// checks are unaffected).
+/// Run a breakpoint's test on an ensemble of *full-register* outcomes:
+/// each outcome is projected onto the asserted qubits (a register's
+/// qubits, or the first register's then the second's — the same bits
+/// [`QReg::value_of`](qdb_circuit::QReg::value_of) reads) and handed to
+/// the one dispatch the session engine uses. `method` picks the
+/// independence test of entanglement/product assertions; classical and
+/// superposition checks ignore it.
 ///
 /// # Errors
 ///
@@ -308,14 +295,30 @@ pub fn check_breakpoint_with(
     alpha: f64,
     method: IndependenceMethod,
 ) -> Result<CheckOutcome, CoreError> {
+    let qubits = breakpoint_qubits(kind);
+    let packed: Vec<u64> = outcomes.iter().map(|&o| extract_bits(o, &qubits)).collect();
+    check_packed(kind, &packed, alpha, method)
+}
+
+/// Run a breakpoint's test on outcomes packed over its
+/// [`breakpoint_qubits`]: a single register's values are the outcomes
+/// themselves, and a register pair splits at the first register's
+/// width.
+///
+/// # Errors
+///
+/// Propagates the individual checkers' errors, with
+/// [`CoreError::RegisterTooWide`] naming the register.
+pub(crate) fn check_packed(
+    kind: &BreakpointKind,
+    outcomes: &[u64],
+    alpha: f64,
+    method: IndependenceMethod,
+) -> Result<CheckOutcome, CoreError> {
     match kind {
-        BreakpointKind::Classical { register, expected } => {
-            let values: Vec<u64> = outcomes.iter().map(|&o| register.value_of(o)).collect();
-            check_classical(&values, *expected, alpha)
-        }
+        BreakpointKind::Classical { expected, .. } => check_classical(outcomes, *expected, alpha),
         BreakpointKind::Superposition { register } => {
-            let values: Vec<u64> = outcomes.iter().map(|&o| register.value_of(o)).collect();
-            check_superposition(&values, register.width(), alpha).map_err(|e| match e {
+            check_superposition(outcomes, register.width(), alpha).map_err(|e| match e {
                 CoreError::RegisterTooWide { width, max, .. } => CoreError::RegisterTooWide {
                     name: register.name().to_string(),
                     width,
@@ -324,21 +327,38 @@ pub fn check_breakpoint_with(
                 other => other,
             })
         }
-        BreakpointKind::Entangled { a, b } => {
-            let pairs: Vec<(u64, u64)> = outcomes
-                .iter()
-                .map(|&o| (a.value_of(o), b.value_of(o)))
-                .collect();
-            check_entangled_with(&pairs, alpha, method)
+        BreakpointKind::Entangled { a, .. } => {
+            check_entangled_with(&split_pairs(outcomes, a.width()), alpha, method)
         }
-        BreakpointKind::Product { a, b } => {
-            let pairs: Vec<(u64, u64)> = outcomes
-                .iter()
-                .map(|&o| (a.value_of(o), b.value_of(o)))
-                .collect();
-            check_product_with(&pairs, alpha, method)
+        BreakpointKind::Product { a, .. } => {
+            check_product_with(&split_pairs(outcomes, a.width()), alpha, method)
         }
     }
+}
+
+/// The low `width` bits (valid for `width ≤ 64`).
+pub(crate) fn register_mask(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// Split packed two-register outcomes into `(first, second)` value
+/// pairs at the first register's width.
+///
+/// `a_width ≤ 63` always holds here: registers own at least one qubit
+/// ([`QReg::new`](qdb_circuit::QReg::new) enforces it) and the two
+/// registers of an assertion are disjoint, so under the 64-qubit packing
+/// limit the first register leaves the second at least one bit.
+fn split_pairs(outcomes: &[u64], a_width: usize) -> Vec<(u64, u64)> {
+    debug_assert!(
+        a_width < 64,
+        "first register must leave room for the second"
+    );
+    let mask = register_mask(a_width);
+    outcomes.iter().map(|&o| (o & mask, o >> a_width)).collect()
 }
 
 /// The exact verdict for a breakpoint on any backend: what an infinite
@@ -408,14 +428,6 @@ pub fn exact_verdict_on<B: SimBackend>(kind: &BreakpointKind, backend: &B, tol: 
     }
 }
 
-/// [`exact_verdict_on`] specialized to the dense statevector — the
-/// original amplitude-level oracle, kept as the convenient entry point
-/// for `State`-typed callers.
-#[must_use]
-pub fn exact_verdict(kind: &BreakpointKind, state: &State, tol: f64) -> Verdict {
-    exact_verdict_on(kind, state, tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,7 +485,7 @@ mod tests {
     #[test]
     fn entangled_bell_ensemble_passes() {
         let pairs: Vec<(u64, u64)> = (0..16).map(|i| (i % 2, i % 2)).collect();
-        let out = check_entangled(&pairs, ALPHA).unwrap();
+        let out = check_entangled_with(&pairs, ALPHA, IndependenceMethod::PearsonChi2).unwrap();
         assert_eq!(out.verdict, Verdict::Pass);
         // Paper: p = 0.0005 at 16 shots (Yates-corrected).
         assert!((out.p_value - 4.66e-4).abs() < 5e-5, "p = {}", out.p_value);
@@ -483,14 +495,14 @@ mod tests {
     fn entangled_independent_ensemble_fails() {
         // All four combinations equally often → independent.
         let pairs: Vec<(u64, u64)> = (0..16).map(|i| (i % 2, (i / 2) % 2)).collect();
-        let out = check_entangled(&pairs, ALPHA).unwrap();
+        let out = check_entangled_with(&pairs, ALPHA, IndependenceMethod::PearsonChi2).unwrap();
         assert_eq!(out.verdict, Verdict::Fail);
     }
 
     #[test]
     fn entangled_constant_register_fails_gracefully() {
         let pairs: Vec<(u64, u64)> = (0..16).map(|i| (0, i % 2)).collect();
-        let out = check_entangled(&pairs, ALPHA).unwrap();
+        let out = check_entangled_with(&pairs, ALPHA, IndependenceMethod::PearsonChi2).unwrap();
         assert_eq!(out.verdict, Verdict::Fail);
         assert!(out.statistic.is_nan());
         assert_eq!(out.dof, 0);
@@ -499,9 +511,19 @@ mod tests {
     #[test]
     fn product_independent_passes_and_correlated_fails() {
         let indep: Vec<(u64, u64)> = (0..32).map(|i| (i % 2, (i / 2) % 2)).collect();
-        assert_eq!(check_product(&indep, ALPHA).unwrap().verdict, Verdict::Pass);
+        assert_eq!(
+            check_product_with(&indep, ALPHA, IndependenceMethod::PearsonChi2)
+                .unwrap()
+                .verdict,
+            Verdict::Pass
+        );
         let corr: Vec<(u64, u64)> = (0..32).map(|i| (i % 2, i % 2)).collect();
-        assert_eq!(check_product(&corr, ALPHA).unwrap().verdict, Verdict::Fail);
+        assert_eq!(
+            check_product_with(&corr, ALPHA, IndependenceMethod::PearsonChi2)
+                .unwrap()
+                .verdict,
+            Verdict::Fail
+        );
     }
 
     #[test]
@@ -571,7 +593,12 @@ mod tests {
     #[test]
     fn product_constant_register_passes() {
         let pairs: Vec<(u64, u64)> = (0..16).map(|i| (0, i % 2)).collect();
-        assert_eq!(check_product(&pairs, ALPHA).unwrap().verdict, Verdict::Pass);
+        assert_eq!(
+            check_product_with(&pairs, ALPHA, IndependenceMethod::PearsonChi2)
+                .unwrap()
+                .verdict,
+            Verdict::Pass
+        );
     }
 
     #[test]
@@ -583,8 +610,49 @@ mod tests {
             expected: 0b11,
         };
         let outcomes = vec![0b110u64; 20]; // register value 0b11
-        let out = check_breakpoint(&kind, &outcomes, ALPHA).unwrap();
+        let out = check_breakpoint_with(&kind, &outcomes, ALPHA, IndependenceMethod::PearsonChi2)
+            .unwrap();
         assert_eq!(out.verdict, Verdict::Pass);
+    }
+
+    #[test]
+    fn register_pairs_project_like_value_of() {
+        // Scattered, interleaved registers over 6 qubits: the packed
+        // dispatch must see exactly the (a, b) values `value_of` reads.
+        let a = QReg::new("a", vec![4, 1]);
+        let b = QReg::new("b", vec![0, 5, 2]);
+        let outcomes: Vec<u64> = (0..64u64).map(|i| (i * 37) % 64).collect();
+        let pairs: Vec<(u64, u64)> = outcomes
+            .iter()
+            .map(|&o| (a.value_of(o), b.value_of(o)))
+            .collect();
+        for method in [IndependenceMethod::PearsonChi2, IndependenceMethod::GTest] {
+            let kinds = [
+                BreakpointKind::Entangled {
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+                BreakpointKind::Product {
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+            ];
+            let direct = [
+                check_entangled_with(&pairs, ALPHA, method).unwrap(),
+                check_product_with(&pairs, ALPHA, method).unwrap(),
+            ];
+            for (kind, want) in kinds.iter().zip(direct) {
+                let got = check_breakpoint_with(kind, &outcomes, ALPHA, method).unwrap();
+                assert_eq!(got.verdict, want.verdict, "{method:?}");
+                assert_eq!(got.dof, want.dof, "{method:?}");
+                assert_eq!(got.p_value.to_bits(), want.p_value.to_bits(), "{method:?}");
+                assert_eq!(
+                    got.statistic.to_bits(),
+                    want.statistic.to_bits(),
+                    "{method:?}"
+                );
+            }
+        }
     }
 
     fn bell_state() -> State {
@@ -606,8 +674,8 @@ mod tests {
             register: reg,
             expected: 0b100,
         };
-        assert_eq!(exact_verdict(&pass, &s, 1e-9), Verdict::Pass);
-        assert_eq!(exact_verdict(&fail, &s, 1e-9), Verdict::Fail);
+        assert_eq!(exact_verdict_on(&pass, &s, 1e-9), Verdict::Pass);
+        assert_eq!(exact_verdict_on(&fail, &s, 1e-9), Verdict::Fail);
     }
 
     #[test]
@@ -617,10 +685,10 @@ mod tests {
         s.apply_1q(1, &gates::h());
         let reg = QReg::contiguous("r", 0, 2);
         let kind = BreakpointKind::Superposition { register: reg };
-        assert_eq!(exact_verdict(&kind, &s, 1e-9), Verdict::Pass);
+        assert_eq!(exact_verdict_on(&kind, &s, 1e-9), Verdict::Pass);
         let basis = State::zero(2);
         assert_eq!(
-            exact_verdict(
+            exact_verdict_on(
                 &BreakpointKind::Superposition {
                     register: QReg::contiguous("r", 0, 2)
                 },
@@ -641,12 +709,12 @@ mod tests {
             b: b.clone(),
         };
         let prod = BreakpointKind::Product { a, b };
-        assert_eq!(exact_verdict(&ent, &bell, 1e-9), Verdict::Pass);
-        assert_eq!(exact_verdict(&prod, &bell, 1e-9), Verdict::Fail);
+        assert_eq!(exact_verdict_on(&ent, &bell, 1e-9), Verdict::Pass);
+        assert_eq!(exact_verdict_on(&prod, &bell, 1e-9), Verdict::Fail);
 
         let mut product_state = State::zero(2);
         product_state.apply_1q(0, &gates::h());
-        assert_eq!(exact_verdict(&ent, &product_state, 1e-9), Verdict::Fail);
-        assert_eq!(exact_verdict(&prod, &product_state, 1e-9), Verdict::Pass);
+        assert_eq!(exact_verdict_on(&ent, &product_state, 1e-9), Verdict::Fail);
+        assert_eq!(exact_verdict_on(&prod, &product_state, 1e-9), Verdict::Pass);
     }
 }

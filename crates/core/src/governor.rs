@@ -16,15 +16,20 @@
 //! * **Cancellation** — a [`CancelToken`] clonable across threads;
 //!   flipping it from anywhere stops the session at the next poll.
 //!
-//! Polling is amortized: the engines check the governor after every
-//! op batch of compiled ops (`max(1, 2²⁴ ≫ n)` for an `n`-qubit state),
-//! so each check costs a few atomic loads against ~2²⁴ amplitude visits
-//! of real work — under the 3% overhead bound the `governor_overhead`
-//! bench asserts — and each batch is long enough for the dense
-//! statevector's blocked runs. The flip side is a bounded cancellation
-//! *latency*: one op batch may complete after the trip. On a 2-core
-//! host a cancelled ideal session stopped within 7.1 ms at 16 qubits
-//! (one batch is 256 ops) and within 9.6 ms at 20 qubits (16 ops).
+//! Polling is amortized: every replay of the compiled plan — the sweep
+//! walk, the per-prefix replay, the trajectory tree's frontier and fork
+//! replays, and per-shot noisy trajectories — advances through
+//! `Governor::advance` or `Governor::advance_noisy`, which check the
+//! governor after every op batch (`max(1, 2²⁴ ≫ n)` compiled ops
+//! for an `n`-qubit state). Each check costs a few atomic loads against
+//! ~2²⁴ amplitude visits of real work — under the 3% overhead bound the
+//! `governor_overhead` bench asserts — and each batch is long enough
+//! for the dense statevector's blocked runs. The flip side is a bounded
+//! cancellation *latency*: one op batch may complete after the trip.
+//! On a 2-core host a cancelled ideal session stopped within 7.1 ms at
+//! 16 qubits (one batch is 256 ops) and within 9.6 ms at 20 qubits (16
+//! ops), and a 16-qubit session of 2,481-op amplitude-damping
+//! trajectories within 328 ms (median 90 ms).
 //!
 //! A trip never discards completed work. The engines convert it into
 //! [`CoreError::Interrupted`](crate::CoreError::Interrupted) carrying a
@@ -34,11 +39,13 @@
 //! parallelism.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qdb_sim::SimBackend;
+use qdb_circuit::{CompiledCircuit, FaultEvent};
+use qdb_sim::{NoiseModel, SimBackend};
 
 /// A clonable cancellation flag shared between a running session and
 /// whoever might want to stop it.
@@ -284,6 +291,49 @@ impl Governor {
         ((1usize << 24) >> num_qubits.min(24)).max(1)
     }
 
+    /// Advance `state` through the plan window `range` with the fault
+    /// pattern `faults` spliced in (empty for the ideal evolution),
+    /// polling this governor every [`batch_ops`](Governor::batch_ops)
+    /// ops ([`CompiledCircuit::apply_range`]). The sweep walk, the
+    /// per-prefix replay and the trajectory tree's frontier and fork
+    /// replays all advance through here.
+    ///
+    /// # Errors
+    ///
+    /// The [`InterruptCause`] of the first failed poll; `state` is then
+    /// mid-window.
+    pub(crate) fn advance<B: SimBackend>(
+        &self,
+        plan: &CompiledCircuit,
+        state: &mut B,
+        range: Range<usize>,
+        faults: &[FaultEvent],
+    ) -> Result<(), InterruptCause> {
+        let batch = Self::batch_ops(state.num_qubits());
+        plan.apply_range(state, range, faults, batch, |s| self.poll(s))
+    }
+
+    /// [`advance`](Governor::advance) as one noisy trajectory, sampling
+    /// the gate channel after every op
+    /// ([`CompiledCircuit::apply_range_noisy`]) and polling at the same
+    /// stride: the per-shot path Kraus channels and
+    /// `ExecutionStrategy::PerPrefix` noisy sessions take.
+    ///
+    /// # Errors
+    ///
+    /// As [`advance`](Governor::advance).
+    pub(crate) fn advance_noisy<B: SimBackend, R: rand::Rng + ?Sized>(
+        &self,
+        plan: &CompiledCircuit,
+        state: &mut B,
+        range: Range<usize>,
+        noise: &NoiseModel,
+        rng: &mut R,
+    ) -> Result<(), InterruptCause> {
+        let batch = Self::batch_ops(state.num_qubits());
+        plan.apply_range_noisy(state, range, noise, rng, batch, |s| self.poll(s))
+    }
+
     /// Latch an interruption cause. The first call wins; later calls
     /// (other workers tripping concurrently) are ignored.
     pub(crate) fn trip(&self, cause: InterruptCause) {
@@ -398,7 +448,7 @@ impl Governor {
         &self,
         num_qubits: usize,
     ) -> Result<B, crate::CoreError> {
-        B::try_zero_state(num_qubits).map_err(|e| match e {
+        B::zero(num_qubits).map_err(|e| match e {
             qdb_sim::SimError::AllocationFailed { bytes } => {
                 let cause = InterruptCause::AllocationFailed { bytes };
                 self.trip(cause.clone());

@@ -15,8 +15,16 @@
 //!
 //! Every statistical verdict can be cross-checked against an *exact*
 //! verdict computed from the simulator amplitudes
-//! ([`checker::exact_verdict`]), replacing the paper's cross-validation
+//! ([`checker::exact_verdict_on`]), replacing the paper's cross-validation
 //! against LIQUi|>, ProjectQ, and Q#.
+//!
+//! Every engine — the checkpointed sweep, the per-prefix replay, the
+//! noisy trajectory tree and per-shot trajectories — replays one compiled
+//! plan ([`qdb_circuit::CompiledCircuit`]) through the execution
+//! [`governor`], which polls the session's [`RunBudget`] after every op
+//! batch; and every report's test runs through one dispatch on
+//! [`BreakpointKind`](qdb_circuit::BreakpointKind), the one
+//! [`checker::check_breakpoint_with`] also uses.
 //!
 //! ```
 //! use qdb_circuit::{GateSink, Program, QReg};
@@ -50,9 +58,7 @@ pub mod trajectory;
 
 mod error;
 
-pub use checker::{
-    check_breakpoint, check_breakpoint_with, exact_verdict, exact_verdict_on, IndependenceMethod,
-};
+pub use checker::{check_breakpoint_with, exact_verdict_on, IndependenceMethod};
 pub use debugger::{DebugReport, Debugger};
 pub use error::CoreError;
 pub use governor::{CancelToken, InterruptCause, RunBudget};
@@ -69,4 +75,4 @@ pub use trajectory::{NoisySessionStats, TrajectoryStats};
 // Likewise the backend trait and engines live in `qdb-sim` but are
 // selected per session via `BackendChoice`.
 pub use qdb_circuit::OptLevel;
-pub use qdb_sim::{SimBackend, StabilizerState, StatevectorBackend};
+pub use qdb_sim::{SimBackend, StabilizerState};

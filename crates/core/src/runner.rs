@@ -56,8 +56,7 @@ use qdb_sim::measure::extract_bits;
 use qdb_sim::{NoiseModel, Sampler, SimBackend, SparseState, StabilizerState, State};
 
 use crate::checker::{
-    check_classical, check_entangled_with, check_product_with, check_superposition,
-    exact_verdict_on, IndependenceMethod,
+    breakpoint_qubits, check_packed, exact_verdict_on, register_mask, IndependenceMethod,
 };
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause, RunBudget};
@@ -1095,13 +1094,9 @@ impl EnsembleRunner {
                 }
                 let n = program.circuit().num_qubits();
                 let mut ideal = governor.zero_state::<B>(n)?;
-                plan.apply_range_to_backend_polled(
-                    &mut ideal,
-                    0..bp.position,
-                    Governor::batch_ops(n),
-                    &mut |state: &B, _| governor.poll(state),
-                )
-                .map_err(governor::trip_error)?;
+                governor
+                    .advance(plan, &mut ideal, 0..bp.position, &[])
+                    .map_err(governor::trip_error)?;
                 let qubits = B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
                 let outcomes = match &self.config.noise {
                     None => ideal.draw_ideal(
@@ -1124,12 +1119,15 @@ impl EnsembleRunner {
                                 index as u64,
                                 shot as u64,
                             ));
-                            plan.apply_range_to_noisy_backend(
-                                &mut trajectory,
-                                0..bp.position,
-                                noise,
-                                &mut rng,
-                            );
+                            governor
+                                .advance_noisy(
+                                    plan,
+                                    &mut trajectory,
+                                    0..bp.position,
+                                    noise,
+                                    &mut rng,
+                                )
+                                .map_err(governor::trip_error)?;
                             let raw = trajectory.sample_once(&qubits, &mut rng);
                             Ok(noise.corrupt_readout(raw, qubits.len(), &mut rng))
                         })
@@ -1170,35 +1168,12 @@ impl EnsembleRunner {
                 .map(|&o| extract_bits(o, &positions))
                 .collect()
         };
-        // `outcomes` now packs the bits of `asserted` in order, so a
-        // single register's values are the outcomes themselves, and a
-        // register pair splits at the first register's width.
-        let outcome = match &bp.kind {
-            BreakpointKind::Classical { expected, .. } => {
-                check_classical(&outcomes, *expected, self.config.alpha)?
-            }
-            BreakpointKind::Superposition { register } => check_superposition(
-                &outcomes,
-                register.width(),
-                self.config.alpha,
-            )
-            .map_err(|e| match e {
-                CoreError::RegisterTooWide { width, max, .. } => CoreError::RegisterTooWide {
-                    name: register.name().to_string(),
-                    width,
-                    max,
-                },
-                other => other,
-            })?,
-            BreakpointKind::Entangled { a, .. } => {
-                let pairs = split_pairs(&outcomes, a.width());
-                check_entangled_with(&pairs, self.config.alpha, self.config.independence)?
-            }
-            BreakpointKind::Product { a, .. } => {
-                let pairs = split_pairs(&outcomes, a.width());
-                check_product_with(&pairs, self.config.alpha, self.config.independence)?
-            }
-        };
+        let outcome = check_packed(
+            &bp.kind,
+            &outcomes,
+            self.config.alpha,
+            self.config.independence,
+        )?;
         let exact = self
             .config
             .exact_cross_check
@@ -1388,45 +1363,6 @@ fn measured_ensemble(
         outcomes,
         state: ideal.clone(),
     })
-}
-
-/// The qubits a breakpoint's assertion measures, in packing order: the
-/// register's qubits (LSB first), or the first register's then the
-/// second's for two-register assertions.
-fn breakpoint_qubits(kind: &BreakpointKind) -> Vec<usize> {
-    match kind {
-        BreakpointKind::Classical { register, .. } | BreakpointKind::Superposition { register } => {
-            register.qubits().to_vec()
-        }
-        BreakpointKind::Entangled { a, b } | BreakpointKind::Product { a, b } => {
-            a.qubits().iter().chain(b.qubits()).copied().collect()
-        }
-    }
-}
-
-/// The low `width` bits (valid for `width ≤ 64`).
-fn register_mask(width: usize) -> u64 {
-    if width >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
-    }
-}
-
-/// Split packed two-register outcomes into `(first, second)` value
-/// pairs at the first register's width.
-///
-/// `a_width ≤ 63` always holds here: registers own at least one qubit
-/// ([`QReg::new`](qdb_circuit::QReg::new) enforces it), so under the
-/// 64-qubit packing guard the first register leaves the second at
-/// least one bit.
-fn split_pairs(outcomes: &[u64], a_width: usize) -> Vec<(u64, u64)> {
-    debug_assert!(
-        a_width < 64,
-        "first register must leave room for the second"
-    );
-    let mask = register_mask(a_width);
-    outcomes.iter().map(|&o| (o & mask, o >> a_width)).collect()
 }
 
 /// Promote an inner engine's sentinel interruption (empty partial — see
@@ -2198,5 +2134,49 @@ mod tests {
         assert_eq!(reports[0].verdict, Verdict::Fail);
         assert_eq!(reports[0].exact, Some(Verdict::Fail));
         assert!(reports[0].p_value < 1e-10);
+    }
+
+    #[test]
+    fn per_shot_trajectories_poll_every_op_batch() {
+        // 14 qubits: the governor polls every 2²⁴ ≫ 14 = 1024 ops, so
+        // each 3500-op noisy trajectory must poll at least 4 times, not
+        // once per shot, for a cancel to land within one batch.
+        let mut p = Program::new();
+        let r = p.alloc_register("r", 14);
+        for _ in 0..250 {
+            for q in 0..14 {
+                p.x(r.bit(q));
+            }
+        }
+        p.assert_classical(&r, 0);
+        let ops: usize = 250 * 14;
+        let shots = 3;
+        let damping = NoiseModel {
+            gate_noise: Some(qdb_sim::NoiseChannel::amplitude_damping(1e-4).unwrap()),
+            ..NoiseModel::default()
+        };
+        // Kraus noise routes the default strategy to the per-shot path;
+        // Pauli noise takes it under PerPrefix.
+        for (noise, strategy) in [
+            (damping, ExecutionStrategy::Sweep),
+            (NoiseModel::depolarizing(1e-4), ExecutionStrategy::PerPrefix),
+        ] {
+            let budget = RunBudget::default();
+            let config = EnsembleConfig::builder()
+                .shots(shots)
+                .seed(8)
+                .parallel(false)
+                .noise(noise)
+                .strategy(strategy)
+                .budget(budget.clone())
+                .build();
+            EnsembleRunner::new(config).check_program(&p).unwrap();
+            let per_shot = ops.div_ceil(Governor::batch_ops(14)) as u64;
+            assert!(
+                budget.poll_checks() >= shots as u64 * per_shot,
+                "{strategy:?}: {} polls",
+                budget.poll_checks()
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! The sweep runs the *compiled* program: the circuit is lowered once
 //! ([`Program::compile`](qdb_circuit::Program::compile)) and each
 //! inter-breakpoint segment replays a window of that plan
-//! ([`CompiledCircuit::apply_range_to`](qdb_circuit::CompiledCircuit::apply_range_to)),
+//! ([`CompiledCircuit::apply_range`](qdb_circuit::CompiledCircuit::apply_range)),
 //! the same plan the per-prefix path replays from `|0…0⟩`. The sweep is
 //! therefore report-equivalent to the per-prefix path, bit for bit:
 //!
@@ -115,9 +115,9 @@ impl SweepRunner {
     }
 
     /// The governed engine under [`walk_backend`](SweepRunner::walk_backend)
-    /// and the check path: evolve the state segment by segment, polling
-    /// `governor` every [`Governor::batch_ops`] compiled ops and after
-    /// each segment, with each segment's work panic-contained.
+    /// and the check path: evolve the state segment by segment through
+    /// [`Governor::advance`] (which polls after every op batch, the last
+    /// one ending the segment), with each segment's work panic-contained.
     ///
     /// On a trip, returns the visits completed **before** the tripping
     /// segment (a strict prefix, bit-identical to the uninterrupted
@@ -153,16 +153,11 @@ impl SweepRunner {
         // only shot fan-out is CDF inversion, which runs between
         // segments).
         backend.set_intra_parallel(self.config.parallel);
-        let batch = Governor::batch_ops(num_qubits);
         for segment in program.segments() {
             let step = governor.contain(|| -> Result<T, CoreError> {
-                plan.apply_range_to_backend_polled(
-                    &mut backend,
-                    segment.range(),
-                    batch,
-                    &mut |state: &B, _| governor.poll(state),
-                )
-                .map_err(governor::trip_error)?;
+                governor
+                    .advance(plan, &mut backend, segment.range(), &[])
+                    .map_err(governor::trip_error)?;
                 visit(segment.index, &breakpoints[segment.index], &backend)
             });
             match step {

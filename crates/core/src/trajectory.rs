@@ -26,7 +26,8 @@
 //!    fault site via a reusable buffer pool
 //!    ([`StatePool`] — no per-shot, and in steady state no per-fork,
 //!    allocation) and replays only its faulty suffix
-//!    ([`CompiledCircuit::apply_range_to_backend_with_faults`]).
+//!    ([`CompiledCircuit::apply_range`], fault-free stretches as whole
+//!    op batches).
 //!
 //! The fault-free group needs no fork at all: when the frontier reaches
 //! a breakpoint, it *is* that group's final state — and simultaneously
@@ -67,7 +68,7 @@
 //! work scales with unique trajectories rather than shots.
 //!
 //! [`CompiledCircuit::presample_faults`]: qdb_circuit::CompiledCircuit::presample_faults
-//! [`CompiledCircuit::apply_range_to_backend_with_faults`]: qdb_circuit::CompiledCircuit::apply_range_to_backend_with_faults
+//! [`CompiledCircuit::apply_range`]: qdb_circuit::CompiledCircuit::apply_range
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -332,7 +333,6 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
     // so it may chunk amplitudes, while forks replay serially — as units
     // of a parallel wave, or one at a time when the session is serial.
     frontier.set_intra_parallel(config.parallel);
-    let batch = Governor::batch_ops(num_qubits);
     let pool: StatePool<B> = StatePool::new();
     let mut scratch = Sampler::default();
     let mut outcomes: Vec<Vec<u64>> = (0..breakpoints.len()).map(|_| vec![0; shots]).collect();
@@ -343,15 +343,11 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
     let mut next_fork = 0usize;
     let mut trip: Option<InterruptCause> = None;
 
-    // Advance a state through an ideal window of the plan, polling the
-    // governor per op batch, with panic containment.
+    // Advance the frontier through an ideal window of the plan, polling
+    // the governor per op batch, with panic containment.
     let advance = |state: &mut B, range: std::ops::Range<usize>| -> Result<(), InterruptCause> {
         governor
-            .contain(|| {
-                plan.apply_range_to_backend_polled(state, range, batch, &mut |s: &B, _| {
-                    governor.poll(s)
-                })
-            })
+            .contain(|| governor.advance(plan, state, range, &[]))
             .and_then(|polled| polled)
     };
 
@@ -366,12 +362,11 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                 for fault in &group.pattern[..at_fork] {
                     state.apply_pauli(fault.qubit, fault.pauli);
                 }
-                plan.apply_range_to_backend_with_faults_polled(
+                governor.advance(
+                    plan,
                     state,
                     first.op + 1..breakpoints[bp].position,
                     &group.pattern[at_fork..],
-                    batch,
-                    &mut |s: &B, _| governor.poll(s),
                 )
             })
             .and_then(|polled| polled)

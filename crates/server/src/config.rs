@@ -61,48 +61,6 @@ impl RetryPolicy {
     }
 }
 
-/// Which rungs of the degradation ladder the server may take when a
-/// session trips its memory ceiling repeatedly. Rungs are ordered
-/// bit-neutral first; the final rung changes sampled bits and is
-/// flagged in the session's event log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DegradationPolicy {
-    /// Rung 1: disable parallel execution, collapsing the replay wave
-    /// (and per-prefix worker states) to a single resident state.
-    /// Bit-neutral.
-    pub disable_parallel: bool,
-    /// Rung 2: re-resolve [`BackendChoice::Auto`](qdb_core::BackendChoice::Auto)
-    /// to the sparse amplitude-map backend, trading time for a resident
-    /// footprint that scales with live support instead of `2ⁿ`.
-    /// Verdict-preserving but **not** bit-preserving (the sparse engine
-    /// consumes randomness its own way), so sessions that take this
-    /// rung are marked non-bit-identical. Only applies to sessions
-    /// submitted with `Auto`; explicit backend choices are never
-    /// overridden.
-    pub sparse_fallback: bool,
-}
-
-impl Default for DegradationPolicy {
-    fn default() -> Self {
-        Self {
-            disable_parallel: true,
-            sparse_fallback: true,
-        }
-    }
-}
-
-impl DegradationPolicy {
-    /// Degradation disabled entirely: memory trips only consume
-    /// retries.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            disable_parallel: false,
-            sparse_fallback: false,
-        }
-    }
-}
-
 /// Configuration of a [`Server`](crate::Server).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerConfig {
@@ -125,8 +83,6 @@ pub struct ServerConfig {
     pub session_max_resident_bytes: Option<usize>,
     /// Retry/backoff policy for transient interruptions.
     pub retry: RetryPolicy,
-    /// Which degradation rungs memory-tripped sessions may take.
-    pub degradation: DegradationPolicy,
     /// Capacity of the shared compiled-plan LRU cache.
     pub plan_cache_capacity: usize,
     /// Capacity of the shared exact-oracle verdict LRU cache.
@@ -143,7 +99,6 @@ impl Default for ServerConfig {
             session_deadline: None,
             session_max_resident_bytes: None,
             retry: RetryPolicy::default(),
-            degradation: DegradationPolicy::default(),
             plan_cache_capacity: 64,
             oracle_cache_capacity: 64,
         }
@@ -199,13 +154,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// This configuration with the given degradation policy.
-    #[must_use]
-    pub fn with_degradation(mut self, degradation: DegradationPolicy) -> Self {
-        self.degradation = degradation;
         self
     }
 }

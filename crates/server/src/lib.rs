@@ -28,11 +28,11 @@
 //!   resumed runs recompute only the suffix and are bit-identical to
 //!   an uninterrupted run (the strict-prefix contract
 //!   `resume_equivalence.rs` pins in the core crate).
-//! * **Graceful degradation** — repeated memory trips walk a ladder
-//!   ([`DegradationPolicy`]): disable parallel execution
-//!   (bit-neutral), then re-resolve an `Auto`
-//!   backend to the sparse engine (verdict-preserving, bit-affecting,
-//!   and flagged in the event log and outcome).
+//! * **Graceful degradation** — repeated memory trips walk a ladder of
+//!   [`DegradeAction`] rungs: disable parallel execution (bit-neutral),
+//!   then re-resolve an `Auto` backend to the sparse engine
+//!   (verdict-preserving, bit-affecting, and flagged in the event log
+//!   and outcome).
 //! * **Caching** — compiled plans are shared through the
 //!   [`PlanCache`](qdb_circuit::PlanCache) and exact-oracle verdicts
 //!   through the [`OracleCache`], both LRU with hit/miss counters
@@ -52,7 +52,7 @@ mod oracle;
 mod server;
 mod session;
 
-pub use config::{DegradationPolicy, RetryPolicy, ServerConfig};
+pub use config::{RetryPolicy, ServerConfig};
 pub use error::ServerError;
 pub use oracle::OracleCache;
 pub use server::{Server, ServerMetrics};

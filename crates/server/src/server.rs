@@ -784,21 +784,17 @@ fn classify(
 /// Take the next available degradation rung after a memory-class trip.
 /// Caller holds the session lock.
 fn degrade(shared: &Arc<Shared>, record: &mut Record) {
-    let policy = shared.config.degradation;
     let taken = |matcher: fn(&DegradeAction) -> bool| record.degrade_actions.iter().any(matcher);
-    let action = if policy.disable_parallel
-        && record.config.parallel
-        && !taken(|a| matches!(a, DegradeAction::DisableParallel))
-    {
-        Some(DegradeAction::DisableParallel)
-    } else if policy.sparse_fallback
-        && record.config.backend == BackendChoice::Auto
-        && !taken(|a| matches!(a, DegradeAction::SparseFallback))
-    {
-        Some(DegradeAction::SparseFallback)
-    } else {
-        None
-    };
+    let action =
+        if record.config.parallel && !taken(|a| matches!(a, DegradeAction::DisableParallel)) {
+            Some(DegradeAction::DisableParallel)
+        } else if record.config.backend == BackendChoice::Auto
+            && !taken(|a| matches!(a, DegradeAction::SparseFallback))
+        {
+            Some(DegradeAction::SparseFallback)
+        } else {
+            None
+        };
     if let Some(action) = action {
         let bit_neutral = action.bit_neutral();
         if !bit_neutral {

@@ -110,14 +110,21 @@ impl fmt::Display for SessionState {
 }
 
 /// One rung of the graceful-degradation ladder, taken after a memory
-/// trip. See [`DegradationPolicy`](crate::DegradationPolicy) for the
-/// ordering and bit-identity consequences.
+/// trip. A memory-tripped session takes the rungs in declaration order,
+/// each at most once: bit-neutral first, then the rung that changes
+/// sampled bits (flagged in the event log and the outcome).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
-    /// Parallel execution disabled (bit-neutral).
+    /// Parallel execution disabled, collapsing the replay wave (and
+    /// per-prefix worker states) to a single resident state
+    /// (bit-neutral). Taken when the session runs parallel.
     DisableParallel,
-    /// `BackendChoice::Auto` re-resolved to the sparse backend
-    /// (verdict-preserving, **not** bit-preserving).
+    /// `BackendChoice::Auto` re-resolved to the sparse backend, trading
+    /// time for a resident footprint that scales with live support
+    /// instead of `2ⁿ` (verdict-preserving, **not** bit-preserving: the
+    /// sparse engine consumes randomness its own way). Taken only by
+    /// sessions submitted with `Auto`; explicit backend choices are
+    /// never overridden.
     SparseFallback,
 }
 

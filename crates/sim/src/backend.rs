@@ -8,11 +8,14 @@
 //! trait so specialized engines can slot in underneath an unchanged
 //! programming model:
 //!
-//! * [`StatevectorBackend`] (= [`State`]) — the dense reference engine;
-//!   exact for arbitrary circuits, exponential in qubit count.
+//! * [`State`] — the dense statevector, the reference engine; exact
+//!   for arbitrary circuits, exponential in qubit count.
 //! * [`StabilizerState`](crate::stabilizer::StabilizerState) — an
 //!   Aaronson–Gottesman tableau engine; polynomial in qubit count but
 //!   restricted to Clifford circuits.
+//! * [`SparseState`](crate::sparse::SparseState) — a sorted map of the
+//!   nonzero amplitudes; exact up to 64 qubits, cost scaling with the
+//!   live support.
 //!
 //! The unit of work is a [`SimOp`]: one lowered gate, carrying both its
 //! dense kernel form (what the statevector backend executes) and — when
@@ -216,34 +219,20 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     /// Human-readable engine name (for error messages and reports).
     const NAME: &'static str;
 
-    /// The all-zeros state `|0…0⟩` on `num_qubits` qubits.
+    /// The all-zeros state `|0…0⟩` on `num_qubits` qubits, with any
+    /// large buffer allocated *fallibly*: the dense statevector reserves
+    /// its `2ⁿ` amplitudes with `try_reserve`, so a request the
+    /// allocator refuses returns [`SimError::AllocationFailed`] (which
+    /// the execution governor turns into a partial report) instead of
+    /// aborting the process.
     ///
     /// # Errors
     ///
     /// * [`SimError::InvalidDimension`] when `num_qubits == 0`;
-    /// * [`SimError::TooManyQubits`] beyond the backend's capacity.
+    /// * [`SimError::TooManyQubits`] beyond the backend's capacity;
+    /// * [`SimError::AllocationFailed`] when the buffer cannot be
+    ///   allocated.
     fn zero(num_qubits: usize) -> Result<Self, SimError>;
-
-    /// The all-zeros state `|0…0⟩`, with the backing buffer allocated
-    /// *fallibly*: an allocation the system cannot satisfy returns
-    /// [`SimError::AllocationFailed`] instead of aborting the process.
-    ///
-    /// The default delegates to [`zero`](SimBackend::zero), which is
-    /// correct for backends whose construction cost is trivially small
-    /// (tableau rows, a one-entry support map); the dense statevector
-    /// overrides it with a `try_reserve`-based path so a near-ceiling
-    /// `2ⁿ` request degrades into a typed error the execution governor
-    /// can turn into a partial report. Successful construction is
-    /// bit-for-bit [`zero`](SimBackend::zero).
-    ///
-    /// # Errors
-    ///
-    /// As [`zero`](SimBackend::zero), plus
-    /// [`SimError::AllocationFailed`] when the buffer cannot be
-    /// allocated.
-    fn try_zero_state(num_qubits: usize) -> Result<Self, SimError> {
-        Self::zero(num_qubits)
-    }
 
     /// Bytes of memory this state currently holds resident (buffers
     /// plus header). The execution governor polls this against its
@@ -256,13 +245,6 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
 
     /// Number of qubits.
     fn num_qubits(&self) -> usize;
-
-    /// `true` when [`apply_op`](SimBackend::apply_op) can execute `op`.
-    ///
-    /// The statevector backend supports everything; the tableau backend
-    /// supports exactly the ops carrying a [`CliffordOp`]
-    /// classification.
-    fn supports_op(&self, op: &SimOp) -> bool;
 
     /// Overwrite `self` with an exact copy of `source`, reusing
     /// `self`'s allocations where possible.
@@ -308,19 +290,13 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
         let _ = enabled;
     }
 
-    /// Whether amplitude-parallel kernels are enabled for this state.
-    /// Backends without chunked kernels always report `false`.
-    fn intra_parallel(&self) -> bool {
-        false
-    }
-
     /// Apply one lowered op.
     ///
     /// # Panics
     ///
-    /// Panics if the op is unsupported (see
-    /// [`supports_op`](SimBackend::supports_op)) or touches a qubit out
-    /// of range.
+    /// Panics if the backend cannot execute the op (the tableau runs
+    /// only ops carrying a [`CliffordOp`] classification) or the op
+    /// touches a qubit out of range.
     fn apply_op(&mut self, op: &SimOp);
 
     /// Apply a batch of lowered ops in order.
@@ -352,17 +328,6 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     /// Panics if `q` is out of range.
     fn apply_pauli(&mut self, q: usize, p: Pauli);
 
-    /// `true` when this backend can unravel general Kraus channels via
-    /// [`apply_kraus`](SimBackend::apply_kraus). Only the dense
-    /// statevector engine can: branch norms `‖Kᵢ|ψ⟩‖²` need amplitude
-    /// access, which tableau and support-map representations don't
-    /// offer. The runner consults this at resolution time so an
-    /// unsupported pairing fails with a typed error instead of reaching
-    /// the panicking default.
-    fn supports_kraus() -> bool {
-        false
-    }
-
     /// Unravel one Kraus-channel site on qubit `q`: compute the branch
     /// norms `pᵢ = ‖Kᵢ|ψ⟩‖²`, draw branch `i` with probability `pᵢ`
     /// (exactly **one** uniform from `rng`, drawn before any state
@@ -371,9 +336,9 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     ///
     /// # Panics
     ///
-    /// The default panics: backends that report
-    /// [`supports_kraus`](SimBackend::supports_kraus)` == false` have
-    /// no dense amplitudes to compute branch norms from.
+    /// The default panics: only the dense statevector has the
+    /// amplitudes branch norms need (tableau and support-map
+    /// representations don't offer them).
     fn apply_kraus<R: Rng + ?Sized>(&mut self, q: usize, ops: &[Matrix2], rng: &mut R) -> usize {
         let _ = (q, ops, rng);
         panic!(
@@ -436,19 +401,10 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     fn outcome_distribution(&self, qubits: &[usize]) -> HashMap<u64, f64>;
 }
 
-/// The dense statevector engine is [`State`] itself: exact for
-/// arbitrary circuits, `O(2ⁿ)` memory, the reference semantics every
-/// other backend is validated against.
-pub type StatevectorBackend = State;
-
 impl SimBackend for State {
     const NAME: &'static str = "statevector";
 
     fn zero(num_qubits: usize) -> Result<Self, SimError> {
-        State::basis(num_qubits, 0)
-    }
-
-    fn try_zero_state(num_qubits: usize) -> Result<Self, SimError> {
         State::try_zero_state(num_qubits)
     }
 
@@ -458,10 +414,6 @@ impl SimBackend for State {
 
     fn num_qubits(&self) -> usize {
         State::num_qubits(self)
-    }
-
-    fn supports_op(&self, _op: &SimOp) -> bool {
-        true
     }
 
     fn copy_from(&mut self, source: &Self) {
@@ -475,10 +427,6 @@ impl SimBackend for State {
 
     fn set_intra_parallel(&mut self, enabled: bool) {
         State::set_intra_parallel(self, enabled);
-    }
-
-    fn intra_parallel(&self) -> bool {
-        State::intra_parallel(self)
     }
 
     fn apply_op(&mut self, op: &SimOp) {
@@ -499,10 +447,6 @@ impl SimBackend for State {
         if p != Pauli::I {
             self.apply_1q(q, &p.matrix());
         }
-    }
-
-    fn supports_kraus() -> bool {
-        true
     }
 
     fn apply_kraus<R: Rng + ?Sized>(&mut self, q: usize, ops: &[Matrix2], rng: &mut R) -> usize {
@@ -572,7 +516,6 @@ mod tests {
         via_trait.apply_1q(0, &gates::h());
         via_trait.apply_op(&op);
         assert_eq!(via_trait, bell());
-        assert!(via_trait.supports_op(&op));
         assert_eq!(
             op.clifford(),
             Some(&CliffordOp::Cx {

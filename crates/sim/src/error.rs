@@ -33,8 +33,8 @@ pub enum SimError {
     NotCptp(String),
     /// The allocator refused the state's backing buffer. Raised by the
     /// fallible construction path
-    /// ([`SimBackend::try_zero_state`](crate::SimBackend::try_zero_state))
-    /// so a near-limit `2ⁿ` request surfaces as a typed error the
+    /// ([`SimBackend::zero`](crate::SimBackend::zero) on the dense
+    /// statevector) so a near-limit `2ⁿ` request surfaces as a typed error the
     /// execution governor can convert into a partial report, instead of
     /// aborting the process mid-allocation.
     AllocationFailed {

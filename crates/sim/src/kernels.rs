@@ -6,22 +6,25 @@
 //! discards the ones whose control bits don't match, and
 //! [`State::swap`] / [`State::apply_controlled_swap`] scan all of them.
 //! That is the right *reference* semantics, but the hot path of the
-//! ensemble engine applies the same few gates millions of times, so this
-//! module provides kernels specialized by the 2×2 matrix's sparsity
-//! structure ([`classify`]) and by control count:
+//! ensemble engine applies the same few gates millions of times, so
+//! this module provides kernels specialized by the 2×2 matrix's
+//! sparsity structure ([`classify`]) and by control count, one per
+//! [`KernelOp`] variant of a lowered [`SimOp`], applied through
+//! [`SimBackend::apply_op`](crate::SimBackend::apply_op) and
+//! [`SimBackend::apply_ops`](crate::SimBackend::apply_ops):
 //!
-//! * [`State::apply_diagonal`] — `diag(d₀, d₁)` gates (`z`, `s`, `t`,
+//! * [`KernelOp::Diagonal`] — `diag(d₀, d₁)` gates (`z`, `s`, `t`,
 //!   `rz`, `phase`): two scalar multiplies per pair, no cross terms;
-//! * [`State::apply_antidiagonal`] — anti-diagonal gates (`x`, `y`):
+//! * [`KernelOp::AntiDiagonal`] — anti-diagonal gates (`x`, `y`):
 //!   a pure amplitude permutation with per-branch phases;
-//! * [`State::apply_1q_subspace`] — the dense 2×2 kernel, but touching
-//!   only the control-satisfying subspace. A matrix whose four
-//!   imaginary parts are exactly zero (`h`, `ry`: the QFT and diffusion
-//!   gates) runs in a *real lane* that scales the real and imaginary
-//!   parts of each amplitude by real coefficients: 12 flops per pair
-//!   instead of the complex product's 28;
-//! * [`State::apply_swap_subspace`] — (controlled) swap enumerating
-//!   exactly the index pairs it exchanges.
+//! * [`KernelOp::General`] — the dense 2×2 kernel, but touching only
+//!   the control-satisfying subspace. A matrix whose four imaginary
+//!   parts are exactly zero (`h`, `ry`: the QFT and diffusion gates)
+//!   runs in a *real lane* that scales the real and imaginary parts of
+//!   each amplitude by real coefficients: 12 flops per pair instead of
+//!   the complex product's 28;
+//! * [`KernelOp::Swap`] — (controlled) swap enumerating exactly the
+//!   index pairs it exchanges.
 //!
 //! Every kernel *enumerates* the `2ⁿ⁻¹⁻ᶜ` (or `2ⁿ⁻²⁻ᶜ` for swaps)
 //! indices it touches instead of filtering the full index space by mask
@@ -43,9 +46,9 @@
 //!
 //! Each kernel touches the same amplitude pairs as its generic
 //! counterpart, in the same ascending order. The subspace swap and the
-//! complex lane of [`State::apply_1q_subspace`] perform the *identical*
-//! arithmetic on each pair, so their results are bit-for-bit identical
-//! to the generic path. The diagonal and anti-diagonal kernels skip the
+//! complex lane of the [`KernelOp::General`] kernel perform the
+//! *identical* arithmetic on each pair, so their results are
+//! bit-for-bit identical to the generic path. The diagonal and anti-diagonal kernels skip the
 //! structurally-zero products the dense kernel still computes (`m₀₁·b`
 //! when `m₀₁ = 0`), and the real lane skips the `0·im` products of a
 //! real matrix; adding such a term only ever normalizes the sign of an
@@ -724,76 +727,6 @@ impl State {
             1
         }
     }
-
-    /// Apply `diag(d0, d1)` to `target`, conditioned on all `controls`
-    /// being `|1⟩`: `2ⁿ⁻¹⁻ᶜ` pairs of scalar multiplies, no cross
-    /// terms, no index filtering (see the
-    /// [module docs](crate::kernels) for the equivalence contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit is out of range or repeats.
-    pub fn apply_diagonal(&mut self, controls: &[usize], target: usize, d0: Complex, d1: Complex) {
-        let kernel = self.single_target(controls, target, Action::Diagonal(d0, d1));
-        self.apply_kernel(kernel);
-    }
-
-    /// Apply the anti-diagonal gate `[[0, a01], [a10, 0]]` to `target`,
-    /// conditioned on all `controls` being `|1⟩`: a pure cross-swap of
-    /// each amplitude pair with per-branch phases (`x` is
-    /// `a01 = a10 = 1`, `y` is `a01 = −i, a10 = i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit is out of range or repeats.
-    pub fn apply_antidiagonal(
-        &mut self,
-        controls: &[usize],
-        target: usize,
-        a01: Complex,
-        a10: Complex,
-    ) {
-        let kernel = self.single_target(controls, target, Action::AntiDiagonal(a01, a10));
-        self.apply_kernel(kernel);
-    }
-
-    /// Apply a dense 2×2 unitary to `target`, conditioned on all
-    /// `controls` being `|1⟩`, visiting only the control-satisfying
-    /// subspace: `2ⁿ⁻¹⁻ᶜ` pairs instead of the `2ⁿ⁻¹` candidates
-    /// [`State::apply_controlled_1q`] scans, on exactly the pairs that
-    /// path touches.
-    ///
-    /// A complex matrix gets exactly that path's arithmetic, so results
-    /// are bit-for-bit identical. A matrix whose four imaginary parts
-    /// are exactly zero runs in the real lane, which skips the `0·im`
-    /// products: results are value-identical (see the
-    /// [module docs](crate::kernels)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any qubit is out of range or repeats.
-    pub fn apply_1q_subspace(&mut self, controls: &[usize], target: usize, m: &Matrix2) {
-        let kernel = self.single_target(controls, target, general(m));
-        self.apply_kernel(kernel);
-    }
-
-    /// Swap qubits `a` and `b`, conditioned on all `controls` being
-    /// `|1⟩`, enumerating exactly the `2ⁿ⁻²⁻ᶜ` index pairs it
-    /// exchanges (the generic [`State::swap`] /
-    /// [`State::apply_controlled_swap`] scan all `2ⁿ` indices).
-    ///
-    /// Bit-for-bit identical to the generic path: the same disjoint
-    /// transpositions are applied (in ascending order of the
-    /// `bit_a = 1, bit_b = 0` representative).
-    ///
-    /// # Panics
-    ///
-    /// Panics if qubits are out of range, `a == b`, or a control
-    /// overlaps a swap target.
-    pub fn apply_swap_subspace(&mut self, controls: &[usize], a: usize, b: usize) {
-        let kernel = self.swap_kernel(controls, a, b);
-        self.apply_kernel(kernel);
-    }
 }
 
 #[cfg(test)]
@@ -802,6 +735,26 @@ mod tests {
     use crate::backend::SimBackend;
     use crate::gates;
     use crate::state::State;
+
+    fn diagonal_op(controls: &[usize], target: usize, d0: Complex, d1: Complex) -> SimOp {
+        SimOp::new(controls.to_vec(), target, KernelOp::Diagonal { d0, d1 })
+    }
+
+    fn antidiagonal_op(controls: &[usize], target: usize, a01: Complex, a10: Complex) -> SimOp {
+        SimOp::new(
+            controls.to_vec(),
+            target,
+            KernelOp::AntiDiagonal { a01, a10 },
+        )
+    }
+
+    fn general_op(controls: &[usize], target: usize, m: &Matrix2) -> SimOp {
+        SimOp::new(controls.to_vec(), target, KernelOp::General(*m))
+    }
+
+    fn swap_op(controls: &[usize], a: usize, b: usize) -> SimOp {
+        SimOp::new(controls.to_vec(), a, KernelOp::Swap { other: b })
+    }
 
     /// A fixed non-trivial 4-qubit state with every amplitude nonzero.
     fn dense_state() -> State {
@@ -864,7 +817,7 @@ mod tests {
         for controls in [vec![], vec![1], vec![1, 3]] {
             let g = gates::rz(0.9);
             let mut fast = dense_state();
-            fast.apply_diagonal(&controls, 2, g.0[0][0], g.0[1][1]);
+            fast.apply_op(&diagonal_op(&controls, 2, g.0[0][0], g.0[1][1]));
             let mut reference = dense_state();
             reference.apply_controlled_1q(&controls, 2, &g);
             assert_eq!(fast, reference, "controls {controls:?}");
@@ -876,7 +829,7 @@ mod tests {
         for controls in [vec![], vec![0], vec![0, 3]] {
             let g = gates::y();
             let mut fast = dense_state();
-            fast.apply_antidiagonal(&controls, 1, g.0[0][1], g.0[1][0]);
+            fast.apply_op(&antidiagonal_op(&controls, 1, g.0[0][1], g.0[1][0]));
             let mut reference = dense_state();
             reference.apply_controlled_1q(&controls, 1, &g);
             assert_eq!(fast, reference, "controls {controls:?}");
@@ -888,7 +841,7 @@ mod tests {
         for controls in [vec![], vec![0], vec![0, 1], vec![3, 0, 1]] {
             let g = gates::u3(0.3, 1.1, -0.4);
             let mut fast = dense_state();
-            fast.apply_1q_subspace(&controls, 2, &g);
+            fast.apply_op(&general_op(&controls, 2, &g));
             let mut reference = dense_state();
             reference.apply_controlled_1q(&controls, 2, &g);
             assert_bits_identical(&fast, &reference);
@@ -901,7 +854,7 @@ mod tests {
             assert!(matches!(general(&g), Action::Real(_)));
             for controls in [vec![], vec![0], vec![0, 3]] {
                 let mut fast = dense_state();
-                fast.apply_1q_subspace(&controls, 2, &g);
+                fast.apply_op(&general_op(&controls, 2, &g));
                 let mut reference = dense_state();
                 reference.apply_controlled_1q(&controls, 2, &g);
                 assert_eq!(fast, reference, "controls {controls:?}");
@@ -920,7 +873,7 @@ mod tests {
     fn subspace_swap_is_bit_identical() {
         for controls in [vec![], vec![2], vec![2, 3]] {
             let mut fast = dense_state();
-            fast.apply_swap_subspace(&controls, 0, 1);
+            fast.apply_op(&swap_op(&controls, 0, 1));
             let mut reference = dense_state();
             if controls.is_empty() {
                 reference.swap(0, 1);
@@ -931,9 +884,9 @@ mod tests {
         }
         // Reversed qubit order is the same operation.
         let mut ab = dense_state();
-        ab.apply_swap_subspace(&[3], 0, 2);
+        ab.apply_op(&swap_op(&[3], 0, 2));
         let mut ba = dense_state();
-        ba.apply_swap_subspace(&[3], 2, 0);
+        ba.apply_op(&swap_op(&[3], 2, 0));
         assert_bits_identical(&ab, &ba);
     }
 
@@ -943,19 +896,19 @@ mod tests {
         // regardless of controls; subspace kernels shrink with each
         // control. Generic swap scans 16; subspace swap visits 4.
         let mut s = dense_state();
-        s.apply_1q_subspace(&[], 0, &gates::h());
+        s.apply_op(&general_op(&[], 0, &gates::h()));
         assert_eq!(s.index_ops(), 8); // same as apply_1q: all pairs
-        s.apply_1q_subspace(&[1], 0, &gates::h());
+        s.apply_op(&general_op(&[1], 0, &gates::h()));
         assert_eq!(s.index_ops(), 8 + 4);
-        s.apply_1q_subspace(&[1, 2], 0, &gates::h()); // Toffoli shape
+        s.apply_op(&general_op(&[1, 2], 0, &gates::h())); // Toffoli shape
         assert_eq!(s.index_ops(), 8 + 4 + 2);
-        s.apply_diagonal(&[1, 2], 0, Complex::ONE, Complex::I);
+        s.apply_op(&diagonal_op(&[1, 2], 0, Complex::ONE, Complex::I));
         assert_eq!(s.index_ops(), 8 + 4 + 2 + 2);
-        s.apply_antidiagonal(&[3], 0, Complex::ONE, Complex::ONE);
+        s.apply_op(&antidiagonal_op(&[3], 0, Complex::ONE, Complex::ONE));
         assert_eq!(s.index_ops(), 8 + 4 + 2 + 2 + 4);
-        s.apply_swap_subspace(&[], 0, 1);
+        s.apply_op(&swap_op(&[], 0, 1));
         assert_eq!(s.index_ops(), 8 + 4 + 2 + 2 + 4 + 4);
-        s.apply_swap_subspace(&[2], 0, 1); // Fredkin shape
+        s.apply_op(&swap_op(&[2], 0, 1)); // Fredkin shape
         assert_eq!(s.index_ops(), 8 + 4 + 2 + 2 + 4 + 4 + 2);
         assert_eq!(s.gate_ops(), 7);
 
@@ -971,7 +924,7 @@ mod tests {
     fn toffoli_truth_table_via_subspace() {
         for input in 0..8u64 {
             let mut s = State::basis(3, input).unwrap();
-            s.apply_antidiagonal(&[0, 1], 2, Complex::ONE, Complex::ONE);
+            s.apply_op(&antidiagonal_op(&[0, 1], 2, Complex::ONE, Complex::ONE));
             let expected = if input & 0b11 == 0b11 {
                 (input ^ 0b100) as usize
             } else {
@@ -1021,19 +974,19 @@ mod tests {
         // the opted-in state chunks every kernel.
         let drive = |s: &mut State| {
             for q in 0..16 {
-                s.apply_1q_subspace(&[], q, &gates::h());
+                s.apply_op(&general_op(&[], q, &gates::h()));
             }
             let t = gates::t();
-            s.apply_diagonal(&[], 3, t.0[0][0], t.0[1][1]);
+            s.apply_op(&diagonal_op(&[], 3, t.0[0][0], t.0[1][1]));
             let rz = gates::rz(0.9);
-            s.apply_diagonal(&[5], 9, rz.0[0][0], rz.0[1][1]);
-            s.apply_diagonal(&[2], 15, rz.0[0][0], rz.0[1][1]);
-            s.apply_antidiagonal(&[1], 14, Complex::ONE, Complex::ONE);
+            s.apply_op(&diagonal_op(&[5], 9, rz.0[0][0], rz.0[1][1]));
+            s.apply_op(&diagonal_op(&[2], 15, rz.0[0][0], rz.0[1][1]));
+            s.apply_op(&antidiagonal_op(&[1], 14, Complex::ONE, Complex::ONE));
             let y = gates::y();
-            s.apply_antidiagonal(&[], 7, y.0[0][1], y.0[1][0]);
-            s.apply_1q_subspace(&[0, 8], 12, &gates::u3(0.3, 1.1, -0.4));
-            s.apply_swap_subspace(&[4], 6, 13);
-            s.apply_swap_subspace(&[], 0, 15);
+            s.apply_op(&antidiagonal_op(&[], 7, y.0[0][1], y.0[1][0]));
+            s.apply_op(&general_op(&[0, 8], 12, &gates::u3(0.3, 1.1, -0.4)));
+            s.apply_op(&swap_op(&[4], 6, 13));
+            s.apply_op(&swap_op(&[], 0, 15));
         };
         std::env::set_var("RAYON_NUM_THREADS", "4");
         let mut serial = State::zero(16);
@@ -1170,9 +1123,9 @@ mod tests {
         std::env::set_var("RAYON_NUM_THREADS", "4");
         let mut s = dense_state(); // 4 qubits, far below the threshold
         s.set_intra_parallel(true);
-        s.apply_1q_subspace(&[], 0, &gates::h());
-        s.apply_diagonal(&[], 1, Complex::ONE, Complex::I);
-        s.apply_swap_subspace(&[], 0, 1);
+        s.apply_op(&general_op(&[], 0, &gates::h()));
+        s.apply_op(&diagonal_op(&[], 1, Complex::ONE, Complex::I));
+        s.apply_op(&swap_op(&[], 0, 1));
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_eq!(s.par_chunks(), 0);
     }
@@ -1180,24 +1133,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "used twice")]
     fn duplicate_control_panics() {
-        dense_state().apply_1q_subspace(&[1, 1], 0, &gates::x());
+        dense_state().apply_op(&general_op(&[1, 1], 0, &gates::x()));
     }
 
     #[test]
     #[should_panic(expected = "control 0 equals target")]
     fn control_equals_target_panics() {
-        dense_state().apply_diagonal(&[0], 0, Complex::ONE, Complex::I);
+        dense_state().apply_op(&diagonal_op(&[0], 0, Complex::ONE, Complex::I));
     }
 
     #[test]
     #[should_panic(expected = "swap targets must differ")]
     fn swap_same_qubit_panics() {
-        dense_state().apply_swap_subspace(&[], 1, 1);
+        dense_state().apply_op(&swap_op(&[], 1, 1));
     }
 
     #[test]
     #[should_panic(expected = "overlaps swap target")]
     fn swap_control_overlap_panics() {
-        dense_state().apply_swap_subspace(&[0], 0, 1);
+        dense_state().apply_op(&swap_op(&[0], 0, 1));
     }
 }

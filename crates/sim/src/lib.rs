@@ -11,13 +11,15 @@
 //!   multiply-controlled, arbitrary k-qubit unitaries), inner products,
 //!   fidelity, tensor products.
 //! * [`kernels`] — specialized gate kernels (diagonal, anti-diagonal,
-//!   control-subspace enumeration) used by the compiled hot path in
-//!   `qdb-circuit`; the generic [`state`] entry points remain the
-//!   reference semantics.
+//!   control-subspace enumeration, blocked gate runs) behind the dense
+//!   statevector's [`SimBackend::apply_op`] and
+//!   [`SimBackend::apply_ops`], the compiled hot path of `qdb-circuit`;
+//!   the generic [`state`] entry points remain the reference semantics.
 //! * [`backend`] — the [`SimBackend`] trait abstracting simulation
-//!   engines behind one contract (lowered-op application, measurement
-//!   probabilities, sampling, seeded collapse), with the dense
-//!   [`State`] as the [`backend::StatevectorBackend`] reference engine.
+//!   engines behind one contract (fallible `|0…0⟩` construction,
+//!   lowered-op application, Pauli faults and Kraus unraveling,
+//!   measurement probabilities, sampling, seeded collapse), with the
+//!   dense [`State`] as the reference engine.
 //! * [`stabilizer`] — an Aaronson–Gottesman Clifford tableau backend:
 //!   polynomial-time simulation of H/S/CX-class circuits at hundreds of
 //!   qubits, where the dense backend cannot even allocate.
@@ -73,7 +75,7 @@ pub mod state;
 
 mod error;
 
-pub use backend::{CliffordGate1, CliffordOp, KernelOp, SimBackend, SimOp, StatevectorBackend};
+pub use backend::{CliffordGate1, CliffordOp, KernelOp, SimBackend, SimOp};
 pub use complex::Complex;
 pub use error::SimError;
 pub use gates::Matrix2;

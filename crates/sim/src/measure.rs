@@ -157,19 +157,6 @@ impl Sampler {
     pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, shots: usize) -> Vec<u64> {
         (0..shots).map(|_| self.sample(rng)).collect()
     }
-
-    /// Draw `shots` outcomes and project each onto a quantum variable's
-    /// qubits (see [`extract_bits`]).
-    pub fn sample_variable<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        qubits: &[usize],
-        shots: usize,
-    ) -> Vec<u64> {
-        (0..shots)
-            .map(|_| extract_bits(self.sample(rng), qubits))
-            .collect()
-    }
 }
 
 impl State {
@@ -300,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn sample_variable_projects_register() {
+    fn full_register_samples_project_onto_each_qubit() {
         // Bell pair: variable on qubit 1 must equal variable on qubit 0.
         let mut s = State::zero(2);
         s.apply_1q(0, &gates::h());

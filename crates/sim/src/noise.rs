@@ -23,18 +23,18 @@
 //!   [`Kraus`](NoiseChannel::Kraus)) — a trajectory step computes the
 //!   branch norms `pᵢ = ‖Kᵢ|ψ⟩‖²` **on the dense state**, draws a
 //!   branch from that norm-dependent distribution, and applies
-//!   `Kᵢ/√pᵢ` ([`State::apply_kraus`]). Because the distribution
-//!   depends on `|ψ⟩`, these channels cannot be presampled, cannot be
-//!   deduplicated by fault pattern, and cannot run on the stabilizer or
-//!   sparse backends — the runner routes them to the dense per-shot
-//!   path.
+//!   `Kᵢ/√pᵢ` ([`State::apply_kraus`](crate::State::apply_kraus)).
+//!   Because the distribution depends on `|ψ⟩`, these channels cannot
+//!   be presampled, cannot be deduplicated by fault pattern, and cannot
+//!   run on the stabilizer or sparse backends — the runner routes them
+//!   to the dense per-shot path.
 
 use rand::Rng;
 
 use crate::backend::SimBackend;
 use crate::error::SimError;
 use crate::gates::Matrix2;
-use crate::state::{Pauli, State};
+use crate::state::Pauli;
 
 /// Maximum number of Kraus operators in a [`KrausSet`]. Any
 /// single-qubit channel admits a Kraus representation with at most
@@ -317,11 +317,6 @@ impl NoiseChannel {
         }
     }
 
-    /// Sample the channel once on qubit `q` of `state`.
-    pub fn apply<R: Rng + ?Sized>(&self, state: &mut State, q: usize, rng: &mut R) {
-        self.apply_to_backend(state, q, rng);
-    }
-
     /// Sample the channel once on qubit `q` of a [`SimBackend`].
     ///
     /// Pauli channels work on every backend (Pauli conjugation is
@@ -331,19 +326,14 @@ impl NoiseChannel {
     /// applies it interleaved read identical stream positions.
     ///
     /// Kraus channels route through [`SimBackend::apply_kraus`] (dense
-    /// only — other backends panic; the runner refuses such sessions at
-    /// resolution time) with this **draw contract**: one uniform per
+    /// only — other backends panic; the runner routes Kraus sessions to
+    /// the statevector) with this **draw contract**: one uniform per
     /// potentially-branching site — i.e. whenever the channel has ≥ 2
     /// Kraus operators — drawn before any state work; a damping channel
     /// at rate `≤ 0` and a single-operator set short-circuit and draw
     /// **nothing** (`AmplitudeDamping(0)`/`PhaseDamping(0)` are exact
     /// no-ops, bit-identical to a noiseless run).
-    pub fn apply_to_backend<B: SimBackend, R: Rng + ?Sized>(
-        &self,
-        backend: &mut B,
-        q: usize,
-        rng: &mut R,
-    ) {
+    pub fn apply<B: SimBackend, R: Rng + ?Sized>(&self, backend: &mut B, q: usize, rng: &mut R) {
         match self {
             NoiseChannel::BitFlip(_)
             | NoiseChannel::PhaseFlip(_)
@@ -383,8 +373,8 @@ impl NoiseChannel {
     /// 2. one `gen_range(0..3)` for the Pauli choice, drawn **only**
     ///    by a firing depolarizing channel.
     ///
-    /// [`NoiseChannel::apply_to_backend`] delegates here, so the two
-    /// can never drift apart.
+    /// [`NoiseChannel::apply`] delegates here, so the two can never
+    /// drift apart.
     ///
     /// # Panics
     ///
@@ -569,6 +559,7 @@ impl NoiseModel {
 mod tests {
     use super::*;
     use crate::gates;
+    use crate::state::State;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

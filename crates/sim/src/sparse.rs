@@ -309,10 +309,6 @@ impl SimBackend for SparseState {
         self.num_qubits
     }
 
-    fn supports_op(&self, _op: &SimOp) -> bool {
-        true
-    }
-
     fn copy_from(&mut self, source: &Self) {
         self.num_qubits = source.num_qubits;
         self.gate_ops = source.gate_ops;
@@ -741,14 +737,15 @@ mod tests {
     }
 
     #[test]
-    fn supports_every_op_shape() {
-        let s = SparseState::zero(2).unwrap();
+    fn applies_every_op_shape() {
+        let mut s = SparseState::zero(2).unwrap();
         let clifford = x_op(vec![0], 1).with_clifford(Some(CliffordOp::Cx {
             control: 0,
             target: 1,
         }));
-        assert!(s.supports_op(&clifford));
-        assert!(s.supports_op(&h_op(0)));
+        s.apply_op(&h_op(0));
+        s.apply_op(&clifford);
+        assert_eq!(s.gate_ops(), 2);
         assert_eq!(SparseState::NAME, "sparse");
     }
 

@@ -559,10 +559,6 @@ impl SimBackend for StabilizerState {
         self.n
     }
 
-    fn supports_op(&self, op: &SimOp) -> bool {
-        op.clifford().is_some()
-    }
-
     fn copy_from(&mut self, source: &Self) {
         self.n = source.n;
         self.words = source.words;
