@@ -238,11 +238,8 @@ impl Circuit {
                 self.num_qubits
             );
         }
-        let mut sorted = qubits.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
         assert!(
-            sorted.len() == qubits.len(),
+            !repeats_a_qubit(&qubits),
             "instruction `{inst}` reuses a qubit"
         );
     }
@@ -481,6 +478,15 @@ impl Extend<Instruction> for Circuit {
             self.push(inst);
         }
     }
+}
+
+/// Whether `qubits` names some qubit more than once: the check behind
+/// [`Circuit::push`]'s reused-qubit assertion, which the parsers run
+/// first to report a typed error instead.
+pub(crate) fn repeats_a_qubit(qubits: &[usize]) -> bool {
+    let mut sorted = qubits.to_vec();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|pair| pair[0] == pair[1])
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ pub enum CircuitError {
     /// The instruction cannot be expressed in the OpenQASM 2.0 subset QDB
     /// emits (e.g. three or more controls).
     UnsupportedExport(String),
-    /// OpenQASM parse failure, with a 1-based line number.
+    /// Scaffold or OpenQASM parse failure, with a 1-based line number.
     Parse {
         /// Line where the failure occurred.
         line: usize,
@@ -35,7 +35,7 @@ impl fmt::Display for CircuitError {
                 write!(f, "cannot express in OpenQASM 2.0 subset: {what}")
             }
             CircuitError::Parse { line, msg } => {
-                write!(f, "QASM parse error at line {line}: {msg}")
+                write!(f, "parse error at line {line}: {msg}")
             }
             CircuitError::BadRegister(msg) => write!(f, "bad register: {msg}"),
         }

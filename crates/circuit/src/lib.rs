@@ -61,7 +61,7 @@ pub use compile::{CompiledCircuit, FaultEvent, OptLevel};
 pub use error::CircuitError;
 pub use instruction::{GateKind, Instruction};
 pub use plan_cache::PlanCache;
-pub use program::{Breakpoint, BreakpointKind, Program, Segment};
+pub use program::{Breakpoint, BreakpointKind, Program};
 pub use qasm::{from_qasm, to_qasm, ParsedQasm};
 pub use register::QReg;
 pub use scaffold::parse_scaffold;

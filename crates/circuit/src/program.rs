@@ -73,28 +73,6 @@ pub struct Breakpoint {
     pub kind: BreakpointKind,
 }
 
-/// One inter-breakpoint instruction window of a [`Program`], yielded by
-/// [`Program::segments`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Segment {
-    /// Index of the breakpoint this segment leads up to.
-    pub index: usize,
-    /// First instruction position of the segment (inclusive) — the
-    /// previous breakpoint's position, or 0 for the first segment.
-    pub start: usize,
-    /// One past the last instruction position (the breakpoint's own
-    /// position).
-    pub end: usize,
-}
-
-impl Segment {
-    /// The instruction range this segment covers.
-    #[must_use]
-    pub fn range(&self) -> std::ops::Range<usize> {
-        self.start..self.end
-    }
-}
-
 /// An assertion-annotated quantum program.
 ///
 /// ```
@@ -264,34 +242,10 @@ impl Program {
         self.circuit.prefix(self.breakpoints[index].position)
     }
 
-    /// The instruction segments between consecutive breakpoints, in
-    /// program order: segment `i` covers the instructions after
-    /// breakpoint `i − 1` (or the program start) up to breakpoint `i`'s
-    /// position.
-    ///
-    /// Together with [`Circuit::apply_range_to`] this is the
-    /// single-pass alternative to [`Program::prefix_for`]: a runner
-    /// that applies each segment once and checks the state in between
-    /// performs `O(G)` total gate applications, where the per-prefix
-    /// route costs `O(Σᵢ|prefixᵢ|)`. Segments may be empty (two
-    /// assertions at the same program point).
-    pub fn segments(&self) -> impl Iterator<Item = Segment> + '_ {
-        let mut start = 0;
-        self.breakpoints.iter().enumerate().map(move |(index, bp)| {
-            let segment = Segment {
-                index,
-                start,
-                end: bp.position,
-            };
-            start = bp.position;
-            segment
-        })
-    }
-
     /// Lower the program's circuit into a reusable
     /// [`CompiledCircuit`](crate::CompiledCircuit). Compiled ops are
-    /// 1:1 with instructions, so a breakpoint sweep can apply each
-    /// window of [`Program::segments`] with
+    /// 1:1 with instructions, so a breakpoint sweep can replay the
+    /// window between two breakpoints' positions with
     /// [`CompiledCircuit::apply_range`](crate::CompiledCircuit::apply_range).
     #[must_use]
     pub fn compile(&self, opt: crate::OptLevel) -> crate::CompiledCircuit {
@@ -379,47 +333,6 @@ mod tests {
         assert_eq!(bps[1].position, 4);
         assert_eq!(p.prefix_for(0).len(), 2);
         assert_eq!(p.prefix_for(1).len(), 4);
-    }
-
-    #[test]
-    fn segments_tile_the_breakpoint_prefixes() {
-        let mut p = Program::new();
-        let r = p.alloc_register("r", 2);
-        p.prep_int(&r, 3); // 2 instructions
-        p.assert_classical(&r, 3);
-        p.assert_classical(&r, 3); // same position: empty segment
-        p.h(r.bit(0));
-        p.h(r.bit(1));
-        p.assert_superposition(&r);
-        let segments: Vec<Segment> = p.segments().collect();
-        assert_eq!(
-            segments,
-            vec![
-                Segment {
-                    index: 0,
-                    start: 0,
-                    end: 2
-                },
-                Segment {
-                    index: 1,
-                    start: 2,
-                    end: 2
-                },
-                Segment {
-                    index: 2,
-                    start: 2,
-                    end: 4
-                },
-            ]
-        );
-        // Walking the segments reproduces each prefix state exactly.
-        let mut swept = qdb_sim::State::zero(2);
-        for segment in p.segments() {
-            p.circuit().apply_range_to(&mut swept, segment.range());
-            let replayed = p.prefix_for(segment.index).run_on_basis(0).unwrap();
-            assert_eq!(swept, replayed);
-            assert_eq!(swept.gate_ops(), segment.end as u64);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! semantically identical `cu1(±π/2)` / `cu1(±π/4)`, so a parse of an
 //! export may differ *structurally* while remaining unitarily identical.
 
-use crate::circuit::{Circuit, GateSink};
+use crate::circuit::{repeats_a_qubit, Circuit, GateSink};
 use crate::instruction::{GateKind, Instruction};
 use crate::register::QReg;
 use crate::CircuitError;
@@ -219,8 +219,9 @@ fn parse_statement(
                 "register `{name}` declared twice"
             )));
         }
-        let reg = QReg::contiguous(name, *total_qubits, width);
-        *total_qubits += width;
+        let start = *total_qubits;
+        *total_qubits = widen(start, &name, width)?;
+        let reg = QReg::contiguous(name, start, width);
         circuit.grow_to(*total_qubits);
         registers.push(reg);
         return Ok(());
@@ -238,16 +239,11 @@ fn parse_statement(
         Some(pos) => (&stmt[..pos], stmt[pos..].trim()),
         None => return Err(err(format!("malformed statement `{stmt}`"))),
     };
-    let (name, params) = match head.find('(') {
-        Some(open) => {
-            let close = head
-                .rfind(')')
-                .ok_or_else(|| err(format!("unclosed parameter list in `{head}`")))?;
-            let params: Result<Vec<f64>, String> = head[open + 1..close]
-                .split(',')
-                .map(|p| eval_expr(p.trim()))
-                .collect();
-            (&head[..open], params.map_err(err)?)
+    let (name, params) = match delimited(head, '(', ')').map_err(err)? {
+        Some((name, params)) => {
+            let params: Result<Vec<f64>, String> =
+                params.split(',').map(|p| eval_expr(p.trim())).collect();
+            (name, params.map_err(err)?)
         }
         None => (head, Vec::new()),
     };
@@ -257,6 +253,9 @@ fn parse_statement(
         .map(|a| resolve_qubit(a.trim(), registers, line))
         .collect();
     let qubits = qubits?;
+    if repeats_a_qubit(&qubits) {
+        return Err(err(format!("`{name}` names the same qubit twice")));
+    }
 
     let want = |n: usize, p: usize| -> Result<(), CircuitError> {
         if qubits.len() != n {
@@ -372,17 +371,13 @@ fn parse_statement(
 /// Parse `name[width]` in a register declaration.
 fn parse_decl(rest: &str) -> Result<(String, usize), String> {
     let rest = rest.trim();
-    let open = rest
-        .find('[')
+    let (name, width) = delimited(rest, '[', ']')?
         .ok_or_else(|| format!("expected `name[width]`, got `{rest}`"))?;
-    let close = rest
-        .rfind(']')
-        .ok_or_else(|| format!("unclosed bracket in `{rest}`"))?;
-    let name = rest[..open].trim();
+    let name = name.trim();
     if name.is_empty() {
         return Err(format!("empty register name in `{rest}`"));
     }
-    let width: usize = rest[open + 1..close]
+    let width: usize = width
         .trim()
         .parse()
         .map_err(|_| format!("bad width in `{rest}`"))?;
@@ -395,14 +390,11 @@ fn parse_decl(rest: &str) -> Result<(String, usize), String> {
 /// Resolve `reg[idx]` to a flat qubit index.
 fn resolve_qubit(text: &str, registers: &[QReg], line: usize) -> Result<usize, CircuitError> {
     let err = |msg: String| CircuitError::Parse { line, msg };
-    let open = text
-        .find('[')
+    let (name, idx) = delimited(text, '[', ']')
+        .map_err(err)?
         .ok_or_else(|| err(format!("expected `reg[idx]`, got `{text}`")))?;
-    let close = text
-        .rfind(']')
-        .ok_or_else(|| err(format!("unclosed bracket in `{text}`")))?;
-    let name = text[..open].trim();
-    let idx: usize = text[open + 1..close]
+    let name = name.trim();
+    let idx: usize = idx
         .trim()
         .parse()
         .map_err(|_| err(format!("bad qubit index in `{text}`")))?;
@@ -418,8 +410,49 @@ fn resolve_qubit(text: &str, registers: &[QReg], line: usize) -> Result<usize, C
     Ok(reg.bit(idx))
 }
 
+/// Split `head<open>inner<close>` at the first `open` and the last
+/// `close` into `(head, inner)`; `Ok(None)` when `text` has no `open`.
+///
+/// # Errors
+///
+/// A message naming `text` when `close` is missing or precedes `open`.
+pub(crate) fn delimited(
+    text: &str,
+    open: char,
+    close: char,
+) -> Result<Option<(&str, &str)>, String> {
+    let Some(start) = text.find(open) else {
+        return Ok(None);
+    };
+    match text.rfind(close) {
+        Some(end) if end > start => Ok(Some((&text[..start], &text[start + open.len_utf8()..end]))),
+        _ => Err(format!("unbalanced `{open}{close}` in `{text}`")),
+    }
+}
+
+/// The qubit count once register `name` of `width` qubits follows
+/// `total` others.
+///
+/// # Errors
+///
+/// [`CircuitError::BadRegister`] past
+/// [`MAX_STABILIZER_QUBITS`](qdb_sim::stabilizer::MAX_STABILIZER_QUBITS),
+/// the widest program any backend runs.
+pub(crate) fn widen(total: usize, name: &str, width: usize) -> Result<usize, CircuitError> {
+    let max = qdb_sim::stabilizer::MAX_STABILIZER_QUBITS;
+    total
+        .checked_add(width)
+        .filter(|&wide| wide <= max)
+        .ok_or_else(|| {
+            CircuitError::BadRegister(format!(
+                "register `{name}[{width}]` takes the program past {max} qubits, \
+                 the widest any backend runs"
+            ))
+        })
+}
+
 /// Evaluate a tiny parameter expression: optional sign, factors of
-/// numbers or `pi` combined with `*` and `/`.
+/// numbers or `pi` combined with `*` and `/`. The value must be finite.
 pub(crate) fn eval_expr(text: &str) -> Result<f64, String> {
     let text = text.trim();
     if text.is_empty() {
@@ -471,6 +504,9 @@ pub(crate) fn eval_expr(text: &str) -> Result<f64, String> {
         }
     }
     flush(&mut value, pending_op, &token, &mut first)?;
+    if !value.is_finite() {
+        return Err(format!("`{text}` is not a finite number"));
+    }
     Ok(if negate { -value } else { value })
 }
 
@@ -727,6 +763,30 @@ mod tests {
             prop_assert!(circuit
                 .equivalent_up_to_phase(&parsed.circuit, 1e-9)
                 .expect("same width"));
+        }
+    }
+
+    #[test]
+    fn malformed_sources_are_typed_errors() {
+        // Out-of-order delimiters, a gate naming one qubit twice,
+        // oversized registers and a non-finite angle.
+        for src in [
+            "qreg q]2[;",
+            "qreg q[1];\nh)( q[0];",
+            "qreg q[1];\nh q]0[;",
+            "qreg q[2];\ncx q[0],q[0];",
+            "qreg q[3];\nccx q[0],q[1],q[0];",
+            "qreg a[18446744073709551615];",
+            "qreg a[4096];\nqreg b[18446744073709551615];",
+            "qreg q[1];\nrz(1/0) q[0];",
+        ] {
+            assert!(
+                matches!(
+                    from_qasm(src),
+                    Err(CircuitError::Parse { .. } | CircuitError::BadRegister(_))
+                ),
+                "{src:?}"
+            );
         }
     }
 }

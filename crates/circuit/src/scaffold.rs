@@ -33,10 +33,10 @@
 //! [`GateKind::Phase`]; the spelled-out `RzTheta` maps to the
 //! Nielsen–Chuang `Rz` if the distinction is needed.
 
-use crate::circuit::GateSink;
+use crate::circuit::{repeats_a_qubit, GateSink};
 use crate::instruction::{GateKind, Instruction};
 use crate::program::Program;
-use crate::qasm::eval_expr;
+use crate::qasm::{delimited, eval_expr, widen};
 use crate::register::QReg;
 use crate::CircuitError;
 
@@ -89,18 +89,14 @@ fn parse_statement(stmt: &str, line: usize, program: &mut Program) -> Result<(),
     // Register declaration: `qbit name[w]` / `qreg name[w]`.
     for keyword in ["qbit ", "qreg "] {
         if let Some(rest) = stmt.strip_prefix(keyword) {
-            let rest = rest.trim();
-            let open = rest
-                .find('[')
+            let (name, width) = delimited(rest.trim(), '[', ']')
+                .map_err(|m| err(line, m))?
                 .ok_or_else(|| err(line, format!("expected `name[width]` in `{stmt}`")))?;
-            let close = rest
-                .rfind(']')
-                .ok_or_else(|| err(line, format!("unclosed bracket in `{stmt}`")))?;
-            let name = rest[..open].trim();
+            let name = name.trim();
             if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
                 return Err(err(line, format!("bad register name in `{stmt}`")));
             }
-            let width: usize = rest[open + 1..close]
+            let width: usize = width
                 .trim()
                 .parse()
                 .map_err(|_| err(line, format!("bad width in `{stmt}`")))?;
@@ -112,21 +108,18 @@ fn parse_statement(stmt: &str, line: usize, program: &mut Program) -> Result<(),
                     "register `{name}` declared twice"
                 )));
             }
+            widen(program.num_qubits(), name, width)?;
             program.alloc_register(name, width);
             return Ok(());
         }
     }
 
     // Call-shaped statement: `Name(args)`.
-    let open = stmt
-        .find('(')
+    let (name, args) = delimited(stmt, '(', ')')
+        .map_err(|m| err(line, m))?
         .ok_or_else(|| err(line, format!("unrecognized statement `{stmt}`")))?;
-    let close = stmt
-        .rfind(')')
-        .ok_or_else(|| err(line, format!("unclosed call in `{stmt}`")))?;
-    let name = stmt[..open].trim();
-    let args = parse_args(&stmt[open + 1..close], line)?;
-    dispatch(name, &args, line, program)
+    let args = parse_args(args, line)?;
+    dispatch(name.trim(), &args, line, program)
 }
 
 fn parse_args(text: &str, line: usize) -> Result<Vec<Arg>, CircuitError> {
@@ -137,16 +130,12 @@ fn parse_args(text: &str, line: usize) -> Result<Vec<Arg>, CircuitError> {
     text.split(',')
         .map(|raw| {
             let raw = raw.trim();
-            if let Some(open) = raw.find('[') {
-                let close = raw
-                    .rfind(']')
-                    .ok_or_else(|| err(line, format!("unclosed index in `{raw}`")))?;
-                let name = raw[..open].trim().to_string();
-                let idx: usize = raw[open + 1..close]
+            if let Some((name, idx)) = delimited(raw, '[', ']').map_err(|m| err(line, m))? {
+                let idx: usize = idx
                     .trim()
                     .parse()
                     .map_err(|_| err(line, format!("bad qubit index in `{raw}`")))?;
-                return Ok(Arg::Qubit(name, idx));
+                return Ok(Arg::Qubit(name.trim().to_string(), idx));
             }
             let is_identifier = raw
                 .chars()
@@ -191,6 +180,24 @@ fn qubit(arg: &Arg, program: &Program, line: usize) -> Result<usize, CircuitErro
         }
         Arg::Num(_) => Err(err(line, "expected a qubit, found a number")),
     }
+}
+
+/// Resolve the first `N` arguments of gate `name` as qubits, rejecting
+/// a gate that names one qubit twice.
+fn qubits<const N: usize>(
+    name: &str,
+    args: &[Arg],
+    program: &Program,
+    line: usize,
+) -> Result<[usize; N], CircuitError> {
+    let mut out = [0; N];
+    for (slot, arg) in out.iter_mut().zip(args) {
+        *slot = qubit(arg, program, line)?;
+    }
+    if repeats_a_qubit(&out) {
+        return Err(err(line, format!("`{name}` names the same qubit twice")));
+    }
+    Ok(out)
 }
 
 /// Resolve a register argument, optionally validating a width argument
@@ -274,6 +281,12 @@ fn dispatch(
             arity(2)?;
             let reg = register(&args[0], program, line)?;
             let value = integer(&args[1], line)?;
+            if reg.width() >= 64 {
+                return Err(err(
+                    line,
+                    format!("PrepInt takes at most 63 qubits, not {reg}"),
+                ));
+            }
             if value >= reg.domain_size() {
                 return Err(err(line, format!("value {value} does not fit {reg}")));
             }
@@ -309,49 +322,39 @@ fn dispatch(
         }
         "CNOT" | "CX" => {
             arity(2)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
+            let [c, t] = qubits(name, args, program, line)?;
             program.cx(c, t);
         }
         "cZ" | "CZ" => {
             arity(2)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
+            let [c, t] = qubits(name, args, program, line)?;
             program.cz(c, t);
         }
         "Toffoli" | "CCNOT" => {
             arity(3)?;
-            let c0 = qubit(&args[0], program, line)?;
-            let c1 = qubit(&args[1], program, line)?;
-            let t = qubit(&args[2], program, line)?;
+            let [c0, c1, t] = qubits(name, args, program, line)?;
             program.ccx(c0, c1, t);
         }
         "cRz" => {
             arity(3)?;
-            let c = qubit(&args[0], program, line)?;
-            let t = qubit(&args[1], program, line)?;
+            let [c, t] = qubits(name, args, program, line)?;
             let theta = number(&args[2], line)?;
             program.cphase(c, t, theta);
         }
         "ccRz" => {
             arity(4)?;
-            let c0 = qubit(&args[0], program, line)?;
-            let c1 = qubit(&args[1], program, line)?;
-            let t = qubit(&args[2], program, line)?;
+            let [c0, c1, t] = qubits(name, args, program, line)?;
             let theta = number(&args[3], line)?;
             program.ccphase(c0, c1, t, theta);
         }
         "Swap" | "SWAP" => {
             arity(2)?;
-            let a = qubit(&args[0], program, line)?;
-            let b = qubit(&args[1], program, line)?;
+            let [a, b] = qubits(name, args, program, line)?;
             program.swap(a, b);
         }
         "cSwap" | "Fredkin" => {
             arity(3)?;
-            let c = qubit(&args[0], program, line)?;
-            let a = qubit(&args[1], program, line)?;
-            let b = qubit(&args[2], program, line)?;
+            let [c, a, b] = qubits(name, args, program, line)?;
             program.cswap(c, a, b);
         }
         "MeasZ" => {
@@ -409,6 +412,9 @@ fn dispatch(
                 }
                 n => return Err(err(line, format!("`{name}` takes 2 or 4 args, got {n}"))),
             };
+            if repeats_a_qubit(&[a.qubits(), b.qubits()].concat()) {
+                return Err(err(line, format!("`{name}` registers {a} and {b} overlap")));
+            }
             if name == "assert_entangled" {
                 program.assert_entangled(&a, &b);
             } else {
@@ -557,5 +563,36 @@ mod tests {
         let src = "\n// header\nqbit q[1]; // decl\n\nX(q[0]); // flip\n";
         let p = parse_scaffold(src).unwrap();
         assert_eq!(p.circuit().len(), 1);
+    }
+
+    /// Out-of-order delimiters, a gate naming one qubit twice,
+    /// overlapping assertion registers, oversized registers and a
+    /// non-finite angle: each must be a typed error, not a panic or an
+    /// abort.
+    const MALFORMED: [&str; 10] = [
+        ")H(;",
+        "qbit r[1];\nH(r]0[);",
+        "qbit r[2];\nCNOT(r[0], r[0]);",
+        "qbit r[2];\nSwap(r[1], r[1]);",
+        "qbit r[2];\nassert_entangled(r, 2, r, 2);",
+        "qbit r[2];\nassert_product(r, 2, r, 2);",
+        "qbit r[100000000000];",
+        "qbit a[4096];\nqbit b[18446744073709551615];",
+        "qbit r[64];\nPrepInt(r, 1);",
+        "qbit r[1];\nRz(r[0], 1/0);",
+    ];
+
+    #[test]
+    fn malformed_sources_are_typed_errors() {
+        for src in MALFORMED {
+            assert!(
+                matches!(
+                    parse_scaffold(src),
+                    Err(CircuitError::Parse { .. } | CircuitError::BadRegister(_))
+                ),
+                "{src:?}"
+            );
+        }
+        assert!(parse_scaffold("qbit r[1];\nRx(r[0], 1e999);").is_err());
     }
 }

@@ -2,10 +2,10 @@
 //! the machinery that turns a tripped budget into a typed partial
 //! result instead of a lost session.
 //!
-//! Every ensemble session today is driven by one of three engines (the
-//! per-prefix reference path, the checkpointed sweep, the noisy
-//! trajectory tree), all of which used to be uninterruptible blocking
-//! loops. The governor threads a [`RunBudget`] through all of them:
+//! Every ensemble session runs one governed loop per execution
+//! strategy: the Sweep frontier walk (`sweep::walk`, shared by ideal
+//! sessions and the noisy trajectory tree) or the per-prefix replay
+//! (`prefix_step`). The governor threads a [`RunBudget`] through both:
 //!
 //! * **Deadline** — wall-clock bound for the whole session.
 //! * **Memory** — a ceiling on the resident bytes of the simulator
@@ -16,8 +16,8 @@
 //! * **Cancellation** — a [`CancelToken`] clonable across threads;
 //!   flipping it from anywhere stops the session at the next poll.
 //!
-//! Polling is amortized: every replay of the compiled plan — the sweep
-//! walk, the per-prefix replay, the trajectory tree's frontier and fork
+//! Polling is amortized: every replay of the compiled plan — the Sweep
+//! frontier walk, the per-prefix replay, the trajectory tree's fork
 //! replays, and per-shot noisy trajectories — advances through
 //! `Governor::advance` or `Governor::advance_noisy`, which check the
 //! governor after every op batch (`max(1, 2²⁴ ≫ n)` compiled ops
@@ -294,9 +294,9 @@ impl Governor {
     /// Advance `state` through the plan window `range` with the fault
     /// pattern `faults` spliced in (empty for the ideal evolution),
     /// polling this governor every [`batch_ops`](Governor::batch_ops)
-    /// ops ([`CompiledCircuit::apply_range`]). The sweep walk, the
-    /// per-prefix replay and the trajectory tree's frontier and fork
-    /// replays all advance through here.
+    /// ops ([`CompiledCircuit::apply_range`]). The Sweep frontier walk,
+    /// the per-prefix replay and the trajectory tree's fork replays all
+    /// advance through here.
     ///
     /// # Errors
     ///
@@ -443,7 +443,8 @@ impl Governor {
     /// `|0…0⟩` on backend `B`, allocated fallibly: an allocator refusal
     /// latches an [`InterruptCause::AllocationFailed`] trip and comes
     /// back as its sentinel [`trip_error`]; any other construction
-    /// error (e.g. zero qubits) passes through.
+    /// error (e.g. zero qubits) passes through. The Sweep frontier and
+    /// every per-prefix state (ideal or per-shot) start here.
     pub(crate) fn zero_state<B: SimBackend>(
         &self,
         num_qubits: usize,
@@ -506,6 +507,28 @@ pub(crate) fn trip_error(cause: InterruptCause) -> crate::CoreError {
             completed: 0,
         }),
     }
+}
+
+/// Keep the strictly completed prefix of in-order attempts: stop at the
+/// first trip (latching and returning its cause) or error. Attempts are
+/// pulled lazily, so nothing after a trip runs unless the caller ran it
+/// already (fanned-out work).
+pub(crate) fn strict_prefix<T>(
+    governor: &Governor,
+    attempts: impl IntoIterator<Item = Result<T, crate::CoreError>>,
+) -> Result<(Vec<T>, Option<InterruptCause>), crate::CoreError> {
+    let mut completed = Vec::new();
+    for attempt in attempts {
+        match attempt {
+            Ok(item) => completed.push(item),
+            Err(crate::CoreError::Interrupted { cause, .. }) => {
+                governor.trip(cause.clone());
+                return Ok((completed, Some(cause)));
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((completed, None))
 }
 
 /// Assemble the outward-facing

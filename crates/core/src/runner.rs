@@ -27,10 +27,13 @@
 //! (one full noisy replay per `(breakpoint, shot)`). Reports are
 //! bit-for-bit identical across the two.
 //!
-//! Every backend runs through one engine, generic over [`SimBackend`]:
-//! one sweep, one per-prefix loop, one trajectory-tree call and one
-//! report builder. The dense statevector differs from the other
-//! backends only in how it draws ensembles (see `EnsembleHook`).
+//! Every backend runs through one engine, generic over [`SimBackend`],
+//! with one governed loop per strategy: `run_session` has one `Sweep`
+//! arm — the trajectory tree on the sweep's frontier walk, for ideal
+//! and Pauli-noisy sessions alike (an ideal session is the tree with
+//! no fault patterns) — and one per-prefix arm, plus one report
+//! builder. The dense statevector differs from the other backends only
+//! in how it draws ensembles (see `EnsembleHook`).
 //!
 //! All hot loops are embarrassingly parallel; rayon drives exactly
 //! one of them at a time (never nested). Noiseless per-prefix sessions
@@ -61,7 +64,6 @@ use crate::checker::{
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause, RunBudget};
 use crate::report::{AssertionReport, PartialReport, Verdict};
-use crate::sweep::SweepRunner;
 use crate::trajectory::NoisySessionStats;
 
 /// How ensembles are produced.
@@ -165,11 +167,14 @@ pub struct EnsembleConfig {
     pub exact_tol: f64,
     /// Which independence test decides entanglement/product assertions.
     pub independence: IndependenceMethod,
-    /// Optional hardware noise: when set, every shot is simulated as an
-    /// independent noisy trajectory (much slower than ideal sampling,
-    /// but faithful to how real ensembles behave). The exact
-    /// cross-check still evaluates the *ideal* state — a disagreement
-    /// between the two then indicates noise, not a program bug.
+    /// Optional hardware noise: when set, every shot samples its own
+    /// noisy trajectory, faithful to how real ensembles behave. The
+    /// per-prefix path replays each shot independently; the default
+    /// [`ExecutionStrategy::Sweep`] simulates each *distinct* Pauli
+    /// fault pattern once on the trajectory tree, with bit-identical
+    /// reports (see [`crate::trajectory`]). The exact cross-check
+    /// still evaluates the *ideal* state — a disagreement between the
+    /// two then indicates noise, not a program bug.
     pub noise: Option<NoiseModel>,
     /// Run the session on all cores. With `true` the engine's
     /// independent units fan out across rayon workers — breakpoints
@@ -277,27 +282,6 @@ impl EnsembleConfigBuilder {
         self
     }
 
-    /// Whether to also compute the exact amplitude-based verdict.
-    #[must_use]
-    pub fn exact_cross_check(mut self, enabled: bool) -> Self {
-        self.config.exact_cross_check = enabled;
-        self
-    }
-
-    /// Tolerance for exact verdicts.
-    #[must_use]
-    pub fn exact_tol(mut self, tol: f64) -> Self {
-        self.config.exact_tol = tol;
-        self
-    }
-
-    /// Which independence test decides entanglement/product assertions.
-    #[must_use]
-    pub fn independence(mut self, method: IndependenceMethod) -> Self {
-        self.config.independence = method;
-        self
-    }
-
     /// Hardware noise model (a noiseless model normalizes to `None`).
     #[must_use]
     pub fn noise(mut self, noise: NoiseModel) -> Self {
@@ -377,15 +361,6 @@ impl EnsembleConfig {
     pub fn with_seed(&self, seed: u64) -> Self {
         Self {
             seed,
-            ..self.clone()
-        }
-    }
-
-    /// Builder-style significance level override.
-    #[must_use]
-    pub fn with_alpha(&self, alpha: f64) -> Self {
-        Self {
-            alpha,
             ..self.clone()
         }
     }
@@ -492,12 +467,6 @@ impl EnsembleRunner {
             config,
             plan_cache: None,
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
     }
 
     /// Route this runner's internal compilations through a shared
@@ -737,12 +706,11 @@ impl EnsembleRunner {
     /// the spliced prefix plus whatever the resumed run added — resume
     /// is safely repeatable until the session completes.
     ///
-    /// What resume *skips* depends on the engine: per-prefix sessions
+    /// What resume *skips* depends on the strategy: per-prefix sessions
     /// skip the whole prefix simulation for completed breakpoints;
-    /// the trajectory tree skips their presampling, forks, and suffix
-    /// replays (paying only the shared frontier walk); the checkpointed
-    /// sweep skips their sampling and statistics (the walk itself is
-    /// already `O(G)` once).
+    /// sweep sessions skip their presampling, forks, suffix replays,
+    /// sampling and statistics, paying only the shared `O(G)` frontier
+    /// walk through them.
     ///
     /// # Errors
     ///
@@ -960,20 +928,22 @@ impl EnsembleRunner {
     /// backend `B` and hand each one's ensemble to `visit`, in order.
     ///
     /// Written against [`SimBackend`] alone, so every backend takes the
-    /// same path:
+    /// same path, one arm per strategy:
     ///
-    /// * in ideal mode the state walks the plan per
-    ///   [`EnsembleConfig::strategy`] — a single `O(G)` sweep
-    ///   ([`SweepRunner::walk_backend`]) or a per-breakpoint prefix
-    ///   replay with breakpoints fanned out; both produce identical
-    ///   ensembles because each is a pure function of the
-    ///   configuration and the ideal checkpoint state;
-    /// * with noise, the default [`ExecutionStrategy::Sweep`] runs the
-    ///   trajectory tree ([`crate::trajectory`]) for Pauli channels,
-    ///   while [`ExecutionStrategy::PerPrefix`] and Kraus channels
-    ///   replay each shot as an independent noisy trajectory on a fresh
-    ///   backend, shots fanned out; classical readout corruption then
-    ///   flips the measured bits;
+    /// * [`ExecutionStrategy::Sweep`] runs the trajectory tree
+    ///   ([`crate::trajectory`]) on one `O(G)` frontier walk
+    ///   ([`crate::sweep`]). An ideal session is the tree with no fault
+    ///   patterns: no forks, each ensemble drawn from the frontier. A
+    ///   Pauli-noisy one forks its distinct faulty trajectories off the
+    ///   frontier;
+    /// * [`ExecutionStrategy::PerPrefix`], and every Kraus-noisy
+    ///   session, replays each breakpoint's prefix on a fresh backend:
+    ///   ideal sessions fan out breakpoints, noisy ones replay each shot
+    ///   as an independent trajectory, shots fanned out;
+    /// * both produce identical ensembles, each a pure function of the
+    ///   configuration, the breakpoint, the shot and the ideal
+    ///   checkpoint state; classical readout corruption flips the
+    ///   measured bits;
     /// * `visit` receives each breakpoint's outcomes packed over
     ///   [`EnsembleHook::measured_qubits`] and the *ideal* backend
     ///   state, the basis of the exact cross-check.
@@ -1004,49 +974,26 @@ impl EnsembleRunner {
                 });
             }
         }
-        match (&config.noise, config.strategy) {
-            (Some(noise), ExecutionStrategy::Sweep) if noise.gate_noise_is_pauli() => {
-                crate::trajectory::run_noisy_tree::<B, _>(
-                    &crate::trajectory::NoisySession {
-                        config,
-                        program,
-                        plan,
-                        noise,
-                        num_qubits: n,
-                        resume_from: start,
-                    },
-                    governor,
-                    measured,
-                    visit,
-                    stats,
-                )
-            }
-            (None, ExecutionStrategy::Sweep) => {
-                // Completed breakpoints skip sampling and statistics;
-                // the walk still advances the state through them.
-                let mut sampler = Sampler::default();
-                let (visits, interrupted) = SweepRunner::new(config.clone())
-                    .walk_backend_governed::<B, _>(
-                        program,
-                        plan,
-                        governor,
-                        |index, bp, ideal| {
-                            if index < start {
-                                return Ok(None);
-                            }
-                            let outcomes = ideal.draw_ideal(
-                                config,
-                                index,
-                                &measured(bp),
-                                governor,
-                                config.parallel,
-                                &mut sampler,
-                            )?;
-                            visit(index, bp, outcomes, ideal).map(Some)
-                        },
-                    )?;
-                Ok((visits.into_iter().flatten().collect(), interrupted))
-            }
+        // Kraus channels have no state-independent fault patterns to
+        // presample, so they take the per-shot path under either strategy.
+        let kraus = config
+            .noise
+            .as_ref()
+            .is_some_and(|noise| !noise.gate_noise_is_pauli());
+        match config.strategy {
+            ExecutionStrategy::Sweep if !kraus => crate::trajectory::run_tree::<B, _>(
+                &crate::trajectory::TreeSession {
+                    config,
+                    program,
+                    plan,
+                    noise: config.noise.as_ref(),
+                    resume_from: start,
+                },
+                governor,
+                measured,
+                visit,
+                stats,
+            ),
             _ => {
                 // One parallel axis, never nested: ideal sessions fan
                 // out breakpoints; noisy ones run breakpoints serially
@@ -1062,9 +1009,9 @@ impl EnsembleRunner {
                     // retracted), but only the strictly completed prefix
                     // is kept, whichever worker tripped first.
                     let attempts: Vec<_> = (start..count).into_par_iter().map(step).collect();
-                    strict_prefix(governor, attempts)
+                    governor::strict_prefix(governor, attempts)
                 } else {
-                    strict_prefix(governor, (start..count).map(step))
+                    governor::strict_prefix(governor, (start..count).map(step))
                 }
             }
         }
@@ -1330,26 +1277,6 @@ fn fan_out_shots(
     }
 }
 
-/// Keep the strictly completed prefix of per-breakpoint attempts: stop
-/// at the first trip (returning its cause) or error.
-fn strict_prefix<T>(
-    governor: &Governor,
-    attempts: impl IntoIterator<Item = Result<T, CoreError>>,
-) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
-    let mut completed = Vec::new();
-    for attempt in attempts {
-        match attempt {
-            Ok(item) => completed.push(item),
-            Err(CoreError::Interrupted { cause, .. }) => {
-                governor.trip(cause.clone());
-                return Ok((completed, Some(cause)));
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((completed, None))
-}
-
 /// The visit behind [`EnsembleRunner::run_all`] and
 /// [`EnsembleRunner::run_breakpoint`]: keep the full-register outcomes
 /// and a copy of the ideal state.
@@ -1417,9 +1344,9 @@ mod tests {
     fn config_validation() {
         let bad_shots = EnsembleConfig::default().with_shots(0);
         assert!(bad_shots.validate().is_err());
-        let bad_alpha = EnsembleConfig::default().with_alpha(0.0);
+        let bad_alpha = EnsembleConfig::builder().alpha(0.0).build();
         assert!(bad_alpha.validate().is_err());
-        let bad_alpha2 = EnsembleConfig::default().with_alpha(1.5);
+        let bad_alpha2 = EnsembleConfig::builder().alpha(1.5).build();
         assert!(bad_alpha2.validate().is_err());
         assert!(EnsembleConfig::default().validate().is_ok());
     }
@@ -1723,14 +1650,16 @@ mod tests {
             .backend(BackendChoice::Auto)
             .noise(qdb_sim::NoiseModel::depolarizing(0.01))
             .build();
-        let via_with = EnsembleConfig::default()
-            .with_shots(64)
-            .with_seed(7)
-            .with_alpha(0.01)
-            .with_parallel(false)
-            .with_strategy(ExecutionStrategy::PerPrefix)
-            .with_backend(BackendChoice::Auto)
-            .with_noise(qdb_sim::NoiseModel::depolarizing(0.01));
+        let via_with = EnsembleConfig {
+            alpha: 0.01,
+            ..EnsembleConfig::default()
+        }
+        .with_shots(64)
+        .with_seed(7)
+        .with_parallel(false)
+        .with_strategy(ExecutionStrategy::PerPrefix)
+        .with_backend(BackendChoice::Auto)
+        .with_noise(qdb_sim::NoiseModel::depolarizing(0.01));
         assert_eq!(via_builder, via_with);
         // A noiseless model normalizes away, exactly as with_noise does.
         assert!(EnsembleConfig::builder()
@@ -2177,6 +2106,131 @@ mod tests {
                 "{strategy:?}: {} polls",
                 budget.poll_checks()
             );
+        }
+    }
+
+    /// 16 qubits (a 256-op poll stride) and three breakpoints whose
+    /// windows span 16, 300 and 400 ops. Every gate permutes or phases
+    /// the two GHZ branches, so the sparse backend stays at support 2.
+    fn cadence_program() -> Program {
+        let mut p = Program::new();
+        let q = p.alloc_register("q", 16);
+        p.h(q.bit(0));
+        for i in 1..16 {
+            p.cx(q.bit(i - 1), q.bit(i));
+        }
+        let first = QReg::new("first", vec![q.bit(0)]);
+        let last = QReg::new("last", vec![q.bit(15)]);
+        p.assert_entangled(&first, &last);
+        for round in 0..20 {
+            for i in 0..15 {
+                match (round + i) % 3 {
+                    0 => p.t(q.bit(i)),
+                    1 => p.x(q.bit(i)),
+                    _ => p.cx(q.bit(i), q.bit(i + 1)),
+                }
+            }
+        }
+        p.assert_superposition(&first);
+        for round in 0..25 {
+            for i in 0..16 {
+                match (round * 7 + i) % 4 {
+                    0 => p.cx(q.bit(15 - i), q.bit((16 - i) % 16)),
+                    1 => p.phase(q.bit(i), 0.3),
+                    2 => p.x(q.bit(i)),
+                    _ => p.s(q.bit(i)),
+                }
+            }
+        }
+        let pair = QReg::new("pair", vec![q.bit(3), q.bit(9)]);
+        p.assert_superposition(&pair);
+        p
+    }
+
+    #[test]
+    fn sessions_poll_at_a_pinned_cadence() {
+        // Governor polls, report p-value bits and tree work (frontier
+        // plus replayed ops) of one program under every engine route.
+        // A Sweep session polls once per op batch of each frontier
+        // window and fork replay, plus each ideal draw's polls (one on
+        // the dense statevector, one per shot elsewhere).
+        let p = cadence_program();
+        let positions: Vec<usize> = p.breakpoints().iter().map(|b| b.position).collect();
+        assert_eq!(positions, [16, 316, 716]);
+        let dense = [
+            0x3e7e_c2e1_5a42_227f,
+            0x3fe7_2855_8ee6_94fa,
+            0x3e95_9d12_d634_3b4b,
+        ];
+        let pauli = [
+            0x3e7e_8747_0e4f_4241,
+            0x3ff0_0000_0000_0000,
+            0x3e9f_1bb7_b531_fc93,
+        ];
+        let depolarizing = NoiseModel::depolarizing(2e-4);
+        let cases = [
+            (
+                "dense serial",
+                EnsembleConfig::builder().parallel(false),
+                8,
+                dense,
+                None,
+            ),
+            ("dense parallel", EnsembleConfig::builder(), 8, dense, None),
+            (
+                "sparse",
+                EnsembleConfig::builder().backend(BackendChoice::Sparse),
+                101,
+                [
+                    0x3e81_5d41_3610_cf34,
+                    0x3fde_b021_47ce_2456,
+                    0x3ea1_8f83_714c_9be4,
+                ],
+                None,
+            ),
+            (
+                "pauli tree serial",
+                EnsembleConfig::builder()
+                    .noise(depolarizing)
+                    .parallel(false),
+                25,
+                pauli,
+                Some(716 + 572 + 1818),
+            ),
+            (
+                "pauli tree parallel",
+                EnsembleConfig::builder().noise(depolarizing),
+                25,
+                pauli,
+                Some(716 + 572 + 1818),
+            ),
+            (
+                "readout only",
+                EnsembleConfig::builder().noise(NoiseModel::readout_only(0.02)),
+                5,
+                [
+                    0x3e81_5d41_3610_cf47,
+                    0x3fd2_7c6d_14c5_e338,
+                    0x3eca_ffec_aacd_58c7,
+                ],
+                Some(716),
+            ),
+            (
+                "per-prefix",
+                EnsembleConfig::builder().strategy(ExecutionStrategy::PerPrefix),
+                12,
+                dense,
+                None,
+            ),
+        ];
+        for (name, builder, polls, bits, tree_ops) in cases {
+            let budget = RunBudget::default();
+            let config = builder.shots(32).seed(17).budget(budget.clone()).build();
+            let (reports, stats) = EnsembleRunner::new(config).check_program_stats(&p).unwrap();
+            let p_bits: Vec<u64> = reports.iter().map(|r| r.p_value.to_bits()).collect();
+            assert_eq!(p_bits, bits, "{name}: p-value bits");
+            assert_eq!(budget.poll_checks(), polls, "{name}: governor polls");
+            assert_eq!(stats.map(|s| s.total_ops()), tree_ops, "{name}: tree work");
         }
     }
 }

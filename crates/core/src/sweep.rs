@@ -4,15 +4,26 @@
 //! reference path, [`EnsembleRunner::run_breakpoint`]) re-simulates the
 //! program prefix from `|0…0⟩` for every breakpoint: a program with `B`
 //! breakpoints and `G` gates pays `O(Σᵢ|prefixᵢ|) = O(B·G)` gate
-//! applications in ideal mode. The [`SweepRunner`] instead evolves the
-//! ideal state through the program **exactly once**, pausing at each
-//! breakpoint to draw that breakpoint's ensemble from the live state —
-//! `O(G)` gate applications total, verified by
+//! applications in ideal mode. The sweep instead evolves one ideal
+//! *frontier* state through the program **exactly once**, pausing at
+//! each breakpoint to draw that breakpoint's ensemble from the live
+//! state — `O(G)` gate applications total, verified by
 //! [`State::gate_ops`](qdb_sim::State::gate_ops).
 //!
+//! That walk is written once, as the crate-private `walk`, and every
+//! [`ExecutionStrategy::Sweep`] session runs it: an ideal session is the
+//! trajectory tree ([`crate::trajectory`]) with no fault patterns, so
+//! it walks with no forks, while a noisy session also pauses the
+//! frontier at each fork site so the tree can copy it. The walk owns
+//! the fork-site fault check, the fallible `|0…0⟩` frontier, the
+//! governor-polled advance to every pause, one panic-contained `stop`
+//! call per pause and the strict-prefix handling of trips.
+//! [`SweepRunner::walk_backend`] exposes the fork-free walk with a
+//! per-breakpoint visitor.
+//!
 //! The sweep runs the *compiled* program: the circuit is lowered once
-//! ([`Program::compile`](qdb_circuit::Program::compile)) and each
-//! inter-breakpoint segment replays a window of that plan
+//! ([`Program::compile`](qdb_circuit::Program::compile)) and the
+//! frontier replays each window between pauses
 //! ([`CompiledCircuit::apply_range`](qdb_circuit::CompiledCircuit::apply_range)),
 //! the same plan the per-prefix path replays from `|0…0⟩`. The sweep is
 //! therefore report-equivalent to the per-prefix path, bit for bit:
@@ -31,19 +42,11 @@
 //! *are* the determinism contract — and only the CDF inversions fan
 //! out). Intra-state kernels: at ≥
 //! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
-//! qubits the walked backend chunks each gate's amplitude runs across
+//! qubits the frontier chunks each gate's amplitude runs across
 //! workers — same pairs, same order, same arithmetic, so the evolution
 //! is bit-identical to the serial walk at any thread count. Programs
 //! wanting breakpoint fan-out instead can keep
 //! [`ExecutionStrategy::PerPrefix`].
-//!
-//! Noisy ensembles have their own sharing engine: under the default
-//! [`ExecutionStrategy::Sweep`], [`EnsembleRunner`] routes them to the
-//! trajectory tree ([`crate::trajectory`]), which presamples fault
-//! patterns, deduplicates identical trajectories, and forks distinct
-//! ones from a shared ideal frontier — the noisy counterpart of this
-//! module's checkpointed pass. `ExecutionStrategy::PerPrefix` keeps
-//! the per-shot reference path.
 //!
 //! [`EnsembleRunner`]: crate::runner::EnsembleRunner
 //! [`ExecutionStrategy::Sweep`]: crate::runner::ExecutionStrategy::Sweep
@@ -56,6 +59,92 @@ use qdb_sim::{NoiseModel, SimBackend};
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause};
 use crate::runner::{EnsembleConfig, EnsembleRunner, ExecutionStrategy, MeasuredEnsemble};
+
+/// Where [`walk`] pauses the frontier.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// Fork `k`: the frontier has executed the first `forks[k]` ops.
+    Fork(usize),
+    /// Breakpoint `i`: the frontier is the ideal state at its position.
+    Breakpoint(usize),
+}
+
+/// The Sweep frontier walk: evolve `B`'s `|0…0⟩` state through `plan`
+/// once, pausing at every fork position in `forks` (sorted ascending)
+/// and at every breakpoint, and call `stop` with the pause and the live
+/// frontier. A fork at a breakpoint's position pauses before that
+/// breakpoint. The frontier advances through [`Governor::advance`], and
+/// each advance plus its `stop` call is panic-contained.
+///
+/// Returns the `Some` items `stop` produced before the first trip (a
+/// strict prefix, bit-identical to the uninterrupted walk's) together
+/// with its cause; `Ok((…, None))` is an uninterrupted walk.
+///
+/// # Errors
+///
+/// Construction errors other than an allocator refusal (which trips),
+/// and any non-interrupt error `stop` returns.
+pub(crate) fn walk<B: SimBackend, T>(
+    program: &Program,
+    plan: &CompiledCircuit,
+    governor: &Governor,
+    parallel: bool,
+    forks: &[usize],
+    mut stop: impl FnMut(Stop, &B) -> Result<Option<T>, CoreError>,
+) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
+    let breakpoints = program.breakpoints();
+    if breakpoints.is_empty() {
+        return Ok((Vec::new(), None));
+    }
+    match governor.contain(|| governor.injected_fork_fault()) {
+        Ok(None) => {}
+        Ok(Some(cause)) | Err(cause) => return Ok((Vec::new(), Some(cause))),
+    }
+    // Matches the per-prefix path's start state (and its error for
+    // zero-qubit programs); an allocator refusal becomes a trip.
+    let mut frontier = match governor.zero_state::<B>(program.circuit().num_qubits()) {
+        Ok(state) => state,
+        Err(CoreError::Interrupted { cause, .. }) => return Ok((Vec::new(), Some(cause))),
+        Err(e) => return Err(e),
+    };
+    // Parallelism never nests: the frontier is one serial state, so it
+    // may chunk amplitudes, while everything `stop` fans out (sampling,
+    // fork replays) runs between advances.
+    frontier.set_intra_parallel(parallel);
+    let mut next_fork = 0;
+    let pauses = breakpoints.iter().enumerate().flat_map(|(index, bp)| {
+        let first = next_fork;
+        next_fork += forks[first..].partition_point(|&at| at <= bp.position);
+        (first..next_fork)
+            .map(|k| (Stop::Fork(k), forks[k]))
+            .chain([(Stop::Breakpoint(index), bp.position)])
+    });
+    let mut position = 0;
+    let steps = pauses.map(|(pause, at)| {
+        governor
+            .contain(|| {
+                governor
+                    .advance(plan, &mut frontier, position..at, &[])
+                    .map_err(governor::trip_error)?;
+                position = at;
+                let fault = match pause {
+                    Stop::Fork(_) => governor.injected_fork_fault(),
+                    Stop::Breakpoint(_) => None,
+                };
+                if let Some(cause) = fault {
+                    return Err(governor::trip_error(cause));
+                }
+                stop(pause, &frontier)
+            })
+            .unwrap_or_else(|cause| Err(governor::trip_error(cause)))
+    });
+    let (items, trip) = governor::strict_prefix(governor, steps)?;
+    debug_assert!(
+        trip.is_some() || next_fork == forks.len(),
+        "every fork scheduled"
+    );
+    Ok((items.into_iter().flatten().collect(), trip))
+}
 
 /// Single-pass checkpointed executor for ideal (noiseless) ensembles.
 ///
@@ -74,12 +163,6 @@ impl SweepRunner {
     #[must_use]
     pub fn new(config: EnsembleConfig) -> Self {
         Self { config }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
     }
 
     /// The backend-generic sweep: evolve `B`'s `|0…0⟩` state through
@@ -104,73 +187,26 @@ impl SweepRunner {
         &self,
         program: &Program,
         plan: &CompiledCircuit,
-        visit: impl FnMut(usize, &Breakpoint, &B) -> Result<T, CoreError>,
+        mut visit: impl FnMut(usize, &Breakpoint, &B) -> Result<T, CoreError>,
     ) -> Result<Vec<T>, CoreError> {
+        self.config.validate()?;
         let governor = Governor::new(&self.config.budget);
-        let (out, interrupted) = self.walk_backend_governed(program, plan, &governor, visit)?;
+        let breakpoints = program.breakpoints();
+        let (out, interrupted) = walk(
+            program,
+            plan,
+            &governor,
+            self.config.parallel,
+            &[],
+            |stop, state| match stop {
+                Stop::Breakpoint(index) => visit(index, &breakpoints[index], state).map(Some),
+                Stop::Fork(_) => unreachable!("a walk without forks never pauses at one"),
+            },
+        )?;
         match interrupted {
             None => Ok(out),
             Some(cause) => Err(governor::interrupted(program, Vec::new(), cause)),
         }
-    }
-
-    /// The governed engine under [`walk_backend`](SweepRunner::walk_backend)
-    /// and the check path: evolve the state segment by segment through
-    /// [`Governor::advance`] (which polls after every op batch, the last
-    /// one ending the segment), with each segment's work panic-contained.
-    ///
-    /// On a trip, returns the visits completed **before** the tripping
-    /// segment (a strict prefix, bit-identical to the uninterrupted
-    /// walk's prefix) together with the cause; `Ok((…, None))` is an
-    /// uninterrupted walk.
-    pub(crate) fn walk_backend_governed<B: SimBackend, T>(
-        &self,
-        program: &Program,
-        plan: &CompiledCircuit,
-        governor: &Governor,
-        mut visit: impl FnMut(usize, &Breakpoint, &B) -> Result<T, CoreError>,
-    ) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
-        self.config.validate()?;
-        let breakpoints = program.breakpoints();
-        let mut out = Vec::with_capacity(breakpoints.len());
-        if breakpoints.is_empty() {
-            return Ok((out, None));
-        }
-        let num_qubits = program.circuit().num_qubits();
-        match governor.contain(|| governor.injected_fork_fault()) {
-            Ok(None) => {}
-            Ok(Some(cause)) | Err(cause) => return Ok((out, Some(cause))),
-        }
-        // Matches the per-prefix path's start state (and its error for
-        // zero-qubit programs); an allocator refusal becomes a trip.
-        let mut backend = match governor.zero_state::<B>(num_qubits) {
-            Ok(backend) => backend,
-            Err(CoreError::Interrupted { cause, .. }) => return Ok((out, Some(cause))),
-            Err(e) => return Err(e),
-        };
-        // The walk is a single serial state, so intra-state kernel
-        // chunking never competes with shot fan-out here (the sweep's
-        // only shot fan-out is CDF inversion, which runs between
-        // segments).
-        backend.set_intra_parallel(self.config.parallel);
-        for segment in program.segments() {
-            let step = governor.contain(|| -> Result<T, CoreError> {
-                governor
-                    .advance(plan, &mut backend, segment.range(), &[])
-                    .map_err(governor::trip_error)?;
-                visit(segment.index, &breakpoints[segment.index], &backend)
-            });
-            match step {
-                Ok(Ok(item)) => out.push(item),
-                Ok(Err(CoreError::Interrupted { cause, .. })) => {
-                    governor.trip(cause.clone());
-                    return Ok((out, Some(cause)));
-                }
-                Ok(Err(e)) => return Err(e),
-                Err(cause) => return Ok((out, Some(cause))),
-            }
-        }
-        Ok((out, None))
     }
 
     /// Run every breakpoint in one sweep on the dense statevector,
@@ -206,6 +242,9 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use crate::runner::PARALLEL_SAMPLING_MIN_SHOTS;
+    use crate::RunBudget;
+    use qdb_circuit::OptLevel;
+    use qdb_sim::State;
 
     /// prep 5 → assert classical → H layer → assert superposition →
     /// more gates → assert superposition.
@@ -222,6 +261,91 @@ mod tests {
         p.cx(r.bit(0), r.bit(1));
         p.assert_superposition(&r);
         p
+    }
+
+    /// X → two assertions at one position → H, H, CX → an assertion.
+    fn tied_breakpoint_program() -> Program {
+        let mut p = Program::new();
+        let r = p.alloc_register("r", 2);
+        p.x(r.bit(0));
+        p.assert_classical(&r, 1);
+        p.assert_classical(&r, 1);
+        p.h(r.bit(0));
+        p.h(r.bit(1));
+        p.cx(r.bit(0), r.bit(1));
+        p.assert_superposition(&r);
+        p
+    }
+
+    #[test]
+    fn walk_pauses_at_forks_then_breakpoints_in_position_order() {
+        let p = tied_breakpoint_program();
+        let plan = p.compile(OptLevel::Specialize);
+        let forks = [1, 1, 3, 4];
+        let governor = Governor::new(&RunBudget::default());
+        let mut pauses = Vec::new();
+        let (items, trip) = walk(
+            &p,
+            &plan,
+            &governor,
+            false,
+            &forks,
+            |stop, frontier: &State| {
+                pauses.push((stop, frontier.gate_ops()));
+                Ok(match stop {
+                    Stop::Breakpoint(index) => Some(index),
+                    Stop::Fork(_) => None,
+                })
+            },
+        )
+        .unwrap();
+        assert_eq!(trip, None);
+        assert_eq!(items, [0, 1, 2]);
+        // A fork at a breakpoint's position pauses before it, and the
+        // frontier has executed exactly the pause's position in ops.
+        assert_eq!(
+            pauses,
+            [
+                (Stop::Fork(0), 1),
+                (Stop::Fork(1), 1),
+                (Stop::Breakpoint(0), 1),
+                (Stop::Breakpoint(1), 1),
+                (Stop::Fork(2), 3),
+                (Stop::Fork(3), 4),
+                (Stop::Breakpoint(2), 4),
+            ]
+        );
+    }
+
+    #[test]
+    fn walk_keeps_exactly_the_items_before_a_trip() {
+        let p = tied_breakpoint_program();
+        let plan = p.compile(OptLevel::Specialize);
+        let forks = [1, 3];
+        // Trip at the second breakpoint, at the fork after it, and by
+        // panicking at the last breakpoint.
+        for (tripping, kept) in [
+            (Stop::Breakpoint(1), vec![0]),
+            (Stop::Fork(1), vec![0, 1]),
+            (Stop::Breakpoint(2), vec![0, 1]),
+        ] {
+            let governor = Governor::new(&RunBudget::default());
+            let mut last = None;
+            let (items, trip) = walk(&p, &plan, &governor, false, &forks, |stop, _: &State| {
+                last = Some(stop);
+                match stop {
+                    Stop::Breakpoint(2) if stop == tripping => panic!("stop panicked"),
+                    _ if stop == tripping => Err(governor::trip_error(InterruptCause::Cancelled)),
+                    Stop::Breakpoint(index) => Ok(Some(index)),
+                    Stop::Fork(_) => Ok(None),
+                }
+            })
+            .unwrap();
+            assert_eq!(items, kept, "{tripping:?}");
+            assert_eq!(last, Some(tripping), "nothing runs past the trip");
+            assert!(trip.is_some(), "{tripping:?}");
+            assert_eq!(governor.cause(), trip, "the trip is latched");
+        }
     }
 
     #[test]

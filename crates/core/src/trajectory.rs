@@ -1,4 +1,4 @@
-//! Trajectory-tree execution of noisy ensembles.
+//! Trajectory-tree execution of [`ExecutionStrategy::Sweep`] sessions.
 //!
 //! The per-shot reference path simulates every `(breakpoint, shot)`
 //! pair as an independent trajectory: build `|0…0⟩`, replay the whole
@@ -21,17 +21,21 @@
 //!    shared final state with its own RNG — reports are bit-for-bit
 //!    those of the reference path.
 //! 3. **Prefix-share** — one ideal *frontier* state walks the compiled
-//!    plan exactly once, serving every breakpoint of the session. Each
-//!    distinct faulty trajectory forks from the frontier at its first
-//!    fault site via a reusable buffer pool
-//!    ([`StatePool`] — no per-shot, and in steady state no per-fork,
-//!    allocation) and replays only its faulty suffix
-//!    ([`CompiledCircuit::apply_range`], fault-free stretches as whole
-//!    op batches).
+//!    plan exactly once, serving every breakpoint of the session: the
+//!    sweep's one governed walk ([`crate::sweep`]), which pauses the
+//!    frontier at each fork position and each breakpoint. Each distinct
+//!    faulty trajectory forks from the frontier at its first fault site
+//!    via a reusable buffer pool ([`StatePool`] — no per-shot, and in
+//!    steady state no per-fork, allocation) and replays only its faulty
+//!    suffix ([`CompiledCircuit::apply_range`], fault-free stretches as
+//!    whole op batches).
 //!
 //! The fault-free group needs no fork at all: when the frontier reaches
 //! a breakpoint, it *is* that group's final state — and simultaneously
-//! the ideal state the exact cross-check wants.
+//! the ideal state the exact cross-check wants. An ideal session is the
+//! tree with no fault patterns: nothing is presampled or forked, and
+//! each breakpoint's ensemble is drawn from the frontier the way the
+//! per-prefix path draws it from its replayed state.
 //!
 //! ## Pauli channels only
 //!
@@ -67,6 +71,7 @@
 //! the pool's allocation count, so benchmarks can *assert* that gate
 //! work scales with unique trajectories rather than shots.
 //!
+//! [`ExecutionStrategy::Sweep`]: crate::runner::ExecutionStrategy::Sweep
 //! [`CompiledCircuit::presample_faults`]: qdb_circuit::CompiledCircuit::presample_faults
 //! [`CompiledCircuit::apply_range`]: qdb_circuit::CompiledCircuit::apply_range
 
@@ -82,8 +87,9 @@ use qdb_sim::measure::extract_bits;
 use qdb_sim::{NoiseModel, Sampler, SimBackend, StatePool};
 
 use crate::error::CoreError;
-use crate::governor::{Governor, InterruptCause};
-use crate::runner::{shot_seed, EnsembleConfig};
+use crate::governor::{self, Governor, InterruptCause};
+use crate::runner::{shot_seed, EnsembleConfig, EnsembleHook};
+use crate::sweep::{self, Stop};
 
 /// Per-breakpoint work census of a trajectory-tree session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +116,7 @@ pub struct TrajectoryStats {
 pub struct NoisySessionStats {
     /// One row per breakpoint, in breakpoint order.
     pub per_breakpoint: Vec<TrajectoryStats>,
-    /// Ideal ops applied by the shared frontier walk — at most the last
+    /// Ideal ops applied by the shared frontier walk: the last
     /// breakpoint's position, once per session regardless of shots.
     pub frontier_ops: u64,
     /// Fresh state allocations the fork pool performed (its peak
@@ -181,10 +187,9 @@ struct WaveSlot<B> {
 /// thread count, so scheduling never shifts with the machine.
 const WAVE_CAP: usize = 32;
 
-/// Everything a trajectory-tree run reads: the session configuration,
-/// the program and its compiled plan, the unwrapped noise model
-/// (`config.noise` is ignored in its favor), and the backend width
-/// (`num_qubits`).
+/// Everything a tree session reads: the session configuration, the
+/// program and its compiled plan, and the noise model (`None` for an
+/// ideal session; `config.noise` is ignored in its favor).
 ///
 /// `resume_from` skips the first breakpoints entirely — no presample,
 /// no forks, no serving, no visit — so a checkpoint-resumed session
@@ -195,68 +200,65 @@ const WAVE_CAP: usize = 32;
 /// earlier breakpoints' forks used to split the walk. `0` runs
 /// everything.
 #[derive(Clone, Copy)]
-pub(crate) struct NoisySession<'a> {
+pub(crate) struct TreeSession<'a> {
     pub config: &'a EnsembleConfig,
     pub program: &'a Program,
     pub plan: &'a CompiledCircuit,
-    pub noise: &'a NoiseModel,
-    pub num_qubits: usize,
+    pub noise: Option<&'a NoiseModel>,
     pub resume_from: usize,
 }
 
-/// Run a noisy session as a trajectory tree over backend `B`, invoking
-/// `visit` once per breakpoint (in order) with the complete measured
-/// ensemble and the ideal frontier state at that breakpoint —
-/// starting at the session's `resume_from` index; earlier breakpoints
-/// are walked through but never sampled, served, or visited.
+/// Run a [`ExecutionStrategy::Sweep`](crate::ExecutionStrategy::Sweep)
+/// session as a trajectory tree over backend `B`, invoking `visit` once
+/// per breakpoint (in order) with the complete measured ensemble and
+/// the ideal frontier state at that breakpoint — starting at the
+/// session's `resume_from` index; earlier breakpoints are walked
+/// through but never sampled, served, or visited. An ideal session
+/// (`noise: None`) presamples nothing and forks nowhere: each
+/// breakpoint's ensemble is [`EnsembleHook::draw_ideal`] from the
+/// frontier.
 ///
 /// `measure_qubits` lists, per breakpoint, the qubits a shot measures
 /// (packed LSB-first) — the classical readout error then flips each
 /// measured bit.
 ///
-/// The `governor` is polled at op-batch granularity during the frontier
-/// walk and every fork replay, consulted at every fork/allocation site,
-/// and every replay worker runs panic-contained. On a trip the function
-/// returns the breakpoints visited **before** the trip (a strict prefix
-/// of the uninterrupted run's results, bit for bit) plus the cause —
-/// with every pool buffer reclaimed first, whatever the exit path.
-pub(crate) fn run_noisy_tree<B: SimBackend, T>(
-    session: &NoisySession<'_>,
+/// The frontier walk is [`sweep::walk`](crate::sweep); fork replays
+/// poll the `governor` at op-batch granularity, and every replay worker
+/// runs panic-contained. On a trip the function returns the
+/// breakpoints visited **before** the trip (a strict prefix of the
+/// uninterrupted run's results, bit for bit) plus the cause — with
+/// every pool buffer reclaimed first, whatever the exit path.
+pub(crate) fn run_tree<B: EnsembleHook, T>(
+    session: &TreeSession<'_>,
     governor: &Governor,
     measure_qubits: impl Fn(&Breakpoint) -> Vec<usize>,
     mut visit: impl FnMut(usize, &Breakpoint, Vec<u64>, &B) -> Result<T, CoreError>,
     stats_out: Option<&mut NoisySessionStats>,
 ) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
-    let NoisySession {
+    let TreeSession {
         config,
         program,
         plan,
         noise,
-        num_qubits,
         resume_from,
     } = *session;
-    config.validate()?;
     let breakpoints = program.breakpoints();
-    let mut out = Vec::with_capacity(breakpoints.len());
-    if breakpoints.is_empty() {
-        return Ok((out, None));
-    }
     let shots = config.shots;
 
     // ---- 1. Presample every (breakpoint, shot) fault pattern. ------
     // Each shot owns the same `(seed, breakpoint, shot)` RNG stream the
     // reference path uses; after presampling it sits at the shot's
-    // measurement draw and is kept for serving. Breakpoints behind the
-    // resume frontier contribute nothing: no patterns, so no groups,
-    // forks, or replays downstream — their reports already exist.
+    // measurement draw and is kept for serving. An ideal session and
+    // breakpoints behind the resume frontier contribute nothing: no
+    // patterns, so no groups, forks, or replays downstream.
     let mut rngs: Vec<Vec<StdRng>> = Vec::with_capacity(breakpoints.len());
     let mut patterns: Vec<Vec<Vec<FaultEvent>>> = Vec::with_capacity(breakpoints.len());
     for (index, bp) in breakpoints.iter().enumerate() {
-        if index < resume_from {
+        let Some(noise) = noise.filter(|_| index >= resume_from) else {
             rngs.push(Vec::new());
             patterns.push(Vec::new());
             continue;
-        }
+        };
         let presample_shot = |shot: usize| {
             let mut rng = StdRng::seed_from_u64(shot_seed(config.seed, index as u64, shot as u64));
             let mut pattern = Vec::new();
@@ -312,44 +314,18 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
         }
     }
     forks.sort_by_key(|f| (f.position, f.bp, f.group));
+    let fork_positions: Vec<usize> = forks.iter().map(|f| f.position).collect();
 
     // ---- 4. One frontier walk serves everything. -------------------
     // Each breakpoint's measured-qubit list is computed once here;
     // serving re-reads it per group, which can happen once per unique
-    // trajectory.
+    // trajectory. Only presampled breakpoints get an outcome buffer.
     let qubits_for: Vec<Vec<usize>> = breakpoints.iter().map(measure_qubits).collect();
-    if let Some(cause) = match governor.contain(|| governor.injected_fork_fault()) {
-        Ok(fault) => fault,
-        Err(cause) => Some(cause),
-    } {
-        return Ok((out, Some(cause)));
-    }
-    let mut frontier = match governor.zero_state::<B>(num_qubits) {
-        Ok(state) => state,
-        Err(CoreError::Interrupted { cause, .. }) => return Ok((out, Some(cause))),
-        Err(e) => return Err(e),
-    };
-    // Parallelism never nests: the frontier walk is serial (one state),
-    // so it may chunk amplitudes, while forks replay serially — as units
-    // of a parallel wave, or one at a time when the session is serial.
-    frontier.set_intra_parallel(config.parallel);
     let pool: StatePool<B> = StatePool::new();
     let mut scratch = Sampler::default();
-    let mut outcomes: Vec<Vec<u64>> = (0..breakpoints.len()).map(|_| vec![0; shots]).collect();
+    let mut outcomes: Vec<Vec<u64>> = rngs.iter().map(|r| vec![0; r.len()]).collect();
     let mut replayed: Vec<u64> = vec![0; breakpoints.len()];
-    let mut frontier_ops: u64 = 0;
     let mut wave: Vec<WaveSlot<B>> = Vec::new();
-    let mut position = 0usize;
-    let mut next_fork = 0usize;
-    let mut trip: Option<InterruptCause> = None;
-
-    // Advance the frontier through an ideal window of the plan, polling
-    // the governor per op batch, with panic containment.
-    let advance = |state: &mut B, range: std::ops::Range<usize>| -> Result<(), InterruptCause> {
-        governor
-            .contain(|| governor.advance(plan, state, range, &[]))
-            .and_then(|polled| polled)
-    };
 
     // Replay one fork's faulty trajectory to its breakpoint position,
     // governor-polled and panic-contained (a panicking worker leaves
@@ -372,13 +348,38 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
             .and_then(|polled| polled)
     };
 
-    // Drain the pending wave: replay every slot (the tree's fork-level
-    // fan-out), then serve its shots serially and recycle buffers. On a
-    // trip (any slot), every buffer still goes back to the pool and
-    // `trip` is set — no shots are served from a tripped wave.
-    macro_rules! flush_wave {
-        () => {
+    let walked = sweep::walk(
+        program,
+        plan,
+        governor,
+        config.parallel,
+        &fork_positions,
+        |stop, frontier: &B| {
+            let index = match stop {
+                Stop::Fork(k) => {
+                    let mut state = pool.acquire_copy(frontier);
+                    // The copy inherits the frontier's chunking flag.
+                    state.set_intra_parallel(false);
+                    wave.push(WaveSlot {
+                        bp: forks[k].bp,
+                        group: forks[k].group,
+                        state: Mutex::new(Some(state)),
+                    });
+                    if config.parallel && wave.len() < WAVE_CAP {
+                        return Ok(None);
+                    }
+                    None
+                }
+                Stop::Breakpoint(index) => Some(index),
+            };
+            // Drain the pending wave — a full one, every fork of a
+            // serial session, and whatever is left at a breakpoint,
+            // whose report needs every group served: replay every slot
+            // (the tree's fork-level fan-out), then serve its shots
+            // serially and recycle buffers. On a trip (any slot) every
+            // buffer still goes back to the pool and no shots are served.
             if !wave.is_empty() {
+                let noise = noise.expect("only a noisy session forks");
                 let run_slot = |slot: &WaveSlot<B>| -> Option<InterruptCause> {
                     let mut state = slot
                         .state
@@ -418,96 +419,44 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                     }
                     pool.release(state);
                 }
-                if wave_trip.is_some() {
-                    trip = wave_trip;
+                if let Some(cause) = wave_trip {
+                    return Err(governor::trip_error(cause));
                 }
             }
-        };
-    }
-
-    'walk: for (index, bp) in breakpoints.iter().enumerate() {
-        // Schedule (and in serial mode, immediately retire) every fork
-        // up to this breakpoint's position.
-        while next_fork < forks.len() && forks[next_fork].position <= bp.position {
-            let fork = &forks[next_fork];
-            next_fork += 1;
-            if fork.position > position {
-                if let Err(cause) = advance(&mut frontier, position..fork.position) {
-                    trip = Some(cause);
-                    break 'walk;
+            // A resumed-past breakpoint only needed the frontier advanced
+            // through its window; its report is already on file.
+            let Some(index) = index.filter(|&index| index >= resume_from) else {
+                return Ok(None);
+            };
+            let ensemble = match noise {
+                None => frontier.draw_ideal(
+                    config,
+                    index,
+                    &qubits_for[index],
+                    governor,
+                    config.parallel,
+                    &mut scratch,
+                )?,
+                Some(noise) => {
+                    // The frontier *is* the fault-free trajectory's final
+                    // state — and the ideal state for the exact cross-check.
+                    if let Some(fault_free) = groups[index].iter().find(|g| g.pattern.is_empty()) {
+                        serve_group(
+                            frontier,
+                            fault_free,
+                            &qubits_for[index],
+                            noise,
+                            &mut rngs[index],
+                            &mut outcomes[index],
+                            &mut scratch,
+                        );
+                    }
+                    std::mem::take(&mut outcomes[index])
                 }
-                frontier_ops += (fork.position - position) as u64;
-                position = fork.position;
-            }
-            match governor.contain(|| governor.injected_fork_fault()) {
-                Ok(None) => {}
-                Ok(Some(cause)) | Err(cause) => {
-                    trip = Some(cause);
-                    break 'walk;
-                }
-            }
-            let mut state = pool.acquire_copy(&frontier);
-            // The copy inherits the frontier's chunking flag.
-            state.set_intra_parallel(false);
-            wave.push(WaveSlot {
-                bp: fork.bp,
-                group: fork.group,
-                state: Mutex::new(Some(state)),
-            });
-            if !config.parallel || wave.len() >= WAVE_CAP {
-                flush_wave!();
-                if trip.is_some() {
-                    break 'walk;
-                }
-            }
-        }
-        // The report for this breakpoint needs every group served.
-        flush_wave!();
-        if trip.is_some() {
-            break 'walk;
-        }
-        if bp.position > position {
-            if let Err(cause) = advance(&mut frontier, position..bp.position) {
-                trip = Some(cause);
-                break 'walk;
-            }
-            frontier_ops += (bp.position - position) as u64;
-            position = bp.position;
-        }
-        // A resumed-past breakpoint only needed the frontier advanced
-        // through its window; its report is already on file.
-        if index < resume_from {
-            continue;
-        }
-        // The frontier *is* the fault-free trajectory's final state —
-        // and the ideal state for the exact cross-check.
-        if let Some(fault_free) = groups[index].iter().find(|g| g.pattern.is_empty()) {
-            serve_group(
-                &frontier,
-                fault_free,
-                &qubits_for[index],
-                noise,
-                &mut rngs[index],
-                &mut outcomes[index],
-                &mut scratch,
-            );
-        }
-        let step =
-            governor.contain(|| visit(index, bp, std::mem::take(&mut outcomes[index]), &frontier));
-        match step {
-            Ok(Ok(item)) => out.push(item),
-            Ok(Err(CoreError::Interrupted { cause, .. })) => {
-                governor.trip(cause.clone());
-                trip = Some(cause);
-                break 'walk;
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(cause) => {
-                trip = Some(cause);
-                break 'walk;
-            }
-        }
-    }
+            };
+            visit(index, &breakpoints[index], ensemble, frontier).map(Some)
+        },
+    );
     // Reclaim any wave buffers stranded by an early exit; completed
     // runs flushed everything already, so this loop is then empty.
     for slot in wave.drain(..) {
@@ -523,10 +472,6 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
     // the release-mode fault-injection CI run relies on a leak here
     // panicking into the containment boundary.
     assert_eq!(pool.outstanding(), 0, "every pooled buffer reclaimed");
-    debug_assert!(
-        trip.is_some() || next_fork == forks.len(),
-        "every fork scheduled"
-    );
 
     if let Some(stats) = stats_out {
         stats.per_breakpoint = groups
@@ -543,11 +488,13 @@ pub(crate) fn run_noisy_tree<B: SimBackend, T>(
                 replayed_ops: replayed[index],
             })
             .collect();
-        stats.frontier_ops = frontier_ops;
+        // The frontier ends at the last breakpoint, every fork lying
+        // at or before its own breakpoint.
+        stats.frontier_ops = breakpoints.last().map_or(0, |bp| bp.position as u64);
         stats.states_allocated = pool.states_allocated();
         stats.states_outstanding = pool.outstanding();
     }
-    Ok((out, trip))
+    walked
 }
 
 /// Serve every shot of one group from the group's shared final state:

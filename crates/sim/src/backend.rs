@@ -212,9 +212,11 @@ impl SimOp {
 /// exact outcome distributions over qubit subsets.
 ///
 /// Implementations: [`State`] (dense statevector, exact and universal,
-/// ≤ [`MAX_QUBITS`](crate::state::MAX_QUBITS) qubits) and
+/// ≤ [`MAX_QUBITS`](crate::state::MAX_QUBITS) qubits),
 /// [`StabilizerState`](crate::stabilizer::StabilizerState) (tableau,
-/// Clifford-only, hundreds of qubits).
+/// Clifford-only, hundreds of qubits) and
+/// [`SparseState`](crate::sparse::SparseState) (nonzero amplitudes
+/// only, exact up to 64 qubits at a cost that scales with the support).
 pub trait SimBackend: Sized + Clone + Send + Sync {
     /// Human-readable engine name (for error messages and reports).
     const NAME: &'static str;

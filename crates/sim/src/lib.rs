@@ -1,8 +1,10 @@
-//! # qdb-sim — dense state-vector quantum simulator
+//! # qdb-sim — dense, stabilizer and sparse quantum simulators
 //!
 //! The ISCA 2019 statistical-assertions paper ran its ensembles on the QX
-//! simulator; this crate is the from-scratch Rust replacement. It provides
-//! everything the assertion machinery needs:
+//! simulator; this crate is the from-scratch Rust replacement: three
+//! engines (dense statevector, stabilizer tableau, sparse amplitude map)
+//! behind one [`SimBackend`] contract. It provides everything the
+//! assertion machinery needs:
 //!
 //! * [`complex`] — a self-contained double-precision complex number type.
 //! * [`gates`] — standard single-qubit gate matrices (H, X, Y, Z, S, T,
