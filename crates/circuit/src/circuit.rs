@@ -281,38 +281,13 @@ impl Circuit {
     ///
     /// Panics if the state has fewer qubits than the circuit.
     pub fn apply_to(&self, state: &mut State) {
-        self.apply_range_to(state, 0..self.len());
-    }
-
-    /// Run only the instructions in `range` (a window of program
-    /// positions) on a state.
-    ///
-    /// This is the allocation-free alternative to materializing a
-    /// sub-circuit with [`Circuit::prefix`]: a checkpointed sweep walks
-    /// a program breakpoint by breakpoint, applying just the *segment*
-    /// of instructions between consecutive breakpoints, so no prefix is
-    /// ever cloned or replayed. Applying `0..a` and then `a..b` is
-    /// bit-identical to applying `0..b` in one call (the same
-    /// instruction sequence touches the same amplitudes in the same
-    /// order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state has fewer qubits than the circuit, the
-    /// range is reversed, or the range ends beyond [`Circuit::len`].
-    pub fn apply_range_to(&self, state: &mut State, range: std::ops::Range<usize>) {
         assert!(
             state.num_qubits() >= self.num_qubits,
             "state has {} qubits, circuit needs {}",
             state.num_qubits(),
             self.num_qubits
         );
-        assert!(
-            range.start <= range.end && range.end <= self.len(),
-            "invalid instruction range {range:?} for circuit length {}",
-            self.len()
-        );
-        for inst in &self.instructions[range] {
+        for inst in &self.instructions {
             apply_instruction(state, inst);
         }
     }
@@ -423,22 +398,6 @@ impl Circuit {
             }
         }
         Ok(true)
-    }
-
-    /// Count gates by number of controls: `(plain, singly, doubly+)`.
-    #[must_use]
-    pub fn control_profile(&self) -> (usize, usize, usize) {
-        let mut plain = 0;
-        let mut single = 0;
-        let mut multi = 0;
-        for inst in &self.instructions {
-            match inst.num_controls() {
-                0 => plain += 1,
-                1 => single += 1,
-                _ => multi += 1,
-            }
-        }
-        (plain, single, multi)
     }
 }
 
@@ -587,16 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn control_profile_counts() {
-        let mut c = Circuit::new(3);
-        c.h(0);
-        c.cx(0, 1);
-        c.ccx(0, 1, 2);
-        c.swap(0, 1);
-        assert_eq!(c.control_profile(), (2, 1, 1));
-    }
-
-    #[test]
     #[should_panic(expected = "outside")]
     fn push_rejects_out_of_range() {
         let mut c = Circuit::new(2);
@@ -618,57 +567,6 @@ mod tests {
             Instruction::gate(GateKind::X, 1),
         ]);
         assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn apply_range_segments_match_single_pass() {
-        let mut c = Circuit::new(3);
-        c.h(0);
-        c.cx(0, 1);
-        c.t(1);
-        c.ccphase(0, 1, 2, 0.77);
-        c.swap(0, 2);
-        c.ry(2, 1.1);
-        let mut whole = State::zero(3);
-        c.apply_to(&mut whole);
-        // Same instructions applied in three segments: bit-identical.
-        let mut segmented = State::zero(3);
-        c.apply_range_to(&mut segmented, 0..2);
-        c.apply_range_to(&mut segmented, 2..2); // empty segment is a no-op
-        c.apply_range_to(&mut segmented, 2..5);
-        c.apply_range_to(&mut segmented, 5..6);
-        assert_eq!(whole, segmented);
-        assert_eq!(segmented.gate_ops(), 6);
-        for i in 0..whole.dim() {
-            assert_eq!(
-                whole.amplitude(i).re.to_bits(),
-                segmented.amplitude(i).re.to_bits()
-            );
-            assert_eq!(
-                whole.amplitude(i).im.to_bits(),
-                segmented.amplitude(i).im.to_bits()
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid instruction range")]
-    fn apply_range_out_of_bounds_panics() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        let mut s = State::zero(1);
-        c.apply_range_to(&mut s, 0..2);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid instruction range")]
-    fn apply_range_reversed_panics() {
-        let mut c = Circuit::new(1);
-        c.h(0);
-        #[allow(clippy::reversed_empty_ranges)]
-        let range = 1..0;
-        let mut s = State::zero(1);
-        c.apply_range_to(&mut s, range);
     }
 
     #[test]

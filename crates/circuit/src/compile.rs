@@ -216,11 +216,10 @@ impl CompiledCircuit {
         backend.apply_ops(self.ops_for_range(backend.num_qubits(), &(0..self.ops.len())));
     }
 
-    /// Replay the **source-instruction** window `range` — the compiled
-    /// counterpart of [`Circuit::apply_range_to`], sharing its
-    /// coordinates so an engine can switch plans without renumbering
-    /// anything — with a presampled fault pattern spliced in and an
-    /// amortized interruption check.
+    /// Replay the **source-instruction** window `range` — positions in
+    /// the source [`Circuit`], the coordinates breakpoints use — with a
+    /// presampled fault pattern spliced in and an amortized
+    /// interruption check.
     ///
     /// Each fault-free stretch of the window goes to
     /// [`SimBackend::apply_ops`]; each fault in `faults` fires (as

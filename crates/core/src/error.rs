@@ -75,31 +75,6 @@ impl CoreError {
             _ => None,
         }
     }
-
-    /// What tripped the session, when this error is
-    /// [`CoreError::Interrupted`]. Together with
-    /// [`into_partial_report`](CoreError::into_partial_report) this is
-    /// everything a supervisor needs to classify the interruption
-    /// (transient vs. terminal) and resume — no `Display` parsing.
-    #[must_use]
-    pub fn interrupt_cause(&self) -> Option<&InterruptCause> {
-        match self {
-            CoreError::Interrupted { cause, .. } => Some(cause),
-            _ => None,
-        }
-    }
-
-    /// Take ownership of the partial report, when this error carries
-    /// one ([`CoreError::Interrupted`]) — the checkpoint a resumed
-    /// session restarts from, extracted without cloning every
-    /// completed report.
-    #[must_use]
-    pub fn into_partial_report(self) -> Option<PartialReport> {
-        match self {
-            CoreError::Interrupted { partial, .. } => Some(*partial),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CoreError {

@@ -38,9 +38,10 @@
 //! All hot loops are embarrassingly parallel; rayon drives exactly
 //! one of them at a time (never nested). Noiseless per-prefix sessions
 //! check breakpoints concurrently, like the paper's per-assertion QX
-//! cluster jobs; sweep sessions parallelize sampling; per-shot noisy
-//! sessions parallelize the dominant per-shot trajectory loop, and
-//! trajectory-tree sessions the per-fork suffix replays. Every
+//! cluster jobs; sweep sessions fan out the shots of the stabilizer
+//! and sparse draws (the dense draw is one serial CDF pass); per-shot
+//! noisy sessions parallelize the dominant per-shot trajectory loop,
+//! and trajectory-tree sessions the per-fork suffix replays. Every
 //! ensemble is a pure function of the seed and the breakpoint (and,
 //! shot by shot, of the shot index), so reports are bit-for-bit
 //! identical across thread counts and across the serial/parallel
@@ -49,7 +50,7 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rayon::prelude::*;
 
 use qdb_circuit::{
@@ -139,9 +140,8 @@ pub enum BackendChoice {
     /// circuits up to 64 qubits, with cost scaling in the live support
     /// size instead of `2ⁿ` — the engine for structured non-Clifford
     /// programs (Shor-style arithmetic, fault-injected codes) past the
-    /// dense ceiling. States that stop being sparse fall back to the
-    /// dense representation at ≤ 26 qubits; wider than that, a
-    /// saturating program simply gets slow rather than wrong.
+    /// dense ceiling. A program whose support saturates gets slow
+    /// rather than wrong.
     Sparse,
 }
 
@@ -178,7 +178,8 @@ pub struct EnsembleConfig {
     pub noise: Option<NoiseModel>,
     /// Run the session on all cores. With `true` the engine's
     /// independent units fan out across rayon workers — breakpoints
-    /// (per-prefix), shots (sampling and per-shot trajectories), fault
+    /// (per-prefix), shots (the stabilizer and sparse ideal draws and
+    /// per-shot trajectories; the dense ideal draw is serial), fault
     /// presampling and trajectory-tree fork waves — and the one serial
     /// state of a sweep walk or tree frontier chunks its amplitude work
     /// ([`qdb_sim::kernels`], at ≥
@@ -1174,7 +1175,8 @@ enum ResolvedBackend {
 /// engine treats backends differently. The stabilizer and sparse
 /// backends take the defaults; the dense impl keeps the sampling
 /// convention every pre-backend seed in this repository was chosen
-/// against.
+/// against, and serves many shots from one state through a prepared
+/// CDF.
 pub(crate) trait EnsembleHook: SimBackend {
     /// The qubits each shot of a breakpoint's ensemble reads out,
     /// packed LSB-first, given the session width and the qubits the
@@ -1184,6 +1186,16 @@ pub(crate) trait EnsembleHook: SimBackend {
     fn measured_qubits(num_qubits: usize, asserted: &[usize]) -> Vec<usize> {
         let _ = num_qubits;
         asserted.to_vec()
+    }
+
+    /// Rebuild the caller's `sampler` as a full-register CDF over
+    /// `self` and return `true`, or return `false` when the backend has
+    /// no dense CDF (the default: the tableau and the support map) and
+    /// the caller samples shot by shot. Each prepared draw is a binary
+    /// search, bit-identical to [`SimBackend::sample_once`].
+    fn prepared_sampler(&self, sampler: &mut Sampler) -> bool {
+        let _ = sampler;
+        false
     }
 
     /// Draw breakpoint `index`'s ideal ensemble of packed outcomes of
@@ -1217,12 +1229,6 @@ impl EnsembleHook for StabilizerState {}
 
 impl EnsembleHook for SparseState {}
 
-/// Below this many shots the dense draw's per-shot CDF inversions (one
-/// binary search each) are cheaper than fanning work out to threads, so
-/// sampling stays on the calling thread even with `parallel` on. The
-/// choice never affects results.
-pub(crate) const PARALLEL_SAMPLING_MIN_SHOTS: usize = 4096;
-
 impl EnsembleHook for State {
     /// The full register, `num_qubits.max(1)` bits: every bit of a
     /// noisy shot's readout is corrupted, then projected.
@@ -1230,35 +1236,29 @@ impl EnsembleHook for State {
         (0..num_qubits.max(1)).collect()
     }
 
+    fn prepared_sampler(&self, sampler: &mut Sampler) -> bool {
+        sampler.rebuild(self);
+        true
+    }
+
     /// One `StdRng` seeded `seed + index` per breakpoint, inverted
-    /// through the state's CDF over the full register (the caller's
-    /// `sampler` is rebuilt, so one `2ⁿ` buffer serves a whole sweep).
-    /// With `parallel` on and enough shots the uniforms are still drawn
-    /// serially from that stream; only the CDF inversions fan out, so
-    /// the ensemble is identical either way. The governor is polled
-    /// once, against the sampled state, before the draw.
+    /// serially through the state's CDF over the full register (the
+    /// caller's `sampler` is rebuilt, so one `2ⁿ` buffer serves a whole
+    /// sweep). The governor is polled once, against the sampled state,
+    /// before the draw.
     fn draw_ideal(
         &self,
         config: &EnsembleConfig,
         index: usize,
         _qubits: &[usize],
         governor: &Governor,
-        parallel: bool,
+        _parallel: bool,
         sampler: &mut Sampler,
     ) -> Result<Vec<u64>, CoreError> {
         governor.poll(self).map_err(governor::trip_error)?;
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
         sampler.rebuild(self);
-        Ok(if parallel && config.shots >= PARALLEL_SAMPLING_MIN_SHOTS {
-            let uniforms: Vec<f64> = (0..config.shots).map(|_| rng.gen::<f64>()).collect();
-            let sampler = &*sampler;
-            (0..config.shots)
-                .into_par_iter()
-                .map(|shot| sampler.sample_at(uniforms[shot]))
-                .collect()
-        } else {
-            sampler.sample_many(&mut rng, config.shots)
-        })
+        Ok(sampler.sample_many(&mut rng, config.shots))
     }
 }
 
@@ -2230,6 +2230,114 @@ mod tests {
             let p_bits: Vec<u64> = reports.iter().map(|r| r.p_value.to_bits()).collect();
             assert_eq!(p_bits, bits, "{name}: p-value bits");
             assert_eq!(budget.poll_checks(), polls, "{name}: governor polls");
+            assert_eq!(stats.map(|s| s.total_ops()), tree_ops, "{name}: tree work");
+        }
+    }
+
+    /// H on qubits 1..n fills half of the `2ⁿ` basis states; a T, a
+    /// CX(1 → 0) and an entangled, a product and a superposition
+    /// assertion follow.
+    fn saturating_program(n: usize) -> Program {
+        let mut p = Program::new();
+        let q = p.alloc_register("q", n);
+        for i in 1..n {
+            p.h(q.bit(i));
+        }
+        p.t(q.bit(n - 1));
+        p.cx(q.bit(1), q.bit(0));
+        let a = QReg::new("a", vec![q.bit(0)]);
+        let b = QReg::new("b", vec![q.bit(1)]);
+        let c = QReg::new("c", vec![q.bit(2), q.bit(3)]);
+        p.assert_entangled(&a, &b);
+        p.assert_product(&b, &c);
+        p.assert_superposition(&c);
+        p
+    }
+
+    #[test]
+    fn saturated_sparse_and_many_shot_dense_sessions_are_pinned() {
+        // Report bits of an explicit-Sparse session whose support fills
+        // half the space, at 6 and 10 qubits under every engine route,
+        // and of an 8-qubit statevector session at 8192 shots.
+        let ideal = [
+            0x344e_b5dd_6d2c_4a29,
+            0x3fc0_9e12_528b_dff9,
+            0x3feb_5387_3fbb_1e0e,
+        ];
+        let dense = [0, 0x3fe5_f73c_9613_86f0, 0x3fe1_57e8_2af0_da26];
+        let noise = NoiseModel::depolarizing(2e-3).with_readout_flip(1e-2);
+        let sparse = || {
+            EnsembleConfig::builder()
+                .backend(BackendChoice::Sparse)
+                .shots(256)
+        };
+        let statevector = || {
+            EnsembleConfig::builder()
+                .backend(BackendChoice::Statevector)
+                .shots(8192)
+        };
+        let per_prefix = ExecutionStrategy::PerPrefix;
+        let cases = [
+            ("6 serial", 6, sparse().parallel(false), ideal, None),
+            ("6 parallel", 6, sparse(), ideal, None),
+            (
+                "6 per-prefix",
+                6,
+                sparse().strategy(per_prefix),
+                ideal,
+                None,
+            ),
+            (
+                "6 pauli tree",
+                6,
+                sparse().noise(noise),
+                [
+                    0x3561_9693_2f94_8b4e,
+                    0x3fe1_efc4_12b2_8d40,
+                    0x3fee_d51e_3c61_6f8b,
+                ],
+                Some(43),
+            ),
+            ("10 serial", 10, sparse().parallel(false), ideal, None),
+            ("10 parallel", 10, sparse(), ideal, None),
+            (
+                "10 per-prefix",
+                10,
+                sparse().strategy(per_prefix),
+                ideal,
+                None,
+            ),
+            (
+                "10 pauli tree",
+                10,
+                sparse().noise(noise),
+                [
+                    0x3502_4ca2_7db8_b27d,
+                    0x3fd6_e871_d30b_ad7c,
+                    0x3fef_2f29_8a98_5c08,
+                ],
+                Some(101),
+            ),
+            (
+                "dense serial",
+                8,
+                statevector().parallel(false),
+                dense,
+                None,
+            ),
+            ("dense parallel", 8, statevector(), dense, None),
+        ];
+        for (name, n, builder, bits, tree_ops) in cases {
+            let config = builder.seed(23).build();
+            let (reports, stats) = EnsembleRunner::new(config)
+                .check_program_stats(&saturating_program(n))
+                .unwrap();
+            let p_bits: Vec<u64> = reports.iter().map(|r| r.p_value.to_bits()).collect();
+            assert_eq!(p_bits, bits, "{name}: p-value bits");
+            for r in &reports {
+                assert_eq!(r.verdict, Verdict::Pass, "{name}: {}", r.label);
+                assert_eq!(r.exact, Some(Verdict::Pass), "{name}: {}", r.label);
+            }
             assert_eq!(stats.map(|s| s.total_ops()), tree_ops, "{name}: tree work");
         }
     }

@@ -37,10 +37,10 @@
 //!   the outcomes, histograms, p-values, and verdicts are identical.
 //!
 //! With [`EnsembleConfig::parallel`] on, the sweep parallelizes in two
-//! places, both bit-neutral. Sampling: shots fan out over rayon (on the
-//! dense statevector the uniform variates are drawn serially — they
-//! *are* the determinism contract — and only the CDF inversions fan
-//! out). Intra-state kernels: at ≥
+//! places, both bit-neutral. Sampling: on the stabilizer and sparse
+//! backends each shot owns its RNG stream, so shots fan out over rayon;
+//! the dense statevector draws its ensemble serially from one stream
+//! through the state's CDF. Intra-state kernels: at ≥
 //! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
 //! qubits the frontier chunks each gate's amplitude runs across
 //! workers — same pairs, same order, same arithmetic, so the evolution
@@ -241,7 +241,6 @@ impl SweepRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::PARALLEL_SAMPLING_MIN_SHOTS;
     use crate::RunBudget;
     use qdb_circuit::OptLevel;
     use qdb_sim::State;
@@ -391,10 +390,9 @@ mod tests {
     #[test]
     fn serial_and_parallel_sweep_sampling_agree() {
         let p = staircase_program();
-        // Past the fan-out threshold, so the parallel arm really runs.
-        let base = EnsembleConfig::default()
-            .with_shots(PARALLEL_SAMPLING_MIN_SHOTS + 1)
-            .with_seed(31);
+        // Thousands of shots drawn from one stream per breakpoint: the
+        // ensemble must not depend on `parallel`.
+        let base = EnsembleConfig::default().with_shots(4097).with_seed(31);
         let serial = SweepRunner::new(base.with_parallel(false))
             .run_all(&p)
             .unwrap();

@@ -84,7 +84,7 @@ use rayon::prelude::*;
 
 use qdb_circuit::{Breakpoint, CompiledCircuit, FaultEvent, Program};
 use qdb_sim::measure::extract_bits;
-use qdb_sim::{NoiseModel, Sampler, SimBackend, StatePool};
+use qdb_sim::{NoiseModel, Sampler, StatePool};
 
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause};
@@ -503,11 +503,12 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
 /// would have from its freshly replayed trajectory.
 ///
 /// Groups of two or more shots amortize one CDF rebuild (on backends
-/// that support it — see [`SimBackend::rebuild_shot_sampler`]) into
+/// that support it — see [`EnsembleHook::prepared_sampler`]) into
 /// binary-search draws, bit-identical to per-shot
-/// [`SimBackend::sample_once`]; the caller owns `scratch`, so one
-/// buffer serves a whole session rather than one allocation per group.
-fn serve_group<B: SimBackend>(
+/// [`SimBackend::sample_once`](qdb_sim::SimBackend::sample_once); the
+/// caller owns `scratch`, so one buffer serves a whole session rather
+/// than one allocation per group.
+fn serve_group<B: EnsembleHook>(
     state: &B,
     group: &Group,
     qubits: &[usize],
@@ -516,7 +517,7 @@ fn serve_group<B: SimBackend>(
     outcomes: &mut [u64],
     scratch: &mut Sampler,
 ) {
-    let prepared = group.shots.len() >= 2 && state.rebuild_shot_sampler(scratch);
+    let prepared = group.shots.len() >= 2 && state.prepared_sampler(scratch);
     for &shot in &group.shots {
         let rng = &mut rngs[shot];
         let raw = if prepared {

@@ -193,8 +193,8 @@ proptest! {
         // Diagonal spice keeps every assertion exactly as decisive as
         // in the Clifford case (see the generator's docs) while making
         // the program non-Clifford, so the explicit Sparse tier is the
-        // engine actually under test here — including its runtime
-        // densify fallback when Hadamards saturate the support.
+        // engine actually under test here — including states whose
+        // support Hadamards saturate.
         let program = random_phase_spiced_program(n, gates, program_seed);
         prop_assume!(!program.breakpoints().is_empty());
         let base = EnsembleConfig::builder()

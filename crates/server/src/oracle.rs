@@ -1,13 +1,14 @@
 //! Shared exact-oracle verdict cache.
 //!
 //! The exact cross-check is a deterministic, RNG-free function of the
-//! program and the tolerance: it simulates ideal amplitudes and
-//! compares them against the asserted state class, consuming no
-//! randomness from the ensemble stream. That makes its verdicts safe
-//! to cache across sessions — a warm resubmission runs with
-//! cross-checking *disabled* (skipping the ideal simulation entirely)
-//! and splices the cached verdicts into its reports, leaving every
-//! statistical bit unchanged.
+//! program and the tolerance: it reads the ideal state's exact outcome
+//! distribution and compares it against the asserted state class,
+//! consuming no randomness from the ensemble stream. That makes its
+//! verdicts safe to cache across sessions — a warm resubmission runs
+//! with cross-checking *disabled* (the engine still simulates the ideal
+//! state to sample from it, but skips the oracle's
+//! `outcome_distribution` scans) and splices the cached verdicts into
+//! its reports, leaving every statistical bit unchanged.
 //!
 //! Keys are `(program fingerprint, tolerance bits)`; noisy sessions
 //! bypass the cache entirely (their engines interleave the check with

@@ -262,24 +262,6 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
         *self = source.clone();
     }
 
-    /// Rebuild `sampler` as a prepared full-register distribution over
-    /// `self`, returning `true` when the backend supports it.
-    ///
-    /// A caller drawing **many** shots from one state pays the CDF
-    /// construction once and each shot becomes a binary search —
-    /// bit-identical to per-shot [`sample_once`](SimBackend::sample_once)
-    /// on the statevector backend (see
-    /// [`Sampler::sample_once`](crate::Sampler::sample_once) for the
-    /// contract), with the caller owning the buffer so one allocation
-    /// serves a whole session. The default returns `false` (no dense
-    /// CDF exists — the tableau backend's outcome space is exponential
-    /// only in the *measured* qubits, not materializable per state), in
-    /// which case callers fall back to per-shot sampling.
-    fn rebuild_shot_sampler(&self, sampler: &mut Sampler) -> bool {
-        let _ = sampler;
-        false
-    }
-
     /// Opt this state in to (or out of) amplitude-parallel kernels.
     ///
     /// A *policy* switch, not a semantic one: backends with chunked
@@ -407,7 +389,7 @@ impl SimBackend for State {
     const NAME: &'static str = "statevector";
 
     fn zero(num_qubits: usize) -> Result<Self, SimError> {
-        State::try_zero_state(num_qubits)
+        State::basis(num_qubits, 0)
     }
 
     fn resident_bytes(&self) -> usize {
@@ -420,11 +402,6 @@ impl SimBackend for State {
 
     fn copy_from(&mut self, source: &Self) {
         State::copy_from(self, source);
-    }
-
-    fn rebuild_shot_sampler(&self, sampler: &mut Sampler) -> bool {
-        sampler.rebuild(self);
-        true
     }
 
     fn set_intra_parallel(&mut self, enabled: bool) {

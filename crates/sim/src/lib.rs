@@ -27,8 +27,7 @@
 //!   qubits, where the dense backend cannot even allocate.
 //! * [`sparse`] — a sorted amplitude-support-map backend for structured
 //!   *non-Clifford* programs past the dense ceiling (30–60 qubits):
-//!   cost scales with the live support size, not `2ⁿ`, with an exact
-//!   dense fallback when the support stops being sparse.
+//!   cost scales with the live support size, not `2ⁿ`.
 //! * [`measure`] — ensemble sampling (via a cumulative-distribution
 //!   sampler) and collapsing mid-circuit measurement, as needed for
 //!   iterative phase estimation.

@@ -127,16 +127,9 @@ impl Sampler {
     }
 
     /// The outcome the inverse-CDF transform assigns to the uniform
-    /// variate `u ∈ [0, 1)`.
-    ///
-    /// [`sample`](Sampler::sample) is exactly `sample_at(rng.gen())`,
-    /// so a caller that pre-draws its uniforms serially can map them
-    /// through `sample_at` in any order — including in parallel — and
-    /// still reproduce the serial sampling stream bit for bit. The
-    /// sweep engine in `qdb-core` uses this to parallelize per-shot
-    /// sampling without changing any ensemble.
-    #[must_use]
-    pub fn sample_at(&self, u: f64) -> u64 {
+    /// variate `u ∈ [0, 1)`; [`sample`](Sampler::sample) is exactly
+    /// `sample_at(rng.gen())`.
+    fn sample_at(&self, u: f64) -> u64 {
         // First index whose CDF value strictly exceeds u.
         match self
             .cdf

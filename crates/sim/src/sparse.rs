@@ -1,8 +1,9 @@
 //! A sparse amplitude-map statevector backend.
 //!
-//! The dense [`State`] stores all `2ⁿ` amplitudes and therefore stops at
-//! [`MAX_QUBITS`](crate::state::MAX_QUBITS) = 26 qubits; the stabilizer
-//! tableau scales to hundreds of qubits but only for Clifford circuits.
+//! The dense [`State`](crate::State) stores all `2ⁿ` amplitudes and
+//! therefore stops at [`MAX_QUBITS`](crate::state::MAX_QUBITS) = 26
+//! qubits; the stabilizer tableau scales to hundreds of qubits but only
+//! for Clifford circuits.
 //! The workloads the assertion debugger actually cares about past the
 //! dense ceiling — Shor-style modular arithmetic, fault-injected error
 //! correction codes — are non-Clifford but keep *exponentially sparse
@@ -22,15 +23,6 @@
 //! double it. A program whose branching gates act on a bounded set of
 //! qubits therefore stays cheap at any width.
 //!
-//! ## Dense fallback
-//!
-//! When the support density passes [`DENSIFY_NUMERATOR`]` / `
-//! [`DENSIFY_DENOMINATOR`] on a state small enough for the dense engine
-//! (≤ 26 qubits), the sparse representation is silently converted to a
-//! dense [`State`] and all further work delegates to it — the sorted-vec
-//! bookkeeping only pays for itself while the state is actually sparse.
-//! The conversion is exact (same amplitudes), so verdicts are unchanged.
-//!
 //! ## Determinism
 //!
 //! [`measure_qubit`](SimBackend::measure_qubit) mirrors the dense
@@ -48,7 +40,7 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gates::Matrix2;
 use crate::measure::extract_bits;
-use crate::state::{self, Pauli, State};
+use crate::state::Pauli;
 
 /// Hard cap on qubit count: basis indices are packed into a `u64`.
 pub const MAX_QUBITS: usize = 64;
@@ -57,28 +49,6 @@ pub const MAX_QUBITS: usize = 64;
 /// branching kernel — they are numeric zeros (e.g. the cancelled branch
 /// of `H·H`), and keeping them would make "support size" meaningless.
 pub const PRUNE_EPSILON: f64 = 1e-32;
-
-/// Densification triggers when `support * DENSIFY_DENOMINATOR ≥
-/// dim * DENSIFY_NUMERATOR` (i.e. density ≥ 1/4) …
-pub const DENSIFY_NUMERATOR: usize = 1;
-/// … see [`DENSIFY_NUMERATOR`].
-pub const DENSIFY_DENOMINATOR: usize = 4;
-
-/// Densification never triggers below this dimension: for tiny states
-/// the sorted vec is already as fast as the dense array, and converting
-/// would only blur the sparse path's test coverage.
-const DENSIFY_MIN_DIM: usize = 64;
-
-/// The concrete representation: sparse support map, or the dense
-/// fallback once density passed the threshold.
-#[derive(Debug, Clone)]
-enum Repr {
-    /// Sorted by basis index; invariant: indices strictly increasing,
-    /// no entry with `norm_sqr == 0` surviving a branching kernel.
-    Amps(Vec<(u64, Complex)>),
-    /// Dense fallback (only reachable at ≤ 26 qubits).
-    Dense(State),
-}
 
 /// A pure state stored as its basis-state support: a sorted vector of
 /// `(index, amplitude)` pairs.
@@ -96,7 +66,9 @@ enum Repr {
 #[derive(Debug, Clone)]
 pub struct SparseState {
     num_qubits: usize,
-    repr: Repr,
+    /// Sorted by basis index; invariant: indices strictly increasing,
+    /// no entry with `norm_sqr == 0` surviving a branching kernel.
+    amps: Vec<(u64, Complex)>,
     gate_ops: u64,
     max_support: usize,
 }
@@ -117,26 +89,16 @@ impl SparseState {
         }
         Ok(Self {
             num_qubits,
-            repr: Repr::Amps(vec![(0, Complex::ONE)]),
+            amps: vec![(0, Complex::ONE)],
             gate_ops: 0,
             max_support: 1,
         })
     }
 
     /// Number of basis states currently carrying amplitude.
-    ///
-    /// After the dense fallback this counts the dense vector's non-zero
-    /// entries, so the reported figure stays comparable.
     #[must_use]
     pub fn support_len(&self) -> usize {
-        match &self.repr {
-            Repr::Amps(amps) => amps.len(),
-            Repr::Dense(state) => state
-                .amplitudes()
-                .iter()
-                .filter(|a| a.norm_sqr() > 0.0)
-                .count(),
-        }
+        self.amps.len()
     }
 
     /// High-water mark of [`support_len`](SparseState::support_len) over
@@ -148,17 +110,11 @@ impl SparseState {
     }
 
     /// Number of lowered ops and Paulis applied (the sparse sibling of
-    /// [`State::gate_ops`]; a `clone()` inherits the count).
+    /// [`State::gate_ops`](crate::State::gate_ops); a `clone()` inherits
+    /// the count).
     #[must_use]
     pub fn gate_ops(&self) -> u64 {
         self.gate_ops
-    }
-
-    /// `true` once the runtime dense fallback has fired (support density
-    /// passed 1/4 on a ≤ 26-qubit state).
-    #[must_use]
-    pub fn is_densified(&self) -> bool {
-        matches!(self.repr, Repr::Dense(_))
     }
 
     fn check_qubit(&self, q: usize) {
@@ -172,38 +128,7 @@ impl SparseState {
     /// Sum of `|amp|²` — 1 for a valid state up to float error.
     #[must_use]
     pub fn norm_sqr(&self) -> f64 {
-        match &self.repr {
-            Repr::Amps(amps) => amps.iter().map(|(_, a)| a.norm_sqr()).sum(),
-            Repr::Dense(state) => state.norm_sqr(),
-        }
-    }
-
-    fn record_support(&mut self) {
-        if let Repr::Amps(amps) = &self.repr {
-            self.max_support = self.max_support.max(amps.len());
-        }
-    }
-
-    /// Convert to the dense representation when the support is no longer
-    /// sparse and the state fits the dense engine. Exact: amplitudes are
-    /// copied verbatim (then normalized, a no-op up to float error).
-    fn maybe_densify(&mut self) {
-        let Repr::Amps(amps) = &self.repr else {
-            return;
-        };
-        if self.num_qubits > state::MAX_QUBITS {
-            return;
-        }
-        let dim = 1usize << self.num_qubits;
-        if dim < DENSIFY_MIN_DIM || amps.len() * DENSIFY_DENOMINATOR < dim * DENSIFY_NUMERATOR {
-            return;
-        }
-        let mut dense = vec![Complex::ZERO; dim];
-        for &(idx, a) in amps {
-            dense[idx as usize] = a;
-        }
-        let state = State::from_amplitudes(dense).expect("a live support has non-zero norm");
-        self.repr = Repr::Dense(state);
+        self.amps.iter().map(|(_, a)| a.norm_sqr()).sum()
     }
 }
 
@@ -298,11 +223,7 @@ impl SimBackend for SparseState {
     }
 
     fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + match &self.repr {
-                Repr::Amps(amps) => amps.capacity() * std::mem::size_of::<(u64, Complex)>(),
-                Repr::Dense(state) => state.resident_bytes(),
-            }
+        std::mem::size_of::<Self>() + self.amps.capacity() * std::mem::size_of::<(u64, Complex)>()
     }
 
     fn num_qubits(&self) -> usize {
@@ -313,11 +234,7 @@ impl SimBackend for SparseState {
         self.num_qubits = source.num_qubits;
         self.gate_ops = source.gate_ops;
         self.max_support = source.max_support;
-        match (&mut self.repr, &source.repr) {
-            (Repr::Amps(dst), Repr::Amps(src)) => dst.clone_from(src),
-            (Repr::Dense(dst), Repr::Dense(src)) => dst.copy_from(src),
-            (dst, src) => *dst = src.clone(),
-        }
+        self.amps.clone_from(&source.amps);
     }
 
     fn apply_op(&mut self, op: &SimOp) {
@@ -337,20 +254,17 @@ impl SimBackend for SparseState {
             }
         }
         self.gate_ops += 1;
-        match &mut self.repr {
-            Repr::Dense(state) => state.apply_op(op),
-            Repr::Amps(amps) => match op.kernel() {
-                KernelOp::Diagonal { d0, d1 } => apply_diagonal(amps, cmask, tmask, *d0, *d1),
-                KernelOp::AntiDiagonal { a01, a10 } => {
-                    apply_antidiagonal(amps, cmask, tmask, *a01, *a10);
-                }
-                KernelOp::Swap { other } => apply_swap(amps, cmask, tmask, 1u64 << *other),
-                KernelOp::General(m) => {
-                    apply_general(amps, cmask, tmask, m);
-                    self.record_support();
-                    self.maybe_densify();
-                }
-            },
+        let amps = &mut self.amps;
+        match op.kernel() {
+            KernelOp::Diagonal { d0, d1 } => apply_diagonal(amps, cmask, tmask, *d0, *d1),
+            KernelOp::AntiDiagonal { a01, a10 } => {
+                apply_antidiagonal(amps, cmask, tmask, *a01, *a10);
+            }
+            KernelOp::Swap { other } => apply_swap(amps, cmask, tmask, 1u64 << *other),
+            KernelOp::General(m) => {
+                apply_general(amps, cmask, tmask, m);
+                self.max_support = self.max_support.max(amps.len());
+            }
         }
     }
 
@@ -361,59 +275,43 @@ impl SimBackend for SparseState {
         }
         self.gate_ops += 1;
         let tmask = 1u64 << q;
-        match &mut self.repr {
-            Repr::Dense(state) => SimBackend::apply_pauli(state, q, p),
-            Repr::Amps(amps) => match p {
-                Pauli::I => unreachable!(),
-                // X = [[0, 1], [1, 0]], Y = [[0, −i], [i, 0]]: both are
-                // anti-diagonal, i.e. a bit flip with per-branch phases.
-                Pauli::X => apply_antidiagonal(amps, 0, tmask, Complex::ONE, Complex::ONE),
-                Pauli::Y => apply_antidiagonal(amps, 0, tmask, -Complex::I, Complex::I),
-                Pauli::Z => apply_diagonal(amps, 0, tmask, Complex::ONE, -Complex::ONE),
-            },
+        let amps = &mut self.amps;
+        match p {
+            Pauli::I => unreachable!(),
+            // X = [[0, 1], [1, 0]], Y = [[0, −i], [i, 0]]: both are
+            // anti-diagonal, i.e. a bit flip with per-branch phases.
+            Pauli::X => apply_antidiagonal(amps, 0, tmask, Complex::ONE, Complex::ONE),
+            Pauli::Y => apply_antidiagonal(amps, 0, tmask, -Complex::I, Complex::I),
+            Pauli::Z => apply_diagonal(amps, 0, tmask, Complex::ONE, -Complex::ONE),
         }
     }
 
     fn prob_one(&self, q: usize) -> f64 {
         self.check_qubit(q);
-        match &self.repr {
-            Repr::Dense(state) => state.prob_one(q),
-            Repr::Amps(amps) => {
-                let mask = 1u64 << q;
-                amps.iter()
-                    .filter(|(idx, _)| idx & mask != 0)
-                    .map(|(_, a)| a.norm_sqr())
-                    .sum()
-            }
-        }
+        let mask = 1u64 << q;
+        self.amps
+            .iter()
+            .filter(|(idx, _)| idx & mask != 0)
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
     }
 
     fn measure_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> u8 {
         self.check_qubit(q);
         // One uniform per measurement, always — the same stream contract
-        // as the dense backend, so a seeded trajectory consumes the RNG
-        // identically whichever representation is live.
+        // as the dense backend.
         let p1 = self.prob_one(q);
         let bit = u8::from(rng.gen::<f64>() < p1);
-        match &mut self.repr {
-            Repr::Dense(state) => {
-                // Project on the dense state directly (its own
-                // measure_qubit would draw a second uniform).
-                state.project_qubit(q, bit);
-            }
-            Repr::Amps(amps) => {
-                let mask = 1u64 << q;
-                amps.retain(|(idx, _)| (idx & mask != 0) == (bit == 1));
-                let norm_sqr: f64 = amps.iter().map(|(_, a)| a.norm_sqr()).sum();
-                assert!(
-                    norm_sqr > 1e-12,
-                    "projection onto outcome {bit} of qubit {q} has zero norm"
-                );
-                let scale = norm_sqr.sqrt().recip();
-                for (_, a) in amps.iter_mut() {
-                    *a = a.scale(scale);
-                }
-            }
+        let mask = 1u64 << q;
+        self.amps.retain(|(idx, _)| (idx & mask != 0) == (bit == 1));
+        let norm_sqr = self.norm_sqr();
+        assert!(
+            norm_sqr > 1e-12,
+            "projection onto outcome {bit} of qubit {q} has zero norm"
+        );
+        let scale = norm_sqr.sqrt().recip();
+        for (_, a) in &mut self.amps {
+            *a = a.scale(scale);
         }
         bit
     }
@@ -423,19 +321,14 @@ impl SimBackend for SparseState {
         for &q in qubits {
             self.check_qubit(q);
         }
-        match &self.repr {
-            Repr::Dense(state) => state.outcome_distribution(qubits),
-            Repr::Amps(amps) => {
-                let mut dist: HashMap<u64, f64> = HashMap::new();
-                for &(idx, a) in amps {
-                    let p = a.norm_sqr();
-                    if p > 0.0 {
-                        *dist.entry(extract_bits(idx, qubits)).or_insert(0.0) += p;
-                    }
-                }
-                dist
+        let mut dist: HashMap<u64, f64> = HashMap::new();
+        for &(idx, a) in &self.amps {
+            let p = a.norm_sqr();
+            if p > 0.0 {
+                *dist.entry(extract_bits(idx, qubits)).or_insert(0.0) += p;
             }
         }
+        dist
     }
 }
 
@@ -444,6 +337,7 @@ mod tests {
     use super::*;
     use crate::backend::CliffordOp;
     use crate::gates;
+    use crate::state::State;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -500,7 +394,6 @@ mod tests {
         assert_eq!(s.num_qubits(), 64);
         assert_eq!(s.support_len(), 1);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-15);
-        assert!(!s.is_densified());
     }
 
     #[test]
@@ -643,48 +536,46 @@ mod tests {
     }
 
     #[test]
-    fn densify_fallback_fires_and_stays_exact() {
-        // H on every qubit of an 8-qubit state: support 256 = dim, far
-        // past the 1/4 density threshold → the dense fallback must fire
-        // and keep the uniform distribution exact.
+    fn saturated_support_stays_exact() {
+        // H on every qubit of an 8-qubit state: the support fills all
+        // 256 basis states and the uniform distribution stays exact.
         let n = 8;
         let mut s = SparseState::zero(n).unwrap();
         for q in 0..n {
             s.apply_op(&h_op(q));
         }
-        assert!(s.is_densified());
+        assert_eq!(s.support_len(), 256);
         let all: Vec<usize> = (0..n).collect();
         let dist = s.outcome_distribution(&all);
         assert_eq!(dist.len(), 256);
         for p in dist.values() {
             assert!((p - 1.0 / 256.0).abs() < 1e-12);
         }
-        // Ops keep working (and counting) after the conversion.
+        // Ops keep working (and counting) on the saturated support.
         let ops_before = s.gate_ops();
         s.apply_op(&t_op(0));
         s.apply_pauli(1, Pauli::X);
         assert_eq!(s.gate_ops(), ops_before + 2);
-        // Measurement on the dense path still draws one uniform and
-        // projects.
+        // Measurement projects and renormalizes.
         let mut rng = StdRng::seed_from_u64(5);
         let _ = s.measure_qubit(0, &mut rng);
+        assert_eq!(s.support_len(), 128);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
     }
 
     #[test]
-    fn wide_states_never_densify() {
-        // 40 qubits can't fall back to dense (it wouldn't fit); density
-        // is irrelevant there.
+    fn wide_states_hold_only_their_support() {
+        // 40 qubits, far past the dense ceiling: six H gates give a
+        // support of 64 entries.
         let mut s = SparseState::zero(40).unwrap();
         for q in 0..6 {
             s.apply_op(&h_op(q));
         }
         assert_eq!(s.support_len(), 64);
-        assert!(!s.is_densified());
     }
 
     #[test]
-    fn copy_from_recycles_across_representations() {
+    fn copy_from_copies_support_and_width() {
         let mut a = SparseState::zero(4).unwrap();
         a.apply_op(&h_op(0));
         a.apply_op(&x_op(vec![0], 2));
@@ -700,20 +591,10 @@ mod tests {
             0.0,
         );
 
-        // Mixed representations (and mismatched qubit counts).
+        // Mismatched qubit counts.
         let mut wide = SparseState::zero(30).unwrap();
         wide.copy_from(&a);
         assert_eq!(wide.num_qubits(), 4);
-
-        let mut dense_src = SparseState::zero(8).unwrap();
-        for q in 0..8 {
-            dense_src.apply_op(&h_op(q));
-        }
-        assert!(dense_src.is_densified());
-        let mut sparse_dst = SparseState::zero(8).unwrap();
-        sparse_dst.copy_from(&dense_src);
-        assert!(sparse_dst.is_densified());
-        assert_eq!(sparse_dst.gate_ops(), dense_src.gate_ops());
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //!
 //! ```
 //! use qdb_sim::stabilizer::StabilizerState;
+//! use qdb_sim::SimBackend;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // A 100-qubit GHZ state — far beyond any dense simulator.
@@ -40,7 +41,7 @@
 //! }
 //! assert_eq!(s.prob_one(99), 0.5);
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let shot = s.sample_qubits(&[0, 99], &mut rng);
+//! let shot = s.sample_once(&[0, 99], &mut rng);
 //! assert!(shot == 0b00 || shot == 0b11); // ends always agree
 //! ```
 
@@ -489,17 +490,6 @@ impl StabilizerState {
         }
     }
 
-    /// Draw one joint outcome of the listed qubits on a working copy,
-    /// packing qubit `qubits[i]` into bit `i` (the trait's
-    /// [`sample_once`](SimBackend::sample_once), named for direct use).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a qubit is out of range or `qubits.len() > 64`.
-    pub fn sample_qubits<R: Rng + ?Sized>(&self, qubits: &[usize], rng: &mut R) -> u64 {
-        SimBackend::sample_once(self, qubits, rng)
-    }
-
     /// The exact joint distribution of the listed qubits, by branch
     /// enumeration: deterministic qubits extend the current branch for
     /// free; each random qubit forks it into two half-probability
@@ -842,7 +832,7 @@ mod tests {
         let shots = 4000;
         for _ in 0..shots {
             *counts
-                .entry(s.sample_qubits(&[0, 1, 2], &mut rng))
+                .entry(s.sample_once(&[0, 1, 2], &mut rng))
                 .or_insert(0) += 1;
         }
         // Support: {100, 111} (qubit 2 always 1), roughly even.
@@ -866,7 +856,7 @@ mod tests {
         let draw = |seed| {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..64)
-                .map(|_| s.sample_qubits(&[0, 1, 2, 3], &mut rng))
+                .map(|_| s.sample_once(&[0, 1, 2, 3], &mut rng))
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw(5), draw(5));

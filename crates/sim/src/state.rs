@@ -77,50 +77,11 @@ impl State {
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits > MAX_QUBITS` or `num_qubits == 0`.
+    /// Panics if `num_qubits > MAX_QUBITS`, `num_qubits == 0` or the
+    /// `2ⁿ` amplitude buffer cannot be allocated.
     #[must_use]
     pub fn zero(num_qubits: usize) -> Self {
-        Self::basis(num_qubits, 0).expect("|0…0⟩ always exists")
-    }
-
-    /// The all-zeros state `|0…0⟩`, with the amplitude buffer allocated
-    /// *fallibly*: a `2ⁿ` request the allocator cannot satisfy returns
-    /// [`SimError::AllocationFailed`] instead of aborting the process.
-    ///
-    /// This is the construction path the execution governor routes
-    /// through — near the dense ceiling a failed allocation becomes a
-    /// typed error carrying the byte count, which the ensemble layer
-    /// converts into an interrupted session with a partial report.
-    /// States built this way are bit-for-bit [`State::zero`].
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::InvalidDimension`] when `num_qubits == 0`;
-    /// * [`SimError::TooManyQubits`] beyond [`MAX_QUBITS`];
-    /// * [`SimError::AllocationFailed`] when the allocator refuses the
-    ///   `2ⁿ` amplitude buffer.
-    pub fn try_zero_state(num_qubits: usize) -> Result<Self, SimError> {
-        if num_qubits == 0 {
-            return Err(SimError::InvalidDimension(0));
-        }
-        if num_qubits > MAX_QUBITS {
-            return Err(SimError::TooManyQubits(num_qubits));
-        }
-        let dim = 1usize << num_qubits;
-        let bytes = dim * std::mem::size_of::<Complex>();
-        let mut amps: Vec<Complex> = Vec::new();
-        amps.try_reserve_exact(dim)
-            .map_err(|_| SimError::AllocationFailed { bytes })?;
-        amps.resize(dim, Complex::ZERO);
-        amps[0] = Complex::ONE;
-        Ok(Self {
-            num_qubits,
-            amps,
-            gate_ops: 0,
-            index_ops: 0,
-            intra_parallel: false,
-            par_chunks: 0,
-        })
+        Self::basis(num_qubits, 0).expect("a valid width whose amplitudes fit in memory")
     }
 
     /// Bytes of memory this state holds resident — the amplitude
@@ -131,13 +92,17 @@ impl State {
         std::mem::size_of::<Self>() + self.amps.capacity() * std::mem::size_of::<Complex>()
     }
 
-    /// The computational basis state `|index⟩`.
+    /// The computational basis state `|index⟩`, with the amplitude
+    /// buffer allocated *fallibly*: a `2ⁿ` request the allocator cannot
+    /// satisfy returns an error instead of aborting the process.
     ///
     /// # Errors
     ///
     /// * [`SimError::TooManyQubits`] beyond [`MAX_QUBITS`];
     /// * [`SimError::InvalidDimension`] when `num_qubits == 0`;
-    /// * [`SimError::QubitOutOfRange`] when `index ≥ 2^num_qubits`.
+    /// * [`SimError::QubitOutOfRange`] when `index ≥ 2^num_qubits`;
+    /// * [`SimError::AllocationFailed`] when the allocator refuses the
+    ///   `2ⁿ` amplitude buffer.
     pub fn basis(num_qubits: usize, index: u64) -> Result<Self, SimError> {
         if num_qubits == 0 {
             return Err(SimError::InvalidDimension(0));
@@ -152,7 +117,11 @@ impl State {
                 num_qubits,
             });
         }
-        let mut amps = vec![Complex::ZERO; dim];
+        let bytes = dim * std::mem::size_of::<Complex>();
+        let mut amps: Vec<Complex> = Vec::new();
+        amps.try_reserve_exact(dim)
+            .map_err(|_| SimError::AllocationFailed { bytes })?;
+        amps.resize(dim, Complex::ZERO);
         amps[index as usize] = Complex::ONE;
         Ok(Self {
             num_qubits,
@@ -265,14 +234,6 @@ impl State {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
     }
 
-    /// Rescale to unit norm.
-    pub fn normalize(&mut self) {
-        let scale = self.norm_sqr().sqrt().recip();
-        for a in &mut self.amps {
-            *a = a.scale(scale);
-        }
-    }
-
     /// Number of gate applications this state has undergone: every
     /// [`apply_1q`](State::apply_1q) /
     /// [`apply_controlled_1q`](State::apply_controlled_1q) /
@@ -366,17 +327,12 @@ impl State {
     }
 
     /// Parallel chunks dispatched by intra-parallel kernel calls since
-    /// construction (or the last [`reset_par_chunks`](State::reset_par_chunks)).
+    /// construction.
     /// Serial kernel invocations contribute nothing, so this doubles as
     /// a probe that chunking actually engaged.
     #[must_use]
     pub fn par_chunks(&self) -> u64 {
         self.par_chunks
-    }
-
-    /// Reset the [`par_chunks`](State::par_chunks) counter to zero.
-    pub fn reset_par_chunks(&mut self) {
-        self.par_chunks = 0;
     }
 
     /// Count `n` dispatched kernel chunks (kernel entry points live in
