@@ -178,11 +178,10 @@ pub struct EnsembleConfig {
     pub noise: Option<NoiseModel>,
     /// Run the session on all cores. With `true` the engine's
     /// independent units fan out across rayon workers — breakpoints
-    /// (per-prefix), shots (the stabilizer and sparse ideal draws and
-    /// per-shot trajectories; the dense ideal draw is serial), fault
-    /// presampling and trajectory-tree fork waves — and the one serial
-    /// state of a sweep walk or tree frontier chunks its amplitude work
-    /// ([`qdb_sim::kernels`], at ≥
+    /// (per-prefix), per-shot noisy trajectories, fault presampling
+    /// and trajectory-tree fork waves; every ideal draw is serial — and
+    /// the one serial state of a sweep walk or tree frontier chunks its
+    /// amplitude work ([`qdb_sim::kernels`], at ≥
     /// [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
     /// qubits). Parallelism never nests: a state inside a fan-out
     /// applies its gates serially. `false` keeps everything on the
@@ -1052,7 +1051,6 @@ impl EnsembleRunner {
                         index,
                         &qubits,
                         governor,
-                        parallel_shots,
                         &mut Sampler::default(),
                     )?,
                     Some(noise) => fan_out_shots(parallel_shots, self.config.shots, |shot| {
@@ -1173,7 +1171,9 @@ enum ResolvedBackend {
 
 /// How a backend draws its ensembles — the one place the session
 /// engine treats backends differently. The stabilizer and sparse
-/// backends take the defaults; the dense impl keeps the sampling
+/// backends take the defaults, which serve every shot of a breakpoint
+/// or tree group from one prepared readout
+/// ([`SimBackend::sample_each`]); the dense impl keeps the sampling
 /// convention every pre-backend seed in this repository was chosen
 /// against, and serves many shots from one state through a prepared
 /// CDF.
@@ -1188,40 +1188,50 @@ pub(crate) trait EnsembleHook: SimBackend {
         asserted.to_vec()
     }
 
-    /// Rebuild the caller's `sampler` as a full-register CDF over
-    /// `self` and return `true`, or return `false` when the backend has
-    /// no dense CDF (the default: the tableau and the support map) and
-    /// the caller samples shot by shot. Each prepared draw is a binary
-    /// search, bit-identical to [`SimBackend::sample_once`].
-    fn prepared_sampler(&self, sampler: &mut Sampler) -> bool {
-        let _ = sampler;
-        false
+    /// Draw one packed outcome of `qubits` from `self` per RNG of
+    /// `rngs`, in order, bit-identical to [`SimBackend::sample_once`]
+    /// with each RNG in turn and leaving each RNG where that call
+    /// would. Default: [`SimBackend::sample_each`]. `scratch` is a
+    /// buffer the caller keeps across calls.
+    fn serve<'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl Iterator<Item = &'r mut StdRng>,
+        scratch: &mut Sampler,
+    ) -> Vec<u64> {
+        let _ = scratch;
+        self.sample_each(qubits, rngs)
     }
 
     /// Draw breakpoint `index`'s ideal ensemble of packed outcomes of
     /// `qubits` from `self`. Default: shot `s` owns the RNG stream
-    /// `shot_seed(seed, index, s)` and polls the governor, so shots are
-    /// free to fan out (when `parallel`) without changing a bit.
-    /// `sampler` is a scratch buffer the caller keeps across
-    /// breakpoints.
+    /// `shot_seed(seed, index, s)`, and the shots are
+    /// [`serve`](EnsembleHook::serve)d in order, polling the governor
+    /// before each. `sampler` is a scratch buffer the caller keeps
+    /// across breakpoints.
     fn draw_ideal(
         &self,
         config: &EnsembleConfig,
         index: usize,
         qubits: &[usize],
         governor: &Governor,
-        parallel: bool,
         sampler: &mut Sampler,
     ) -> Result<Vec<u64>, CoreError> {
-        let _ = sampler;
-        fan_out_shots(parallel, config.shots, |shot| {
-            governor.contain(|| {
-                governor.poll(self).map_err(governor::trip_error)?;
-                let mut rng =
-                    StdRng::seed_from_u64(shot_seed(config.seed, index as u64, shot as u64));
-                Ok(self.sample_once(qubits, &mut rng))
-            })
-        })
+        let mut rngs: Vec<StdRng> = (0..config.shots)
+            .map(|shot| StdRng::seed_from_u64(shot_seed(config.seed, index as u64, shot as u64)))
+            .collect();
+        let mut trip = None;
+        let polled = rngs.iter_mut().map_while(|rng| match governor.poll(self) {
+            Ok(()) => Some(rng),
+            Err(cause) => {
+                trip = Some(cause);
+                None
+            }
+        });
+        let outcomes = governor
+            .contain(|| self.serve(qubits, polled, sampler))
+            .map_err(governor::trip_error)?;
+        trip.map_or(Ok(outcomes), |cause| Err(governor::trip_error(cause)))
     }
 }
 
@@ -1236,9 +1246,23 @@ impl EnsembleHook for State {
         (0..num_qubits.max(1)).collect()
     }
 
-    fn prepared_sampler(&self, sampler: &mut Sampler) -> bool {
-        sampler.rebuild(self);
-        true
+    /// Two or more shots rebuild `scratch` as the state's full-register
+    /// CDF and draw each by binary search; a single shot scans the
+    /// amplitudes once instead.
+    fn serve<'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl Iterator<Item = &'r mut StdRng>,
+        scratch: &mut Sampler,
+    ) -> Vec<u64> {
+        let rngs: Vec<&mut StdRng> = rngs.collect();
+        if rngs.len() < 2 {
+            return self.sample_each(qubits, rngs);
+        }
+        scratch.rebuild(self);
+        rngs.into_iter()
+            .map(|rng| extract_bits(scratch.sample(rng), qubits))
+            .collect()
     }
 
     /// One `StdRng` seeded `seed + index` per breakpoint, inverted
@@ -1252,7 +1276,6 @@ impl EnsembleHook for State {
         index: usize,
         _qubits: &[usize],
         governor: &Governor,
-        _parallel: bool,
         sampler: &mut Sampler,
     ) -> Result<Vec<u64>, CoreError> {
         governor.poll(self).map_err(governor::trip_error)?;

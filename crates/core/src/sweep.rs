@@ -36,11 +36,11 @@
 //!   pure function of the seed, the breakpoint and the ideal state), so
 //!   the outcomes, histograms, p-values, and verdicts are identical.
 //!
-//! With [`EnsembleConfig::parallel`] on, the sweep parallelizes in two
-//! places, both bit-neutral. Sampling: on the stabilizer and sparse
-//! backends each shot owns its RNG stream, so shots fan out over rayon;
-//! the dense statevector draws its ensemble serially from one stream
-//! through the state's CDF. Intra-state kernels: at ≥
+//! Each ideal draw is serial: the dense statevector inverts its CDF
+//! with one stream, and the stabilizer and sparse backends serve every
+//! shot (each with its own RNG stream) from one prepared readout
+//! ([`SimBackend::sample_each`]). With [`EnsembleConfig::parallel`] on,
+//! the sweep parallelizes its intra-state kernels, bit-neutrally: at ≥
 //! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
 //! qubits the frontier chunks each gate's amplitude runs across
 //! workers — same pairs, same order, same arithmetic, so the evolution

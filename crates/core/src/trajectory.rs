@@ -83,7 +83,6 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use qdb_circuit::{Breakpoint, CompiledCircuit, FaultEvent, Program};
-use qdb_sim::measure::extract_bits;
 use qdb_sim::{NoiseModel, Sampler, StatePool};
 
 use crate::error::CoreError;
@@ -434,7 +433,6 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                     index,
                     &qubits_for[index],
                     governor,
-                    config.parallel,
                     &mut scratch,
                 )?,
                 Some(noise) => {
@@ -502,12 +500,13 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
 /// own presample-positioned RNG stream, exactly as the reference path
 /// would have from its freshly replayed trajectory.
 ///
-/// Groups of two or more shots amortize one CDF rebuild (on backends
-/// that support it — see [`EnsembleHook::prepared_sampler`]) into
-/// binary-search draws, bit-identical to per-shot
-/// [`SimBackend::sample_once`](qdb_sim::SimBackend::sample_once); the
-/// caller owns `scratch`, so one buffer serves a whole session rather
-/// than one allocation per group.
+/// The group's measurements are drawn together through the backend's
+/// prepared readout ([`EnsembleHook::serve`]: the dense CDF, or the
+/// tableau's and support map's outcome trie), bit-identical to per-shot
+/// [`SimBackend::sample_once`](qdb_sim::SimBackend::sample_once); each
+/// stream then draws its readout corruption. The caller owns `scratch`,
+/// so one buffer serves a whole session rather than one allocation per
+/// group.
 fn serve_group<B: EnsembleHook>(
     state: &B,
     group: &Group,
@@ -517,14 +516,17 @@ fn serve_group<B: EnsembleHook>(
     outcomes: &mut [u64],
     scratch: &mut Sampler,
 ) {
-    let prepared = group.shots.len() >= 2 && state.prepared_sampler(scratch);
-    for &shot in &group.shots {
-        let rng = &mut rngs[shot];
-        let raw = if prepared {
-            extract_bits(scratch.sample(rng), qubits)
-        } else {
-            state.sample_once(qubits, rng)
-        };
-        outcomes[shot] = noise.corrupt_readout(raw, qubits.len(), rng);
+    // A group's shots ascend, so each one's stream lies further along
+    // `rngs` than the last.
+    let mut streams = rngs.iter_mut();
+    let mut passed = 0;
+    let group_rngs = group.shots.iter().map(|&shot| {
+        let rng = streams.nth(shot - passed).expect("a group's shots ascend");
+        passed = shot + 1;
+        rng
+    });
+    let raw = state.serve(qubits, group_rngs, scratch);
+    for (&shot, raw) in group.shots.iter().zip(raw) {
+        outcomes[shot] = noise.corrupt_readout(raw, qubits.len(), &mut rngs[shot]);
     }
 }

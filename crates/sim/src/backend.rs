@@ -369,6 +369,28 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
         out
     }
 
+    /// Draw one joint outcome of the listed qubits per RNG of `rngs`, in
+    /// order: the outcomes, and the RNG positions afterwards, of calling
+    /// [`sample_once`](SimBackend::sample_once) with each RNG in turn.
+    ///
+    /// That loop is the default. The tableau and the support map
+    /// override it to prepare the readout once for all the shots: a
+    /// shot makes the same draws, but copies the state only when its
+    /// outcomes leave the prefixes earlier shots reached.
+    ///
+    /// # Panics
+    ///
+    /// As [`sample_once`](SimBackend::sample_once), once there is an RNG.
+    fn sample_each<'r, R: Rng + ?Sized + 'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut R>,
+    ) -> Vec<u64> {
+        rngs.into_iter()
+            .map(|rng| self.sample_once(qubits, rng))
+            .collect()
+    }
+
     /// The exact joint Born distribution of the listed qubits, keyed by
     /// the packed outcome (bit `i` ← qubit `qubits[i]`). Outcomes with
     /// zero probability are omitted.

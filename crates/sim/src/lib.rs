@@ -75,6 +75,7 @@ pub mod stabilizer;
 pub mod state;
 
 mod error;
+mod readout;
 
 pub use backend::{CliffordGate1, CliffordOp, KernelOp, SimBackend, SimOp};
 pub use complex::Complex;

@@ -40,6 +40,7 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gates::Matrix2;
 use crate::measure::extract_bits;
+use crate::readout::{self, Collapse, Rule};
 use crate::state::Pauli;
 
 /// Hard cap on qubit count: basis indices are packed into a `u64`.
@@ -297,23 +298,15 @@ impl SimBackend for SparseState {
     }
 
     fn measure_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> u8 {
-        self.check_qubit(q);
-        // One uniform per measurement, always — the same stream contract
-        // as the dense backend.
-        let p1 = self.prob_one(q);
-        let bit = u8::from(rng.gen::<f64>() < p1);
-        let mask = 1u64 << q;
-        self.amps.retain(|(idx, _)| (idx & mask != 0) == (bit == 1));
-        let norm_sqr = self.norm_sqr();
-        assert!(
-            norm_sqr > 1e-12,
-            "projection onto outcome {bit} of qubit {q} has zero norm"
-        );
-        let scale = norm_sqr.sqrt().recip();
-        for (_, a) in &mut self.amps {
-            *a = a.scale(scale);
-        }
-        bit
+        readout::measure(self, q, rng)
+    }
+
+    fn sample_each<'r, R: Rng + ?Sized + 'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut R>,
+    ) -> Vec<u64> {
+        readout::sample_each(self, qubits, rngs)
     }
 
     fn outcome_distribution(&self, qubits: &[usize]) -> HashMap<u64, f64> {
@@ -329,6 +322,34 @@ impl SimBackend for SparseState {
             }
         }
         dist
+    }
+}
+
+impl Collapse for SparseState {
+    /// One uniform per measurement, always, even when `P(1)` is `0` or
+    /// `1`: the same stream contract as the dense backend.
+    fn rule(&self, q: usize) -> Rule {
+        Rule::Draw(self.prob_one(q))
+    }
+
+    /// Keep the entries agreeing with `bit`, then renormalize.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kept entries have zero norm.
+    fn project(&mut self, q: usize, bit: bool) {
+        let mask = 1u64 << q;
+        self.amps.retain(|(idx, _)| (idx & mask != 0) == bit);
+        let norm_sqr = self.norm_sqr();
+        assert!(
+            norm_sqr > 1e-12,
+            "projection onto outcome {} of qubit {q} has zero norm",
+            u8::from(bit)
+        );
+        let scale = norm_sqr.sqrt().recip();
+        for (_, a) in &mut self.amps {
+            *a = a.scale(scale);
+        }
     }
 }
 

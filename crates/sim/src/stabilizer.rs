@@ -51,6 +51,7 @@ use rand::Rng;
 
 use crate::backend::{CliffordGate1, CliffordOp, SimBackend, SimOp};
 use crate::error::SimError;
+use crate::readout::{self, Collapse, Rule};
 use crate::state::Pauli;
 
 /// Hard cap on tableau size: `2n` rows of `2n` bits (X and Z vectors
@@ -463,11 +464,7 @@ impl StabilizerState {
     /// Panics if `q` is out of range.
     #[must_use]
     pub fn prob_one(&self, q: usize) -> f64 {
-        self.check_qubit(q);
-        match self.random_pivot(q) {
-            Some(_) => 0.5,
-            None => f64::from(u8::from(self.deterministic_outcome(q))),
-        }
+        self.rule(q).p_one()
     }
 
     /// Measure qubit `q` in the computational basis, collapsing the
@@ -479,15 +476,7 @@ impl StabilizerState {
     ///
     /// Panics if `q` is out of range.
     pub fn measure_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> u8 {
-        self.check_qubit(q);
-        match self.random_pivot(q) {
-            Some(pivot) => {
-                let outcome = rng.gen::<f64>() < 0.5;
-                self.collapse(pivot, q, outcome);
-                u8::from(outcome)
-            }
-            None => u8::from(self.deterministic_outcome(q)),
-        }
+        readout::measure(self, q, rng)
     }
 
     /// The exact joint distribution of the listed qubits, by branch
@@ -513,16 +502,14 @@ impl StabilizerState {
                     *dist.entry(packed).or_insert(0.0) += p;
                     break;
                 };
-                match state.random_pivot(q) {
-                    None => {
-                        packed |= u64::from(state.deterministic_outcome(q)) << pos;
-                    }
-                    Some(pivot) => {
+                match state.rule(q) {
+                    Rule::Fixed(bit) => packed |= u64::from(bit) << pos,
+                    Rule::Draw(_) => {
                         p *= 0.5;
                         let mut one = state.clone();
-                        one.collapse(pivot, q, true);
+                        one.project(q, true);
                         branches.push((one, pos + 1, packed | (1 << pos), p));
-                        state.collapse(pivot, q, false);
+                        state.project(q, false);
                     }
                 }
                 pos += 1;
@@ -587,8 +574,40 @@ impl SimBackend for StabilizerState {
         StabilizerState::measure_qubit(self, q, rng)
     }
 
+    fn sample_each<'r, R: Rng + ?Sized + 'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut R>,
+    ) -> Vec<u64> {
+        readout::sample_each(self, qubits, rngs)
+    }
+
     fn outcome_distribution(&self, qubits: &[usize]) -> HashMap<u64, f64> {
         StabilizerState::outcome_distribution(self, qubits)
+    }
+}
+
+impl Collapse for StabilizerState {
+    /// Random (a stabilizer anticommutes with `Z_q`): one draw against
+    /// `0.5`. Deterministic: the sign of the stabilizer product.
+    fn rule(&self, q: usize) -> Rule {
+        self.check_qubit(q);
+        match self.random_pivot(q) {
+            Some(_) => Rule::Draw(0.5),
+            None => Rule::Fixed(self.deterministic_outcome(q)),
+        }
+    }
+
+    /// A deterministic outcome leaves the tableau as it is.
+    fn project(&mut self, q: usize, bit: bool) {
+        match self.random_pivot(q) {
+            Some(pivot) => self.collapse(pivot, q, bit),
+            None => debug_assert_eq!(
+                bit,
+                self.deterministic_outcome(q),
+                "projection of qubit {q} onto its impossible outcome"
+            ),
+        }
     }
 }
 

@@ -11,8 +11,12 @@
 //! * the dense statevector under Kraus noise (amplitude damping plus
 //!   readout error), which runs shot by shot;
 //! * the dense statevector under Pauli noise (the trajectory tree);
-//! * the stabilizer tableau, ideal — a 100-qubit GHZ session;
-//! * the sparse amplitude map, ideal — `shor_style_period_program`.
+//! * the stabilizer tableau, ideal — a 100-qubit GHZ session at 1024
+//!   shots and at the paper's 16-shot ensemble size;
+//! * the sparse amplitude map, ideal — `shor_style_period_program`;
+//! * the tableau and the support map under Pauli noise (the trajectory
+//!   tree on the Sweep strategy, shot by shot on PerPrefix) — the same
+//!   two programs at 256 shots.
 //!
 //! Every session is pinned under both execution strategies and both
 //! settings of `parallel`, which must all produce the same bits.
@@ -217,6 +221,61 @@ fn sparse_ideal_period_finding_is_pinned() {
             "stat=0x4030500000000000 p=0x3fd72453b7fece46 Pass total=1024 distinct=16 mode=Some(4)",
             "stat=0x408fe0043971e651 p=0x119dd9d6a0c28c8a Pass total=1024 distinct=2 mode=Some(1)",
             "stat=0x3f50c6f8ba2f9813 p=0x3fef2edffbd58cec Pass total=1024 distinct=1 mode=Some(1)",
+        ],
+    );
+}
+
+#[test]
+fn stabilizer_pauli_tree_ghz_is_pinned() {
+    // Readout flips fail the classical probe, as the pin records.
+    let config = EnsembleConfig::default()
+        .with_backend(BackendChoice::Stabilizer)
+        .with_shots(256)
+        .with_noise(NoiseModel::depolarizing(1e-3).with_readout_flip(1e-2));
+    assert_pinned(
+        "ghz100 pauli",
+        &ghz_program(100),
+        &config,
+        &[
+            "stat=0x41075d03887efa6a p=0x0000000000000000 Fail total=256 distinct=4 mode=Some(0)",
+            "stat=0x406888ef3b1a10cd p=0x36d3559874dd9c23 Pass total=256 distinct=2 mode=Some(1)",
+            "stat=0x3ff23e9f3d21c822 p=0x3fd24720f8d44464 Pass total=256 distinct=2 mode=Some(0)",
+        ],
+    );
+}
+
+#[test]
+fn sparse_pauli_tree_period_finding_is_pinned() {
+    // Gate faults on the 28-qubit work register fail its classical
+    // postcondition, as the pin records.
+    let config = EnsembleConfig::default()
+        .with_backend(BackendChoice::Sparse)
+        .with_shots(256)
+        .with_noise(NoiseModel::depolarizing(1e-4));
+    assert_pinned(
+        "sparse34 pauli",
+        &shor_style_period_program(5, 28),
+        &config,
+        &[
+            "stat=0x3f30c6f8ba2f9813 p=0x3fef976c90cd03d8 Pass total=256 distinct=1 mode=Some(0)",
+            "stat=0x4030000000000000 p=0x3fd87388cfe2628e Pass total=256 distinct=16 mode=Some(9)",
+            "stat=0x406f7f8e1c7ac796 p=0x344e12e4ea4245f6 Pass total=256 distinct=2 mode=Some(1)",
+            "stat=0x416bb93119213781 p=0x0000000000000000 Fail total=256 distinct=41 mode=Some(1)",
+        ],
+    );
+}
+
+#[test]
+fn stabilizer_ideal_ghz_at_paper_small_is_pinned() {
+    let config = EnsembleConfig::paper_small().with_backend(BackendChoice::Stabilizer);
+    assert_pinned(
+        "ghz100 paper_small",
+        &ghz_program(100),
+        &config,
+        &[
+            "stat=0x3ef0c6f8ba2f9813 p=0x3fefe5dadfaa46b7 Pass total=16 distinct=1 mode=Some(0)",
+            "stat=0x402863967a6bb6fc p=0x3f3f69644b27c763 Pass total=16 distinct=2 mode=Some(1)",
+            "stat=0x7ff8000000000000 p=0x3ff0000000000000 Pass total=16 distinct=1 mode=Some(0)",
         ],
     );
 }
