@@ -14,8 +14,18 @@
 //! wall-clock claim is asserted, not just reported** (single-core; no
 //! parallelism is involved in either path), on medians of alternating
 //! interpreted and compiled passes ([`qdb_bench::interleaved_medians`]).
+//!
+//! The per-bit rows (`gate_kernels/{x,h,cx,toffoli}/{0,1,2,5}`) time one
+//! gate on a 20-qubit state, serially, with its lowest fixed bit (a
+//! control or the target) at 0, 1, 2 or 5: a batch of 64 copies runs as
+//! one blocked run, so a row is the kernel's cost on an L2-resident
+//! block, and a row's time divided by 64 is the cost of one op. Bits 0,
+//! 1 and 2 lie inside one 8-amplitude tile; bit 5 walks runs of 32
+//! amplitudes. Every run, smoke mode included, checks each row's gate
+//! against the interpreted path first (value-identical state,
+//! bit-identical probabilities, equal gate counts).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdb_circuit::{Circuit, GateSink, OptLevel};
 use qdb_sim::State;
 use rand::rngs::StdRng;
@@ -55,6 +65,81 @@ fn rotation_toffoli_circuit() -> Circuit {
     c
 }
 
+/// Qubits of the per-bit rows' state: 16 MiB of amplitudes, more than
+/// L2 holds, so a batch runs block by block.
+const ROW_QUBITS: usize = 20;
+
+/// Copies of the gate in one timed batch of a per-bit row.
+const ROW_BATCH: usize = 64;
+
+/// The lowest fixed bits the per-bit rows place their gates at.
+const ROW_BITS: [usize; 4] = [0, 1, 2, 5];
+
+/// The per-bit rows' gates, by name.
+const ROW_GATES: [&str; 4] = ["x", "h", "cx", "toffoli"];
+
+/// One copy of the per-bit row `gate` with its lowest fixed bit at `b`:
+/// the target of `x`, `h` and `toffoli` (whose controls sit 4 and 8
+/// above it), the control of `cx` (whose target sits 7 above it). Every
+/// qubit stays below the 14-qubit block width, so the batch is one
+/// blocked run.
+fn row_gate(c: &mut Circuit, gate: &str, b: usize) {
+    match gate {
+        "x" => c.x(b),
+        "h" => c.h(b),
+        "cx" => c.cx(b, b + 7),
+        "toffoli" => c.ccx(b + 4, b + 8, b),
+        _ => unreachable!("no per-bit row {gate}"),
+    }
+}
+
+/// The per-bit row `gate` at bit `b`, repeated `copies` times.
+fn row_circuit(gate: &str, b: usize, copies: usize) -> Circuit {
+    let mut c = Circuit::new(ROW_QUBITS);
+    for _ in 0..copies {
+        row_gate(&mut c, gate, b);
+    }
+    c
+}
+
+/// A [`ROW_QUBITS`]-qubit state with every amplitude nonzero.
+fn row_state() -> State {
+    let mut c = Circuit::new(ROW_QUBITS);
+    for q in 0..ROW_QUBITS {
+        c.h(q);
+        c.rz(q, 0.3 + q as f64);
+    }
+    let mut s = State::zero(ROW_QUBITS);
+    c.compile(OptLevel::Specialize).apply_to(&mut s);
+    s
+}
+
+/// Check one copy of a per-bit row's gate against the interpreted
+/// path on `start`: value-identical amplitudes, bit-identical
+/// probabilities and equal gate counts. Returns the compiled copy's
+/// index work.
+fn check_row(start: &State, gate: &str, b: usize) -> u64 {
+    let one = row_circuit(gate, b, 1);
+    let mut reference = start.clone();
+    one.apply_to(&mut reference);
+    let mut compiled = start.clone();
+    one.compile(OptLevel::Specialize).apply_to(&mut compiled);
+    assert_eq!(compiled, reference, "{gate} at bit {b} diverged");
+    for (p, q) in compiled
+        .probabilities()
+        .iter()
+        .zip(&reference.probabilities())
+    {
+        assert_eq!(
+            p.to_bits(),
+            q.to_bits(),
+            "{gate} at bit {b}: probability bits"
+        );
+    }
+    assert_eq!(compiled.gate_ops(), reference.gate_ops());
+    compiled.index_ops() - start.index_ops()
+}
+
 /// Applications per timed pass.
 const ITERS: usize = 4;
 
@@ -73,7 +158,13 @@ fn bench_gate_kernels(c: &mut Criterion) {
     // filter is matched against every label we would run (as the
     // harness itself would), not just the group name, so
     // `cargo bench … gate_kernels compiled` still runs.
-    let labels = ["gate_kernels/interpreted", "gate_kernels/compiled"];
+    let mut labels = vec![
+        "gate_kernels/interpreted".to_owned(),
+        "gate_kernels/compiled".to_owned(),
+    ];
+    for gate in ROW_GATES {
+        labels.extend(ROW_BITS.map(|b| format!("gate_kernels/{gate}/{b}")));
+    }
     let filter: Option<String> = std::env::args().skip(1).find(|arg| !arg.starts_with("--"));
     if let Some(f) = &filter {
         if !labels.iter().any(|label| label.contains(f.as_str())) {
@@ -165,6 +256,25 @@ fn bench_gate_kernels(c: &mut Criterion) {
             s
         });
     });
+
+    // The per-bit rows: each gate is checked against the interpreter,
+    // then a batch of its copies is timed on one serial state.
+    let mut state = row_state();
+    group.throughput(criterion::Throughput::Elements(ROW_BATCH as u64));
+    for gate in ROW_GATES {
+        for b in ROW_BITS {
+            let index_ops = check_row(&state, gate, b) * ROW_BATCH as u64;
+            let batch = row_circuit(gate, b, ROW_BATCH).compile(OptLevel::Specialize);
+            criterion::record_metric(
+                &format!("gate_kernels/{gate}/{b}"),
+                "index_ops",
+                index_ops as f64,
+            );
+            group.bench_with_input(BenchmarkId::new(gate, b), &batch, |bencher, batch| {
+                bencher.iter(|| batch.apply_to(&mut state));
+            });
+        }
+    }
     group.finish();
 }
 

@@ -445,9 +445,21 @@ impl SimBackend for State {
     }
 
     fn apply_pauli(&mut self, q: usize, p: Pauli) {
-        if p != Pauli::I {
-            self.apply_1q(q, &p.matrix());
-        }
+        // The kernel lowering picks for the Pauli's matrix: X and Y are
+        // anti-diagonal, Z is a phase-type diagonal.
+        let m = p.matrix().0;
+        let kernel = match p {
+            Pauli::I => return,
+            Pauli::X | Pauli::Y => KernelOp::AntiDiagonal {
+                a01: m[0][1],
+                a10: m[1][0],
+            },
+            Pauli::Z => KernelOp::Diagonal {
+                d0: m[0][0],
+                d1: m[1][1],
+            },
+        };
+        self.apply_sim_op(&SimOp::new(Vec::new(), q, kernel));
     }
 
     fn apply_kraus<R: Rng + ?Sized>(&mut self, q: usize, ops: &[Matrix2], rng: &mut R) -> usize {
@@ -571,12 +583,23 @@ mod tests {
 
     #[test]
     fn apply_pauli_matches_apply_1q() {
+        // On a 5-qubit state with every amplitude nonzero, at every
+        // target: the run walk (targets 3, 4) and the tile walk.
+        let mut spread = State::zero(5);
+        for q in 0..5 {
+            spread.apply_1q(q, &gates::h());
+            spread.apply_1q(q, &gates::rz(0.3 + q as f64));
+        }
         for p in [Pauli::X, Pauli::Y, Pauli::Z] {
-            let mut a = bell();
-            SimBackend::apply_pauli(&mut a, 1, p);
-            let mut b = bell();
-            b.apply_1q(1, &p.matrix());
-            assert_eq!(a, b);
+            for q in 0..5 {
+                let mut a = spread.clone();
+                SimBackend::apply_pauli(&mut a, q, p);
+                let mut b = spread.clone();
+                b.apply_1q(q, &p.matrix());
+                assert_eq!(a, b, "{p:?} on {q}");
+                assert_eq!(a.gate_ops(), b.gate_ops(), "{p:?} on {q}");
+                assert_eq!(a.index_ops(), b.index_ops(), "{p:?} on {q}");
+            }
         }
         // Identity is a no-op (and counts no gate).
         let mut a = bell();

@@ -32,15 +32,27 @@
 //! candidates. [`State::index_ops`] counts exactly this difference.
 //!
 //! Enumeration is *run-based*: every bit position below the lowest
-//! fixed (control or target) bit is free, so the touched indices come
-//! in contiguous runs of length `2^lowest`. The kernels step from run
-//! to run with the carry trick (`base = ((base | step) + 1) & !step`
+//! fixed (control, target or swap) bit is free, so the touched indices
+//! come in contiguous runs of length `2^lowest`. The kernels step from
+//! run to run with the carry trick (`base = ((base | step) + 1) & !step`
 //! where `step` pre-fills the fixed bits *and* the in-run bits with
 //! ones) and sweep each run as a pair of contiguous slices. The slice
 //! form matters: the inner loops are bounds-check-free iterator zips
 //! over disjoint subslices, which LLVM auto-vectorizes — the serial
 //! per-index carry chain they replace was latency-bound at a few
 //! cycles per amplitude pair.
+//!
+//! A kernel whose lowest fixed bit is below `TILE_BITS` (3) would walk
+//! runs of one, two or four amplitudes, and pay a carry step and two
+//! slice splits for each. It walks *tiles* instead: aligned groups of
+//! eight amplitudes (two cache lines). The fixed bits at or above the
+//! tile width pick tiles (and partner tiles) with the same carry trick
+//! over tile indices, in runs of at most `TILE_RUN` (8) tiles; the fixed
+//! bits below it become a list of 1, 2 or 4 in-tile offset pairs,
+//! computed once per call, that every picked tile (or tile pair) is
+//! swept with. A swap with one qubit on each side of the tile width
+//! pairs an offset in one tile with its partner offset in the other.
+//! States smaller than one tile keep the run walk.
 //!
 //! ## Equivalence contract
 //!
@@ -57,7 +69,9 @@
 //! equality holds and every probability is bit-identical) but a zero
 //! amplitude component may carry the opposite sign. No downstream
 //! computation — probabilities, sampling, inner products, reports — can
-//! observe the difference.
+//! observe the difference. The run walk and the tile walk apply one
+//! closure per kernel to the same pairs, so which walk a kernel takes
+//! never changes a bit.
 //!
 //! ## Blocked runs
 //!
@@ -93,7 +107,8 @@
 //! configured, work is split into contiguous chunks dispatched across
 //! workers ([`rayon::dispatch_chunks`]): a blocked run fans its blocks
 //! out with one dispatch per run, and an op outside a run partitions
-//! its *run space* with one dispatch per op. Blocks and runs are
+//! its *run space* (runs of tiles, for a tiled kernel) with one
+//! dispatch per op. Blocks and runs are
 //! disjoint and each one's work is self-contained (the same pairs, the
 //! same order, the same arithmetic as the serial loop — a chunk of runs
 //! seeks to its first run with `Subspace::base_at` and then steps with
@@ -124,6 +139,23 @@ pub const BLOCK_QUBITS: usize = 14;
 
 // Every state that chunks its kernels has at least two blocks to fan out.
 const _: () = assert!(BLOCK_QUBITS < INTRA_PAR_MIN_QUBITS);
+
+/// Width, in qubits, of the tiles a kernel walks when its lowest fixed
+/// bit lies below it (see the [module docs](self)): 8 amplitudes, two
+/// 64-byte cache lines.
+const TILE_BITS: usize = 3;
+
+/// Amplitudes per tile.
+const TILE: usize = 1 << TILE_BITS;
+
+/// Longest run of tiles the tile walk enumerates (64 amplitudes).
+/// Uncapped, a kernel whose fixed bits at or above the tile width all
+/// sit at the top of the register would be one run of tiles, which
+/// cannot be chunked, where the run walk had many runs. Capped, a state
+/// that chunks (at least [`INTRA_PAR_MIN_QUBITS`] qubits, at most four
+/// fixed bits) has at least 64 tile runs, so its kernels dispatch as
+/// many chunks as the run walk did at up to 8 workers.
+const TILE_RUN: usize = 8;
 
 /// The sparsity structure of a 2×2 unitary, used by the lowering layer
 /// in `qdb-circuit` to pick a kernel once per compiled instruction.
@@ -204,6 +236,21 @@ impl Subspace {
         }
     }
 
+    /// This enumeration in runs of at most `max` (a power of two)
+    /// elements. The carry trick then also counts through the free bits
+    /// between the shorter run and the lowest fixed bit.
+    fn capped(self, max: usize) -> Self {
+        if self.run_len <= max {
+            return self;
+        }
+        Self {
+            step: (self.step & !(self.run_len - 1)) | (max - 1),
+            runs: self.runs * (self.run_len / max),
+            run_len: max,
+            ..self
+        }
+    }
+
     #[inline]
     pub(crate) fn next(&self, base: usize) -> usize {
         ((base | self.step) + 1) & !self.step
@@ -232,23 +279,30 @@ impl Subspace {
     }
 }
 
-/// Raw pointer to the amplitude buffer, shared across chunk workers.
+/// Raw pointer to the amplitude buffer, as amplitudes or as tiles,
+/// shared across chunk workers.
 ///
 /// Sharing is sound because every fan-out is a *partition*: each worker
 /// owns a disjoint contiguous range of run (or block) indices, and
 /// every run or block is visited by exactly one worker. Blocks are
 /// aligned and disjoint. A run's slices never overlap any other run's
-/// (run bases differ in bits at or above the lowest fixed bit while
-/// each slice spans only the `run_len = 2^lowest` indices below it),
-/// and within a pair the second slice starts at least `run_len` above
-/// the first (see [`split_pair`]).
+/// (run bases differ in a bit at or above the run length, and each
+/// slice spans only the `run_len` indices below it), and within a pair
+/// the second slice starts at least `run_len` above the first (see
+/// [`split_pair`]). The tile walk applies the same argument to runs of
+/// tiles, and within a tile (or tile pair) the offset pairs it sweeps
+/// are disjoint.
 #[derive(Clone, Copy)]
-struct SharedAmps(*mut Complex);
+struct SharedAmps<T>(*mut T);
 
-unsafe impl Send for SharedAmps {}
-unsafe impl Sync for SharedAmps {}
+// SAFETY: the pointer is only dereferenced through `run`, whose callers
+// hand each run or block to exactly one worker (see above), and the
+// elements (amplitudes or tiles of them) are plain floats.
+unsafe impl<T: Send> Send for SharedAmps<T> {}
+// SAFETY: as for `Send`: shared access only ever yields disjoint runs.
+unsafe impl<T: Send> Sync for SharedAmps<T> {}
 
-impl SharedAmps {
+impl<T> SharedAmps<T> {
     /// The contiguous run `[start, start + len)` as a mutable slice.
     ///
     /// # Safety
@@ -259,7 +313,7 @@ impl SharedAmps {
     /// handed to exactly one worker.
     #[inline]
     #[allow(clippy::mut_from_ref)]
-    unsafe fn run<'a>(&self, start: usize, len: usize) -> &'a mut [Complex] {
+    unsafe fn run<'a>(&self, start: usize, len: usize) -> &'a mut [T] {
         unsafe { std::slice::from_raw_parts_mut(self.0.add(start), len) }
     }
 }
@@ -268,6 +322,8 @@ impl SharedAmps {
 /// and its partner at that index with the `flip` bits toggled —
 /// chunking the run space across rayon workers when `workers > 1`.
 /// Returns the number of parallel chunks dispatched (0 when serial).
+/// The elements are amplitudes in the run walk and tiles in the tile
+/// walk.
 ///
 /// The chunk *boundaries* are the only thing that varies with the
 /// worker count: every chunk seeks to its first run with
@@ -275,9 +331,15 @@ impl SharedAmps {
 /// serial loop uses, so each run sees the same base, the same slices,
 /// and the same per-pair arithmetic in the same in-run order — results
 /// are bit-for-bit identical across thread counts.
-fn pair_runs<F>(workers: usize, sub: &Subspace, flip: usize, amps: &mut [Complex], body: F) -> usize
+fn pair_runs<T: Send, F>(
+    workers: usize,
+    sub: &Subspace,
+    flip: usize,
+    amps: &mut [T],
+    body: F,
+) -> usize
 where
-    F: Fn(&mut [Complex], &mut [Complex]) + Sync,
+    F: Fn(&mut [T], &mut [T]) + Sync,
 {
     if workers > 1 && sub.runs > 1 {
         let shared = SharedAmps(amps.as_mut_ptr());
@@ -307,9 +369,9 @@ where
 
 /// [`pair_runs`] for kernels that touch single runs: `body` gets the
 /// run at `base | cmask`.
-fn single_runs<F>(workers: usize, sub: &Subspace, amps: &mut [Complex], body: F) -> usize
+fn single_runs<T: Send, F>(workers: usize, sub: &Subspace, amps: &mut [T], body: F) -> usize
 where
-    F: Fn(&mut [Complex]) + Sync,
+    F: Fn(&mut [T]) + Sync,
 {
     if workers > 1 && sub.runs > 1 {
         let shared = SharedAmps(amps.as_mut_ptr());
@@ -369,17 +431,11 @@ where
 /// Shortest run [`for_each_pair`] hands to its out-of-line loop.
 const OUT_OF_LINE_RUN: usize = 8;
 
-/// Exchange two runs.
-fn exchange(run0: &mut [Complex], run1: &mut [Complex]) {
-    run0.swap_with_slice(run1);
-}
-
-/// Multiply every amplitude of `run` by `d`.
-#[inline(always)]
-fn scale(run: &mut [Complex], d: Complex) {
-    for a in run {
-        *a = d * *a;
-    }
+/// Exchange two amplitudes. Swapping the parts one by one, not the
+/// whole amplitude, is the form LLVM vectorizes across a run.
+fn exchange(x: &mut Complex, y: &mut Complex) {
+    std::mem::swap(&mut x.re, &mut y.re);
+    std::mem::swap(&mut x.im, &mut y.im);
 }
 
 /// The two disjoint contiguous runs of one enumeration step: the run
@@ -390,17 +446,67 @@ fn scale(run: &mut [Complex], d: Complex) {
 /// Either way the partner starts at least the lowest fixed bit above
 /// `start0`, and `run_len` is at most that bit (every free in-run bit
 /// lies below it), so a `split_at_mut` at the partner's start yields two
-/// independently borrowable slices.
+/// independently borrowable slices. In the tile walk the same holds of
+/// tile indices and the fixed bits at or above the tile width.
 #[inline]
-fn split_pair(
-    amps: &mut [Complex],
+fn split_pair<T>(
+    amps: &mut [T],
     start0: usize,
     flip: usize,
     run_len: usize,
-) -> (&mut [Complex], &mut [Complex]) {
+) -> (&mut [T], &mut [T]) {
     let start1 = start0 ^ flip;
     let (lo, hi) = amps.split_at_mut(start1);
     (&mut lo[start0..start0 + run_len], &mut hi[..run_len])
+}
+
+/// The tile walk of a kernel (see the [module docs](self)): which tiles
+/// it touches and where in each tile.
+struct Tiles {
+    /// The touched tiles (the first tile of each pair), enumerated over
+    /// the fixed bits at or above the tile width.
+    sub: Subspace,
+    /// Each touched in-tile offset with the `set` bits set, and its
+    /// partner's offset with the `flip` bits below the tile width
+    /// toggled, in ascending order.
+    offsets: [[usize; 2]; TILE / 2],
+    /// How many of `offsets` are used: 1, 2 or 4.
+    len: usize,
+}
+
+impl Tiles {
+    /// The tile walk over `len` amplitudes of a kernel with fixed bits
+    /// `fixed` whose touched indices have the `set` bits set and whose
+    /// partners differ in the `flip` bits, or `None` when the kernel
+    /// walks runs: its lowest fixed bit is at or above the tile width,
+    /// or the state is smaller than one tile.
+    fn new(fixed: usize, set: usize, flip: usize, len: usize) -> Option<Self> {
+        let low = TILE - 1;
+        if fixed & low == 0 || len < TILE {
+            return None;
+        }
+        let mut offsets = [[0; 2]; TILE / 2];
+        let mut used = 0;
+        for free in (0..TILE).filter(|i| i & fixed == 0) {
+            let offset = free | (set & low);
+            offsets[used] = [offset, offset ^ (flip & low)];
+            used += 1;
+        }
+        let high = fixed >> TILE_BITS;
+        let count = (len >> TILE_BITS) >> high.count_ones();
+        Some(Self {
+            sub: Subspace::new(high, set >> TILE_BITS, count).capped(TILE_RUN),
+            offsets,
+            len: used,
+        })
+    }
+
+    /// The used offset pairs. Every offset is already below [`TILE`];
+    /// the `% TILE` shows the compiler so, which drops the bounds
+    /// checks from the tile loops.
+    fn offsets(&self) -> impl Iterator<Item = [usize; 2]> + '_ {
+        self.offsets[..self.len].iter().map(|o| o.map(|o| o % TILE))
+    }
 }
 
 /// What a kernel does to each amplitude pair (or amplitude) it touches.
@@ -453,60 +559,110 @@ impl Kernel {
     /// fixed bit, chunking its run space across `workers` when more
     /// than one. Returns the number of parallel chunks dispatched.
     ///
-    /// Each arm is the one copy of its kernel's arithmetic: the
-    /// whole-state kernel is the one-block case of a blocked run.
+    /// Each arm is the one copy of its kernel's arithmetic, a closure
+    /// over one amplitude pair (or amplitude) that both the run walk and
+    /// the tile walk apply: the whole-state kernel is the one-block case
+    /// of a blocked run.
     fn run(&self, amps: &mut [Complex], workers: usize) -> usize {
-        let count = amps.len() >> self.fixed.count_ones();
-        let pairs = Subspace::new(self.fixed, self.set, count);
-        let flip = self.flip;
         match self.action {
-            Action::Scale(d) => single_runs(workers, &pairs, amps, |run| scale(run, d)),
+            Action::Scale(d) => self.singles(amps, workers, self.set, |a| *a = d * *a),
             // Phase-type gates (`s`, `t`, `phase`, every `cphase` /
             // `ccphase` of the QFT ladders): the |…0⟩ branch is
             // untouched, so only the set branch is multiplied.
             Action::Diagonal(d0, d1) if d0 == Complex::ONE => {
-                let set_branch = Subspace::new(self.fixed, self.set | flip, count);
-                single_runs(workers, &set_branch, amps, |run| scale(run, d1))
+                self.singles(amps, workers, self.set | self.flip, |a| *a = d1 * *a)
             }
-            Action::Diagonal(d0, d1) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
-                for_each_pair(r0, r1, |a, b| {
-                    *a = d0 * *a;
-                    *b = d1 * *b;
-                });
+            Action::Diagonal(d0, d1) => self.pairs(amps, workers, |a, b| {
+                *a = d0 * *a;
+                *b = d1 * *b;
             }),
             // Swaps and X-type gates (`x`, CNOT, Toffoli): a pure
             // amplitude permutation, no arithmetic at all.
-            Action::Swap => pair_runs(workers, &pairs, flip, amps, exchange),
+            Action::Swap => self.pairs(amps, workers, exchange),
             Action::AntiDiagonal(a01, a10) if a01 == Complex::ONE && a10 == Complex::ONE => {
-                pair_runs(workers, &pairs, flip, amps, exchange)
+                self.pairs(amps, workers, exchange)
             }
-            Action::AntiDiagonal(a01, a10) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
-                for_each_pair(r0, r1, |x, y| {
-                    let a = *x;
-                    let b = *y;
-                    *x = a01 * b;
-                    *y = a10 * a;
-                });
+            Action::AntiDiagonal(a01, a10) => self.pairs(amps, workers, |x, y| {
+                let a = *x;
+                let b = *y;
+                *x = a01 * b;
+                *y = a10 * a;
             }),
-            Action::General(m) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
-                for_each_pair(r0, r1, |x, y| {
-                    let a = *x;
-                    let b = *y;
-                    *x = m[0][0] * a + m[0][1] * b;
-                    *y = m[1][0] * a + m[1][1] * b;
-                });
+            Action::General(m) => self.pairs(amps, workers, |x, y| {
+                let a = *x;
+                let b = *y;
+                *x = m[0][0] * a + m[0][1] * b;
+                *y = m[1][0] * a + m[1][1] * b;
             }),
-            Action::Real(m) => pair_runs(workers, &pairs, flip, amps, |r0, r1| {
-                for_each_pair(r0, r1, |x, y| {
-                    let a = *x;
-                    let b = *y;
-                    x.re = m[0][0] * a.re + m[0][1] * b.re;
-                    x.im = m[0][0] * a.im + m[0][1] * b.im;
-                    y.re = m[1][0] * a.re + m[1][1] * b.re;
-                    y.im = m[1][0] * a.im + m[1][1] * b.im;
-                });
+            Action::Real(m) => self.pairs(amps, workers, |x, y| {
+                let a = *x;
+                let b = *y;
+                x.re = m[0][0] * a.re + m[0][1] * b.re;
+                x.im = m[0][0] * a.im + m[0][1] * b.im;
+                y.re = m[1][0] * a.re + m[1][1] * b.re;
+                y.im = m[1][0] * a.im + m[1][1] * b.im;
             }),
         }
+    }
+
+    /// Apply `pair` to every touched amplitude pair: the index with the
+    /// `set` bits set and its partner with the `flip` bits toggled, by
+    /// the tile walk when [`Tiles::new`] gives one and by the run walk
+    /// otherwise.
+    fn pairs<F>(&self, amps: &mut [Complex], workers: usize, pair: F) -> usize
+    where
+        F: Fn(&mut Complex, &mut Complex) + Sync,
+    {
+        let Some(walk) = Tiles::new(self.fixed, self.set, self.flip, amps.len()) else {
+            let count = amps.len() >> self.fixed.count_ones();
+            let sub = Subspace::new(self.fixed, self.set, count);
+            return pair_runs(workers, &sub, self.flip, amps, |r0, r1| {
+                for_each_pair(r0, r1, &pair);
+            });
+        };
+        let (tiles, _) = amps.as_chunks_mut::<TILE>();
+        let far = self.flip >> TILE_BITS;
+        if far == 0 {
+            single_runs(workers, &walk.sub, tiles, |run| {
+                for tile in run {
+                    for [o0, o1] in walk.offsets() {
+                        let (mut a, mut b) = (tile[o0], tile[o1]);
+                        pair(&mut a, &mut b);
+                        (tile[o0], tile[o1]) = (a, b);
+                    }
+                }
+            })
+        } else {
+            pair_runs(workers, &walk.sub, far, tiles, |run0, run1| {
+                for (tile0, tile1) in run0.iter_mut().zip(run1) {
+                    for [o0, o1] in walk.offsets() {
+                        pair(&mut tile0[o0], &mut tile1[o1]);
+                    }
+                }
+            })
+        }
+    }
+
+    /// Apply `one` to every touched amplitude: the indices with the
+    /// `set` bits set, by the tile walk when [`Tiles::new`] gives one and
+    /// by the run walk otherwise.
+    fn singles<F>(&self, amps: &mut [Complex], workers: usize, set: usize, one: F) -> usize
+    where
+        F: Fn(&mut Complex) + Sync,
+    {
+        let Some(walk) = Tiles::new(self.fixed, set, 0, amps.len()) else {
+            let count = amps.len() >> self.fixed.count_ones();
+            let sub = Subspace::new(self.fixed, set, count);
+            return single_runs(workers, &sub, amps, |run| run.iter_mut().for_each(&one));
+        };
+        let (tiles, _) = amps.as_chunks_mut::<TILE>();
+        single_runs(workers, &walk.sub, tiles, |run| {
+            for tile in run {
+                for [offset, _] in walk.offsets() {
+                    one(&mut tile[offset]);
+                }
+            }
+        })
     }
 
     /// This block-local kernel restricted to the block of `len`
@@ -1015,6 +1171,89 @@ mod tests {
         s
     }
 
+    /// The kernel lowering picks for `g` (as `qdb-circuit` lowers it).
+    fn lowered(g: &Matrix2) -> KernelOp {
+        match classify(g) {
+            MatrixClass::Diagonal => KernelOp::Diagonal {
+                d0: g.0[0][0],
+                d1: g.0[1][1],
+            },
+            MatrixClass::AntiDiagonal => KernelOp::AntiDiagonal {
+                a01: g.0[0][1],
+                a10: g.0[1][0],
+            },
+            MatrixClass::General => KernelOp::General(*g),
+        }
+    }
+
+    /// Every set of at most two controls on `n` qubits that avoids
+    /// `taken`.
+    fn control_sets(n: usize, taken: &[usize]) -> Vec<Vec<usize>> {
+        let free: Vec<usize> = (0..n).filter(|q| !taken.contains(q)).collect();
+        let mut sets = vec![vec![]];
+        for (i, &a) in free.iter().enumerate() {
+            sets.push(vec![a]);
+            sets.extend(free[i + 1..].iter().map(|&b| vec![a, b]));
+        }
+        sets
+    }
+
+    #[test]
+    fn tile_walk_matches_the_interpreter_at_every_low_placement() {
+        // Every kernel kind: phase-type and general diagonals, `x` and
+        // `y`, complex and real 2×2s, and (below) swaps.
+        let matrices = [
+            gates::phase(0.7),
+            gates::rz(0.9),
+            gates::x(),
+            gates::y(),
+            gates::u3(0.3, 1.1, -0.4),
+            gates::ry(0.37),
+        ];
+        // 3 qubits are exactly one tile, and from 7 on the tile runs
+        // are capped; 1 and 2 qubits keep the run walk.
+        for n in [1, 2, 3, 4, 6, 7] {
+            let start = spread_state(n);
+            let mut placements = 0;
+            let mut check = |op: SimOp, reference: State| {
+                let mut fast = start.clone();
+                let kernel = fast.kernel_for(&op);
+                if kernel.fixed.trailing_zeros() as usize >= TILE_BITS {
+                    return;
+                }
+                let tiled = Tiles::new(kernel.fixed, kernel.set, kernel.flip, fast.dim());
+                assert_eq!(tiled.is_some(), n >= TILE_BITS, "{op:?} on {n} qubits");
+                fast.apply_op(&op);
+                assert_eq!(fast, reference, "{op:?} on {n} qubits");
+                for (a, b) in fast.probabilities().iter().zip(&reference.probabilities()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{op:?} on {n} qubits");
+                }
+                let pairs = 1u64 << (n - kernel.fixed.count_ones() as usize);
+                assert_eq!(fast.index_ops(), pairs, "{op:?} on {n} qubits");
+                placements += 1;
+            };
+            for target in 0..n {
+                for controls in control_sets(n, &[target]) {
+                    for g in &matrices {
+                        let mut reference = start.clone();
+                        reference.apply_controlled_1q(&controls, target, g);
+                        check(SimOp::new(controls.clone(), target, lowered(g)), reference);
+                    }
+                }
+                // Swaps in both qubit orders, including ones with a
+                // qubit on each side of the tile width.
+                for other in (0..n).filter(|&q| q != target) {
+                    for controls in control_sets(n, &[target, other]) {
+                        let mut reference = start.clone();
+                        reference.apply_controlled_swap(&controls, target, other);
+                        check(swap_op(&controls, target, other), reference);
+                    }
+                }
+            }
+            assert!(placements > 0, "{n} qubits");
+        }
+    }
+
     /// A seeded batch of `len` lowered ops on `n ≥ 4` qubits covering
     /// every kernel — phase-type and general diagonals, `x` and `y`,
     /// complex and real 2×2s, swaps — each with up to two controls
@@ -1076,6 +1315,22 @@ mod tests {
                 && op.controls().iter().any(|&c| c < mid)
                 && op.controls().iter().any(|&c| c >= mid)
         }));
+        // It also takes the tile walk in every shape: a target below
+        // the tile width, a low control with a target above it, a
+        // phase-type diagonal with a low control, and a swap with one
+        // qubit on each side of the tile width.
+        let low = |q: usize| q < TILE_BITS;
+        assert!(ops.iter().any(|op| low(op.target())));
+        assert!(ops
+            .iter()
+            .any(|op| !low(op.target()) && op.controls().iter().any(|&c| low(c))));
+        assert!(ops.iter().any(|op| {
+            matches!(op.kernel(), KernelOp::Diagonal { d0, .. } if *d0 == Complex::ONE)
+                && op.controls().iter().any(|&c| low(c))
+        }));
+        assert!(ops.iter().any(
+            |op| matches!(op.kernel(), KernelOp::Swap { other } if low(op.target()) != low(*other))
+        ));
         let mut reference = spread_state(n);
         for op in &ops {
             reference.apply_op(op);
