@@ -23,6 +23,8 @@
 //! * [`scopes`] — ProjectQ-style `Control` and compute/uncompute
 //!   combinators (Table 4's higher-level language features).
 //! * [`qasm`] — OpenQASM 2.0 emission and parsing.
+//! * [`plan_cache`] — a shared cache of compiled plans, on the
+//!   [`lru`] map the session server's verdict cache also uses.
 //!
 //! # Example
 //!
@@ -46,6 +48,7 @@
 pub mod circuit;
 pub mod compile;
 pub mod instruction;
+pub mod lru;
 pub mod plan_cache;
 pub mod program;
 pub mod qasm;
@@ -60,6 +63,7 @@ pub use circuit::{Circuit, GateSink};
 pub use compile::{CompiledCircuit, FaultEvent, OptLevel};
 pub use error::CircuitError;
 pub use instruction::{GateKind, Instruction};
+pub use lru::Lru;
 pub use plan_cache::PlanCache;
 pub use program::{Breakpoint, BreakpointKind, Program};
 pub use qasm::{from_qasm, to_qasm, ParsedQasm};

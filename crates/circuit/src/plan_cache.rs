@@ -5,35 +5,20 @@
 //! plans safely shareable across sessions, threads, and repeated
 //! submissions of the same program — the common case for a long-lived
 //! debugging service. [`PlanCache`] memoizes them under the program's
-//! content fingerprint with least-recently-used eviction and hit/miss
-//! counters, so a
-//! warm resubmission skips compilation entirely and the saving is
-//! *observable* (the counters are how tests and benches assert it).
+//! content fingerprint in an [`Lru`] (least-recently-used eviction and
+//! hit/miss counters), so a warm resubmission skips compilation
+//! entirely and the saving is *observable* (the counters are how tests
+//! and benches assert it).
 //!
 //! The cache never changes results: a cached plan is the same value a
 //! fresh [`CompiledCircuit::compile`] call would produce, so every
 //! bit-stability guarantee of the engines is preserved verbatim.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::compile::{CompiledCircuit, OptLevel};
+use crate::lru::Lru;
 use crate::program::Program;
-
-/// One cache slot, stamped with its last-touch tick for LRU eviction.
-#[derive(Debug)]
-struct Slot {
-    plan: Arc<CompiledCircuit>,
-    touched: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shelf {
-    /// Slots keyed by [`Program::fingerprint`].
-    slots: HashMap<u64, Slot>,
-    tick: u64,
-}
 
 /// A bounded, thread-safe memo of compiled plans (see the module docs).
 ///
@@ -41,10 +26,8 @@ struct Shelf {
 /// should hit the same cache. All methods take `&self`.
 #[derive(Debug)]
 pub struct PlanCache {
-    shelf: Mutex<Shelf>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Plans keyed by [`Program::fingerprint`].
+    plans: Lru<u64, Arc<CompiledCircuit>>,
 }
 
 impl PlanCache {
@@ -54,10 +37,7 @@ impl PlanCache {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         Self {
-            shelf: Mutex::new(Shelf::default()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            plans: Lru::new(capacity),
         }
     }
 
@@ -66,71 +46,40 @@ impl PlanCache {
     #[must_use]
     pub fn plan_for_program(&self, program: &Program) -> Arc<CompiledCircuit> {
         let key = program.fingerprint();
-        {
-            let mut shelf = self.shelf.lock().unwrap_or_else(|e| e.into_inner());
-            shelf.tick += 1;
-            let tick = shelf.tick;
-            if let Some(slot) = shelf.slots.get_mut(&key) {
-                slot.touched = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&slot.plan);
-            }
+        if let Some(plan) = self.plans.get(&key) {
+            return plan;
         }
         // Compile outside the lock: lowering can be milliseconds of
         // work and must not serialize unrelated sessions. Two racing
         // misses both compile; the values are identical, so last-write
         // wins is harmless (one redundant compile, never a wrong plan).
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let plan = Arc::new(program.compile(OptLevel::Specialize));
-        let mut shelf = self.shelf.lock().unwrap_or_else(|e| e.into_inner());
-        shelf.tick += 1;
-        let tick = shelf.tick;
-        if shelf.slots.len() >= self.capacity && !shelf.slots.contains_key(&key) {
-            if let Some(&evict) = shelf
-                .slots
-                .iter()
-                .min_by_key(|(_, slot)| slot.touched)
-                .map(|(key, _)| key)
-            {
-                shelf.slots.remove(&evict);
-            }
-        }
-        shelf.slots.insert(
-            key,
-            Slot {
-                plan: Arc::clone(&plan),
-                touched: tick,
-            },
-        );
+        self.plans.insert(key, Arc::clone(&plan));
         plan
     }
 
     /// Lookups served from the cache so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.plans.hits()
     }
 
     /// Lookups that had to compile.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.plans.misses()
     }
 
     /// Plans currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shelf
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .slots
-            .len()
+        self.plans.len()
     }
 
     /// `true` when no plan is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 }
 

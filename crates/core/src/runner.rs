@@ -32,14 +32,18 @@
 //! arm — the trajectory tree on the sweep's frontier walk, for ideal
 //! and Pauli-noisy sessions alike (an ideal session is the tree with
 //! no fault patterns) — and one per-prefix arm, plus one report
-//! builder. The dense statevector differs from the other backends only
-//! in how it draws ensembles (see `EnsembleHook`).
+//! builder. Every draw goes through the backend's one sampling
+//! primitive, [`SimBackend::sample_each`] (a dense ideal draw through
+//! the scan behind it, [`State::sample_uniforms`]); the dense
+//! statevector differs from the other backends only in which qubits it
+//! reads out and how its ideal draw seeds its RNG (see `EnsembleHook`).
 //!
 //! All hot loops are embarrassingly parallel; rayon drives exactly
 //! one of them at a time (never nested). Noiseless per-prefix sessions
 //! check breakpoints concurrently, like the paper's per-assertion QX
-//! cluster jobs; sweep sessions fan out the shots of the stabilizer
-//! and sparse draws (the dense draw is one serial CDF pass); per-shot
+//! cluster jobs; ideal draws are serial on every backend (one scan of
+//! the amplitudes for the dense statevector, one prepared readout for
+//! the tableau and the support map); per-shot
 //! noisy sessions parallelize the dominant per-shot trajectory loop,
 //! and trajectory-tree sessions the per-fork suffix replays. Every
 //! ensemble is a pure function of the seed and the breakpoint (and,
@@ -50,14 +54,14 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use qdb_circuit::{
     Breakpoint, BreakpointKind, CompiledCircuit, GateSink, OptLevel, PlanCache, Program,
 };
 use qdb_sim::measure::extract_bits;
-use qdb_sim::{NoiseModel, Sampler, SimBackend, SparseState, StabilizerState, State};
+use qdb_sim::{NoiseModel, SimBackend, SparseState, StabilizerState, State};
 
 use crate::checker::{
     breakpoint_qubits, check_packed, exact_verdict_on, register_mask, IndependenceMethod,
@@ -1046,13 +1050,7 @@ impl EnsembleRunner {
                     .map_err(governor::trip_error)?;
                 let qubits = B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
                 let outcomes = match &self.config.noise {
-                    None => ideal.draw_ideal(
-                        &self.config,
-                        index,
-                        &qubits,
-                        governor,
-                        &mut Sampler::default(),
-                    )?,
+                    None => ideal.draw_ideal(&self.config, index, &qubits, governor)?,
                     Some(noise) => fan_out_shots(parallel_shots, self.config.shots, |shot| {
                         governor.contain(|| {
                             if let Some(cause) = governor.injected_fork_fault() {
@@ -1171,12 +1169,10 @@ enum ResolvedBackend {
 
 /// How a backend draws its ensembles — the one place the session
 /// engine treats backends differently. The stabilizer and sparse
-/// backends take the defaults, which serve every shot of a breakpoint
-/// or tree group from one prepared readout
-/// ([`SimBackend::sample_each`]); the dense impl keeps the sampling
-/// convention every pre-backend seed in this repository was chosen
-/// against, and serves many shots from one state through a prepared
-/// CDF.
+/// backends take the defaults; the dense impl keeps the two conventions
+/// every pre-backend seed in this repository was chosen against: shots
+/// read out the full register, and an ideal breakpoint draws all its
+/// shots from one stream.
 pub(crate) trait EnsembleHook: SimBackend {
     /// The qubits each shot of a breakpoint's ensemble reads out,
     /// packed LSB-first, given the session width and the qubits the
@@ -1188,34 +1184,17 @@ pub(crate) trait EnsembleHook: SimBackend {
         asserted.to_vec()
     }
 
-    /// Draw one packed outcome of `qubits` from `self` per RNG of
-    /// `rngs`, in order, bit-identical to [`SimBackend::sample_once`]
-    /// with each RNG in turn and leaving each RNG where that call
-    /// would. Default: [`SimBackend::sample_each`]. `scratch` is a
-    /// buffer the caller keeps across calls.
-    fn serve<'r>(
-        &self,
-        qubits: &[usize],
-        rngs: impl Iterator<Item = &'r mut StdRng>,
-        scratch: &mut Sampler,
-    ) -> Vec<u64> {
-        let _ = scratch;
-        self.sample_each(qubits, rngs)
-    }
-
     /// Draw breakpoint `index`'s ideal ensemble of packed outcomes of
     /// `qubits` from `self`. Default: shot `s` owns the RNG stream
-    /// `shot_seed(seed, index, s)`, and the shots are
-    /// [`serve`](EnsembleHook::serve)d in order, polling the governor
-    /// before each. `sampler` is a scratch buffer the caller keeps
-    /// across breakpoints.
+    /// `shot_seed(seed, index, s)`, and the shots are drawn in order
+    /// through [`SimBackend::sample_each`], polling the governor before
+    /// each.
     fn draw_ideal(
         &self,
         config: &EnsembleConfig,
         index: usize,
         qubits: &[usize],
         governor: &Governor,
-        sampler: &mut Sampler,
     ) -> Result<Vec<u64>, CoreError> {
         let mut rngs: Vec<StdRng> = (0..config.shots)
             .map(|shot| StdRng::seed_from_u64(shot_seed(config.seed, index as u64, shot as u64)))
@@ -1229,7 +1208,7 @@ pub(crate) trait EnsembleHook: SimBackend {
             }
         });
         let outcomes = governor
-            .contain(|| self.serve(qubits, polled, sampler))
+            .contain(|| self.sample_each(qubits, polled))
             .map_err(governor::trip_error)?;
         trip.map_or(Ok(outcomes), |cause| Err(governor::trip_error(cause)))
     }
@@ -1246,42 +1225,22 @@ impl EnsembleHook for State {
         (0..num_qubits.max(1)).collect()
     }
 
-    /// Two or more shots rebuild `scratch` as the state's full-register
-    /// CDF and draw each by binary search; a single shot scans the
-    /// amplitudes once instead.
-    fn serve<'r>(
-        &self,
-        qubits: &[usize],
-        rngs: impl Iterator<Item = &'r mut StdRng>,
-        scratch: &mut Sampler,
-    ) -> Vec<u64> {
-        let rngs: Vec<&mut StdRng> = rngs.collect();
-        if rngs.len() < 2 {
-            return self.sample_each(qubits, rngs);
-        }
-        scratch.rebuild(self);
-        rngs.into_iter()
-            .map(|rng| extract_bits(scratch.sample(rng), qubits))
-            .collect()
-    }
-
-    /// One `StdRng` seeded `seed + index` per breakpoint, inverted
-    /// serially through the state's CDF over the full register (the
-    /// caller's `sampler` is rebuilt, so one `2ⁿ` buffer serves a whole
-    /// sweep). The governor is polled once, against the sampled state,
-    /// before the draw.
+    /// One `StdRng` seeded `seed + index` per breakpoint draws the
+    /// `shots` uniforms in sequence, and one scan of the amplitudes maps
+    /// them to full-register outcomes ([`State::sample_uniforms`]). The
+    /// governor is polled once, against the sampled state, before the
+    /// draw.
     fn draw_ideal(
         &self,
         config: &EnsembleConfig,
         index: usize,
         _qubits: &[usize],
         governor: &Governor,
-        sampler: &mut Sampler,
     ) -> Result<Vec<u64>, CoreError> {
         governor.poll(self).map_err(governor::trip_error)?;
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
-        sampler.rebuild(self);
-        Ok(sampler.sample_many(&mut rng, config.shots))
+        let uniforms: Vec<f64> = (0..config.shots).map(|_| rng.gen()).collect();
+        Ok(self.sample_uniforms(&uniforms))
     }
 }
 

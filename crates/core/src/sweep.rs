@@ -36,10 +36,12 @@
 //!   pure function of the seed, the breakpoint and the ideal state), so
 //!   the outcomes, histograms, p-values, and verdicts are identical.
 //!
-//! Each ideal draw is serial: the dense statevector inverts its CDF
-//! with one stream, and the stabilizer and sparse backends serve every
-//! shot (each with its own RNG stream) from one prepared readout
-//! ([`SimBackend::sample_each`]). With [`EnsembleConfig::parallel`] on,
+//! Each ideal draw is serial and goes through the backend's one
+//! sampling primitive ([`SimBackend::sample_each`]): the dense
+//! statevector maps one stream's uniforms to outcomes in one scan of
+//! its amplitudes, and the stabilizer and sparse backends serve every
+//! shot (each with its own RNG stream) from one prepared readout. With
+//! [`EnsembleConfig::parallel`] on,
 //! the sweep parallelizes its intra-state kernels, bit-neutrally: at ≥
 //! [`INTRA_PAR_MIN_QUBITS`](qdb_sim::kernels::INTRA_PAR_MIN_QUBITS)
 //! qubits the frontier chunks each gate's amplitude runs across

@@ -25,10 +25,11 @@
 //!    sweep's one governed walk ([`crate::sweep`]), which pauses the
 //!    frontier at each fork position and each breakpoint. Each distinct
 //!    faulty trajectory forks from the frontier at its first fault site
-//!    via a reusable buffer pool ([`StatePool`] — no per-shot, and in
-//!    steady state no per-fork, allocation) and replays only its faulty
-//!    suffix ([`CompiledCircuit::apply_range`], fault-free stretches as
-//!    whole op batches).
+//!    into a recycled state (a released fork's buffer, overwritten with
+//!    [`SimBackend::copy_from`] — no per-shot, and in steady state no
+//!    per-fork, allocation) and replays only its faulty suffix
+//!    ([`CompiledCircuit::apply_range`], fault-free stretches as whole
+//!    op batches).
 //!
 //! The fault-free group needs no fork at all: when the frontier reaches
 //! a breakpoint, it *is* that group's final state — and simultaneously
@@ -68,22 +69,24 @@
 //!
 //! [`NoisySessionStats`] reports the frontier's single-pass cost, each
 //! breakpoint's unique-trajectory census and replayed suffix ops, and
-//! the pool's allocation count, so benchmarks can *assert* that gate
-//! work scales with unique trajectories rather than shots.
+//! how many fork states the session allocated, so benchmarks can
+//! *assert* that gate work scales with unique trajectories rather than
+//! shots.
 //!
 //! [`ExecutionStrategy::Sweep`]: crate::runner::ExecutionStrategy::Sweep
 //! [`CompiledCircuit::presample_faults`]: qdb_circuit::CompiledCircuit::presample_faults
 //! [`CompiledCircuit::apply_range`]: qdb_circuit::CompiledCircuit::apply_range
+//! [`SimBackend::copy_from`]: qdb_sim::SimBackend::copy_from
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
 use qdb_circuit::{Breakpoint, CompiledCircuit, FaultEvent, Program};
-use qdb_sim::{NoiseModel, Sampler, StatePool};
+use qdb_sim::NoiseModel;
 
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause};
@@ -118,11 +121,11 @@ pub struct NoisySessionStats {
     /// Ideal ops applied by the shared frontier walk: the last
     /// breakpoint's position, once per session regardless of shots.
     pub frontier_ops: u64,
-    /// Fresh state allocations the fork pool performed (its peak
-    /// simultaneous checkout count): 1 in serial mode, at most one
-    /// replay wave in parallel mode — never `O(shots)`.
+    /// Fork states the session allocated (its peak number of live
+    /// forks; released forks are recycled): 1 in serial mode, at most
+    /// one replay wave in parallel mode — never `O(shots)`.
     pub states_allocated: usize,
-    /// Pool buffers still checked out when the session returned. This
+    /// Fork states not yet released when the session returned. This
     /// is 0 on **every** exit path — completed, interrupted, and
     /// fault-injected alike (the reclamation invariant
     /// `governor_equivalence.rs` asserts).
@@ -226,7 +229,7 @@ pub(crate) struct TreeSession<'a> {
 /// runs panic-contained. On a trip the function returns the
 /// breakpoints visited **before** the trip (a strict prefix of the
 /// uninterrupted run's results, bit for bit) plus the cause — with
-/// every pool buffer reclaimed first, whatever the exit path.
+/// every fork state reclaimed first, whatever the exit path.
 pub(crate) fn run_tree<B: EnsembleHook, T>(
     session: &TreeSession<'_>,
     governor: &Governor,
@@ -320,8 +323,11 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
     // serving re-reads it per group, which can happen once per unique
     // trajectory. Only presampled breakpoints get an outcome buffer.
     let qubits_for: Vec<Vec<usize>> = breakpoints.iter().map(measure_qubits).collect();
-    let pool: StatePool<B> = StatePool::new();
-    let mut scratch = Sampler::default();
+    // Fork states: a fork overwrites a released state when one is free
+    // and clones the frontier otherwise, so `allocated` is the peak
+    // number of live forks; `outstanding` counts forks not yet released.
+    let mut free: Vec<B> = Vec::new();
+    let (mut allocated, mut outstanding) = (0usize, 0usize);
     let mut outcomes: Vec<Vec<u64>> = rngs.iter().map(|r| vec![0; r.len()]).collect();
     let mut replayed: Vec<u64> = vec![0; breakpoints.len()];
     let mut wave: Vec<WaveSlot<B>> = Vec::new();
@@ -356,7 +362,17 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
         |stop, frontier: &B| {
             let index = match stop {
                 Stop::Fork(k) => {
-                    let mut state = pool.acquire_copy(frontier);
+                    let mut state = match free.pop() {
+                        Some(mut state) => {
+                            state.copy_from(frontier);
+                            state
+                        }
+                        None => {
+                            allocated += 1;
+                            frontier.clone()
+                        }
+                    };
+                    outstanding += 1;
                     // The copy inherits the frontier's chunking flag.
                     state.set_intra_parallel(false);
                     wave.push(WaveSlot {
@@ -375,8 +391,8 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
             // serial session, and whatever is left at a breakpoint,
             // whose report needs every group served: replay every slot
             // (the tree's fork-level fan-out), then serve its shots
-            // serially and recycle buffers. On a trip (any slot) every
-            // buffer still goes back to the pool and no shots are served.
+            // serially and release the states. On a trip (any slot)
+            // every state is still released and no shots are served.
             if !wave.is_empty() {
                 let noise = noise.expect("only a noisy session forks");
                 let run_slot = |slot: &WaveSlot<B>| -> Option<InterruptCause> {
@@ -411,12 +427,12 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                             noise,
                             &mut rngs[slot.bp],
                             &mut outcomes[slot.bp],
-                            &mut scratch,
                         );
                         replayed[slot.bp] +=
                             (breakpoints[slot.bp].position - group.pattern[0].op - 1) as u64;
                     }
-                    pool.release(state);
+                    free.push(state);
+                    outstanding -= 1;
                 }
                 if let Some(cause) = wave_trip {
                     return Err(governor::trip_error(cause));
@@ -428,13 +444,7 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                 return Ok(None);
             };
             let ensemble = match noise {
-                None => frontier.draw_ideal(
-                    config,
-                    index,
-                    &qubits_for[index],
-                    governor,
-                    &mut scratch,
-                )?,
+                None => frontier.draw_ideal(config, index, &qubits_for[index], governor)?,
                 Some(noise) => {
                     // The frontier *is* the fault-free trajectory's final
                     // state — and the ideal state for the exact cross-check.
@@ -446,7 +456,6 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                             noise,
                             &mut rngs[index],
                             &mut outcomes[index],
-                            &mut scratch,
                         );
                     }
                     std::mem::take(&mut outcomes[index])
@@ -455,21 +464,20 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
             visit(index, &breakpoints[index], ensemble, frontier).map(Some)
         },
     );
-    // Reclaim any wave buffers stranded by an early exit; completed
-    // runs flushed everything already, so this loop is then empty.
-    for slot in wave.drain(..) {
-        if let Some(state) = slot
-            .state
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-        {
-            pool.release(state);
-        }
-    }
+    // Reclaim any wave states stranded by an early exit; completed
+    // runs flushed everything already, so the wave is then empty.
+    outstanding -= wave
+        .drain(..)
+        .filter_map(|slot| {
+            slot.state
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+        })
+        .count();
     // A hard assert (not debug_assert): this is once per session, and
     // the release-mode fault-injection CI run relies on a leak here
     // panicking into the containment boundary.
-    assert_eq!(pool.outstanding(), 0, "every pooled buffer reclaimed");
+    assert_eq!(outstanding, 0, "every fork state reclaimed");
 
     if let Some(stats) = stats_out {
         stats.per_breakpoint = groups
@@ -489,8 +497,8 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
         // The frontier ends at the last breakpoint, every fork lying
         // at or before its own breakpoint.
         stats.frontier_ops = breakpoints.last().map_or(0, |bp| bp.position as u64);
-        stats.states_allocated = pool.states_allocated();
-        stats.states_outstanding = pool.outstanding();
+        stats.states_allocated = allocated;
+        stats.states_outstanding = outstanding;
     }
     walked
 }
@@ -501,12 +509,13 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
 /// would have from its freshly replayed trajectory.
 ///
 /// The group's measurements are drawn together through the backend's
-/// prepared readout ([`EnsembleHook::serve`]: the dense CDF, or the
-/// tableau's and support map's outcome trie), bit-identical to per-shot
-/// [`SimBackend::sample_once`](qdb_sim::SimBackend::sample_once); each
-/// stream then draws its readout corruption. The caller owns `scratch`,
-/// so one buffer serves a whole session rather than one allocation per
-/// group.
+/// one sampling primitive ([`SimBackend::sample_each`]: one scan of the
+/// amplitudes on the dense statevector, one outcome trie on the tableau
+/// and the support map), which gives each shot the outcome that
+/// drawing it alone gives and leaves its stream where that draw leaves
+/// it; each stream then draws its readout corruption.
+///
+/// [`SimBackend::sample_each`]: qdb_sim::SimBackend::sample_each
 fn serve_group<B: EnsembleHook>(
     state: &B,
     group: &Group,
@@ -514,7 +523,6 @@ fn serve_group<B: EnsembleHook>(
     noise: &NoiseModel,
     rngs: &mut [StdRng],
     outcomes: &mut [u64],
-    scratch: &mut Sampler,
 ) {
     // A group's shots ascend, so each one's stream lies further along
     // `rngs` than the last.
@@ -525,7 +533,7 @@ fn serve_group<B: EnsembleHook>(
         passed = shot + 1;
         rng
     });
-    let raw = state.serve(qubits, group_rngs, scratch);
+    let raw = state.sample_each(qubits, group_rngs);
     for (&shot, raw) in group.shots.iter().zip(raw) {
         outcomes[shot] = noise.corrupt_readout(raw, qubits.len(), &mut rngs[shot]);
     }

@@ -10,9 +10,9 @@
 //! * **Resumability** — re-running the same configuration with a fresh
 //!   unlimited budget reproduces the uninterrupted report exactly.
 //! * **Pool hygiene on faulted exits** — an injected fault that aborts
-//!   the noisy trajectory tree mid-wave must still return every
-//!   `StatePool` buffer: the engine census-asserts
-//!   `pool.outstanding() == 0` on every exit path (a leak panics the
+//!   the noisy trajectory tree mid-wave must still release every
+//!   fork state: the engine census-asserts no fork state
+//!   outstanding on every exit path (a leak panics the
 //!   debug build, which the containment layer would surface as
 //!   `WorkerPanic` instead of the injected cause — so asserting the
 //!   *injected* cause below doubles as the census check).

@@ -35,10 +35,11 @@
 //!   and outcome).
 //! * **Caching** — compiled plans are shared through the
 //!   [`PlanCache`](qdb_circuit::PlanCache) and exact-oracle verdicts
-//!   through the [`OracleCache`], both LRU with hit/miss counters
-//!   surfaced in [`ServerMetrics`]; a warm resubmission skips both
-//!   compilation and the exact cross-check without changing a single
-//!   statistical bit.
+//!   through a verdict cache keyed by program fingerprint and
+//!   tolerance, both on one [`Lru`](qdb_circuit::Lru) with hit/miss
+//!   counters surfaced in [`ServerMetrics`]; a warm resubmission skips
+//!   both compilation and the exact cross-check without changing a
+//!   single statistical bit.
 //!
 //! Every lifecycle transition of every session lands in its
 //! append-only [`SessionEvent`] log, so "what happened to s17?" is
@@ -48,12 +49,10 @@
 
 mod config;
 mod error;
-mod oracle;
 mod server;
 mod session;
 
 pub use config::{RetryPolicy, ServerConfig};
 pub use error::ServerError;
-pub use oracle::OracleCache;
 pub use server::{Server, ServerMetrics};
 pub use session::{DegradeAction, SessionEvent, SessionId, SessionOutcome, SessionState};

@@ -20,15 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 
-use qdb_circuit::{PlanCache, Program};
+use qdb_circuit::{Lru, PlanCache, Program};
 use qdb_core::{
     AssertionReport, BackendChoice, CancelToken, CoreError, EnsembleConfig, EnsembleRunner,
-    InterruptCause, NoisySessionStats, PartialReport,
+    InterruptCause, NoisySessionStats, PartialReport, Verdict,
 };
 
 use crate::config::ServerConfig;
 use crate::error::ServerError;
-use crate::oracle::OracleCache;
 use crate::session::{DegradeAction, SessionEvent, SessionId, SessionOutcome, SessionState};
 
 #[cfg(feature = "faultinject")]
@@ -147,7 +146,12 @@ struct Shared {
     /// Wakes [`Server::wait`] callers when any session settles.
     settled: Condvar,
     plan_cache: Arc<PlanCache>,
-    oracle: OracleCache,
+    /// Exact-oracle verdicts keyed by `(program fingerprint, tolerance
+    /// bits)`. The cross-check is an RNG-free function of the program
+    /// and the tolerance, so a warm resubmission runs with it off and
+    /// splices the cached verdicts in, leaving every statistical bit
+    /// unchanged. Noisy sessions bypass the cache.
+    oracle: Lru<(u64, u64), Vec<Option<Verdict>>>,
     counters: Counters,
     next_id: AtomicU64,
 }
@@ -165,7 +169,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> Self {
         let shared = Arc::new(Shared {
             plan_cache: Arc::new(PlanCache::new(config.plan_cache_capacity)),
-            oracle: OracleCache::new(config.oracle_cache_capacity),
+            oracle: Lru::new(config.oracle_cache_capacity),
             queue: Mutex::new(Queue {
                 deque: VecDeque::new(),
                 shutdown: false,
@@ -630,7 +634,7 @@ fn snapshot_attempt(shared: &Arc<Shared>, record: &mut Record) -> Attempt {
     let oracle = if config.noise.is_none() && config.exact_cross_check {
         match shared
             .oracle
-            .get(record.program.fingerprint(), config.exact_tol)
+            .get(&(record.program.fingerprint(), config.exact_tol.to_bits()))
         {
             Some(verdicts) => {
                 config.exact_cross_check = false;
@@ -678,8 +682,10 @@ fn classify(
                 }
                 OracleMode::Store => {
                     shared.oracle.insert(
-                        record.program.fingerprint(),
-                        record.config.exact_tol,
+                        (
+                            record.program.fingerprint(),
+                            record.config.exact_tol.to_bits(),
+                        ),
                         reports.iter().map(|r| r.exact).collect(),
                     );
                 }

@@ -4,7 +4,7 @@
 //! evictions, must all terminate in typed settled states with:
 //!
 //! * the process never aborting (every panic contained);
-//! * zero leaked `StatePool` states on every trajectory-tree session
+//! * zero leaked fork states on every trajectory-tree session
 //!   (`states_outstanding == 0`);
 //! * reports bit-identical to a fault-free run of the same submission
 //!   for every completed session whose degradations (if any) were all

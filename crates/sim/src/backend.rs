@@ -39,7 +39,7 @@ use crate::complex::Complex;
 use crate::error::SimError;
 use crate::gates::Matrix2;
 use crate::kernels::BLOCK_QUBITS;
-use crate::measure::{extract_bits, Sampler};
+use crate::measure::extract_bits;
 use crate::state::{Pauli, State};
 
 /// A single-qubit Clifford gate the stabilizer backend understands.
@@ -208,7 +208,7 @@ impl SimOp {
 
 /// The contract every simulation engine offers the ensemble machinery:
 /// construction from `|0…0⟩`, application of lowered ops, marginal
-/// measurement probabilities, seeded collapse, one-shot sampling, and
+/// measurement probabilities, seeded collapse, ensemble sampling, and
 /// exact outcome distributions over qubit subsets.
 ///
 /// Implementations: [`State`] (dense statevector, exact and universal,
@@ -254,10 +254,10 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     /// Semantically identical to `*self = source.clone()` (and that is
     /// the default implementation) — bit-for-bit, including any
     /// instrumentation counters — but backends override it to recycle
-    /// their buffers: forking a trajectory from a checkpoint through a
-    /// [`StatePool`](crate::pool::StatePool) then costs one `memcpy`,
-    /// not an allocation. `self` need not match `source`'s qubit count;
-    /// after the call it is a copy of `source` regardless.
+    /// their buffers: forking a trajectory from a checkpoint into a
+    /// recycled state then costs one `memcpy`, not an allocation. `self`
+    /// need not match `source`'s qubit count; after the call it is a
+    /// copy of `source` regardless.
     fn copy_from(&mut self, source: &Self) {
         *self = source.clone();
     }
@@ -347,48 +347,42 @@ pub trait SimBackend: Sized + Clone + Send + Sync {
     /// Panics if `q` is out of range.
     fn measure_qubit<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) -> u8;
 
-    /// Draw one joint measurement outcome of the listed qubits without
-    /// disturbing `self`, packing the observed bit of `qubits[i]` into
-    /// bit `i` of the result.
-    ///
-    /// The default implementation measures the qubits in order on a
-    /// working copy; the joint distribution is the Born rule marginal
-    /// on `qubits` (commuting Z measurements, so the order does not
-    /// affect the distribution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a qubit is out of range or `qubits.len() > 64`.
-    fn sample_once<R: Rng + ?Sized>(&self, qubits: &[usize], rng: &mut R) -> u64 {
-        assert!(qubits.len() <= 64, "cannot pack more than 64 qubits");
-        let mut copy = self.clone();
-        let mut out = 0u64;
-        for (pos, &q) in qubits.iter().enumerate() {
-            out |= u64::from(copy.measure_qubit(q, rng)) << pos;
-        }
-        out
-    }
-
     /// Draw one joint outcome of the listed qubits per RNG of `rngs`, in
-    /// order: the outcomes, and the RNG positions afterwards, of calling
-    /// [`sample_once`](SimBackend::sample_once) with each RNG in turn.
+    /// order, without disturbing `self`, packing the observed bit of
+    /// `qubits[i]` into bit `i` of each outcome. The joint distribution
+    /// is the Born rule marginal on `qubits`.
     ///
-    /// That loop is the default. The tableau and the support map
-    /// override it to prepare the readout once for all the shots: a
-    /// shot makes the same draws, but copies the state only when its
-    /// outcomes leave the prefixes earlier shots reached.
+    /// This is the one sampling method a backend implements; each
+    /// documents how a shot draws from its RNG, and a shot's outcome and
+    /// its RNG's position afterwards depend only on `self`, `qubits` and
+    /// that RNG. The dense statevector draws one uniform per RNG and maps
+    /// them all in one scan of its amplitudes
+    /// ([`State::sample_uniforms`]). The tableau and the support map
+    /// measure the qubits in list order on a working copy, and prepare
+    /// that readout once for all the shots: a shot makes the same draws,
+    /// but copies the state only when its outcomes leave the prefixes
+    /// earlier shots reached.
     ///
     /// # Panics
     ///
-    /// As [`sample_once`](SimBackend::sample_once), once there is an RNG.
+    /// Panics if a qubit is out of range or `qubits.len() > 64`: the
+    /// dense statevector whatever the RNGs, the other backends once
+    /// there is an RNG.
     fn sample_each<'r, R: Rng + ?Sized + 'r>(
         &self,
         qubits: &[usize],
         rngs: impl IntoIterator<Item = &'r mut R>,
-    ) -> Vec<u64> {
-        rngs.into_iter()
-            .map(|rng| self.sample_once(qubits, rng))
-            .collect()
+    ) -> Vec<u64>;
+
+    /// Draw one joint outcome of the listed qubits: the one-shot case of
+    /// [`sample_each`](SimBackend::sample_each),
+    /// `self.sample_each(qubits, [rng])[0]`.
+    ///
+    /// # Panics
+    ///
+    /// As [`sample_each`](SimBackend::sample_each).
+    fn sample_once<R: Rng + ?Sized>(&self, qubits: &[usize], rng: &mut R) -> u64 {
+        self.sample_each(qubits, [rng])[0]
     }
 
     /// The exact joint Born distribution of the listed qubits, keyed by
@@ -474,11 +468,23 @@ impl SimBackend for State {
         State::measure_qubit(self, q, rng)
     }
 
-    fn sample_once<R: Rng + ?Sized>(&self, qubits: &[usize], rng: &mut R) -> u64 {
-        // One CDF inversion instead of sequential per-qubit collapse:
-        // same distribution, and it reuses the battle-tested sampler.
+    /// One uniform per RNG, all mapped to full-register outcomes by one
+    /// ascending scan ([`State::sample_uniforms`]), then packed over
+    /// `qubits`.
+    fn sample_each<'r, R: Rng + ?Sized + 'r>(
+        &self,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut R>,
+    ) -> Vec<u64> {
         assert!(qubits.len() <= 64, "cannot pack more than 64 qubits");
-        extract_bits(Sampler::sample_once(self, rng), qubits)
+        for &q in qubits {
+            self.check_qubit(q);
+        }
+        let uniforms: Vec<f64> = rngs.into_iter().map(|rng| rng.gen()).collect();
+        self.sample_uniforms(&uniforms)
+            .into_iter()
+            .map(|outcome| extract_bits(outcome, qubits))
+            .collect()
     }
 
     fn outcome_distribution(&self, qubits: &[usize]) -> HashMap<u64, f64> {

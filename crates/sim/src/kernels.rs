@@ -40,7 +40,9 @@
 //! form matters: the inner loops are bounds-check-free iterator zips
 //! over disjoint subslices, which LLVM auto-vectorizes — the serial
 //! per-index carry chain they replace was latency-bound at a few
-//! cycles per amplitude pair.
+//! cycles per amplitude pair. Runs longer than `RUN_CAP` (2¹²)
+//! amplitudes are walked as several runs of that length, in the same
+//! order.
 //!
 //! A kernel whose lowest fixed bit is below `TILE_BITS` (3) would walk
 //! runs of one, two or four amplitudes, and pay a carry step and two
@@ -156,6 +158,15 @@ const TILE: usize = 1 << TILE_BITS;
 /// fixed bits) has at least 64 tile runs, so its kernels dispatch as
 /// many chunks as the run walk did at up to 8 workers.
 const TILE_RUN: usize = 8;
+
+/// Longest run the run walk enumerates (2¹² amplitudes, 64 KiB).
+/// Uncapped, a kernel whose fixed bits all sit at the top of the
+/// register is one run (an `h` on the top qubit: half the state), which
+/// cannot be chunked. Capped, a kernel with `f` fixed bits on a state
+/// of `n` qubits has at least `2^(n − f − 12)` runs: 8 for a top-qubit
+/// `h` at 16 qubits, 128 at 20. A capped run is still long enough for
+/// the out-of-line pair loop to amortize its carry step.
+const RUN_CAP: usize = 1 << 12;
 
 /// The sparsity structure of a 2×2 unitary, used by the lowering layer
 /// in `qdb-circuit` to pick a kernel once per compiled instruction.
@@ -615,7 +626,7 @@ impl Kernel {
     {
         let Some(walk) = Tiles::new(self.fixed, self.set, self.flip, amps.len()) else {
             let count = amps.len() >> self.fixed.count_ones();
-            let sub = Subspace::new(self.fixed, self.set, count);
+            let sub = Subspace::new(self.fixed, self.set, count).capped(RUN_CAP);
             return pair_runs(workers, &sub, self.flip, amps, |r0, r1| {
                 for_each_pair(r0, r1, &pair);
             });
@@ -652,7 +663,7 @@ impl Kernel {
     {
         let Some(walk) = Tiles::new(self.fixed, set, 0, amps.len()) else {
             let count = amps.len() >> self.fixed.count_ones();
-            let sub = Subspace::new(self.fixed, set, count);
+            let sub = Subspace::new(self.fixed, set, count).capped(RUN_CAP);
             return single_runs(workers, &sub, amps, |run| run.iter_mut().for_each(&one));
         };
         let (tiles, _) = amps.as_chunks_mut::<TILE>();
@@ -1150,12 +1161,41 @@ mod tests {
         let mut chunked = State::zero(16);
         chunked.set_intra_parallel(true);
         drive(&mut chunked);
+        // A lone `h` on the top qubit is one uncapped run; capped, it
+        // chunks even at two workers.
+        std::env::set_var("RAYON_NUM_THREADS", "2");
+        let mut top = spread_state(16);
+        top.set_intra_parallel(true);
+        top.apply_op(&general_op(&[], 15, &gates::h()));
         std::env::remove_var("RAYON_NUM_THREADS");
         assert_bits_identical(&serial, &chunked);
         assert_eq!(serial.par_chunks(), 0);
         assert!(chunked.par_chunks() > 0, "chunking never engaged");
         assert_eq!(serial.index_ops(), chunked.index_ops());
         assert_eq!(serial.gate_ops(), chunked.gate_ops());
+        assert!(top.par_chunks() >= 2, "{} chunks", top.par_chunks());
+        let mut top_serial = spread_state(16);
+        top_serial.apply_op(&general_op(&[], 15, &gates::h()));
+        assert_bits_identical(&top_serial, &top);
+
+        // The serial drive is the interpreter's state.
+        let mut interpreted = State::zero(16);
+        for q in 0..16 {
+            interpreted.apply_controlled_1q(&[], q, &gates::h());
+        }
+        let rz = gates::rz(0.9);
+        interpreted.apply_controlled_1q(&[], 3, &gates::t());
+        interpreted.apply_controlled_1q(&[5], 9, &rz);
+        interpreted.apply_controlled_1q(&[2], 15, &rz);
+        interpreted.apply_controlled_1q(&[1], 14, &gates::x());
+        interpreted.apply_controlled_1q(&[], 7, &gates::y());
+        interpreted.apply_controlled_1q(&[0, 8], 12, &gates::u3(0.3, 1.1, -0.4));
+        interpreted.apply_controlled_swap(&[4], 6, 13);
+        interpreted.apply_controlled_swap(&[], 0, 15);
+        assert_eq!(serial, interpreted);
+        let mut top_interpreted = spread_state(16);
+        top_interpreted.apply_controlled_1q(&[], 15, &gates::h());
+        assert_eq!(top_serial, top_interpreted);
     }
 
     /// A state on `n` qubits with every amplitude nonzero and distinct

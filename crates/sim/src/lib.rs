@@ -28,7 +28,8 @@
 //! * [`sparse`] — a sorted amplitude-support-map backend for structured
 //!   *non-Clifford* programs past the dense ceiling (30–60 qubits):
 //!   cost scales with the live support size, not `2ⁿ`.
-//! * [`measure`] — ensemble sampling (via a cumulative-distribution
+//! * [`measure`] — ensemble sampling (one ascending scan of the
+//!   amplitudes per ensemble, checked against a cumulative-distribution
 //!   sampler) and collapsing mid-circuit measurement, as needed for
 //!   iterative phase estimation.
 //! * [`density`] — reduced density matrices by partial trace, purity, and
@@ -69,7 +70,6 @@ pub mod kernels;
 pub mod linalg;
 pub mod measure;
 pub mod noise;
-pub mod pool;
 pub mod sparse;
 pub mod stabilizer;
 pub mod state;
@@ -83,7 +83,6 @@ pub use error::SimError;
 pub use gates::Matrix2;
 pub use measure::Sampler;
 pub use noise::{KrausSet, NoiseChannel, NoiseModel, ReadoutError, CPTP_TOL, MAX_KRAUS_OPS};
-pub use pool::StatePool;
 pub use sparse::SparseState;
 pub use stabilizer::StabilizerState;
 pub use state::{Pauli, State};

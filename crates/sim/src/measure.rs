@@ -3,8 +3,10 @@
 //! The paper's assertion checks run an *ensemble* of complete program
 //! executions, measuring everything at a breakpoint. For that use case the
 //! state is computed once and sampled many times without collapse
-//! ([`Sampler`]). Iterative phase estimation (the chemistry benchmark)
-//! additionally needs true mid-circuit collapse
+//! ([`State::sample_uniforms`], one ascending scan for a whole ensemble,
+//! behind the dense [`SimBackend::sample_each`](crate::SimBackend::sample_each)).
+//! Iterative phase estimation (the chemistry benchmark) additionally
+//! needs true mid-circuit collapse
 //! ([`measure_qubit`](crate::State::measure_qubit)) with classical
 //! feed-forward.
 
@@ -38,11 +40,14 @@ pub fn extract_bits(outcome: u64, qubits: &[usize]) -> u64 {
     value
 }
 
-/// A reusable sampler over the Born-rule distribution of a [`State`].
+/// A reusable sampler over the Born-rule distribution of a [`State`]:
+/// the inverse-CDF reference that [`State::sample_uniforms`] is checked
+/// against.
 ///
-/// Builds the cumulative distribution once (`O(2ⁿ)`) and then draws each
-/// shot in `O(n)` by binary search — the ensemble-of-16…4096 sampling
-/// pattern of the paper costs almost nothing beyond the state preparation.
+/// Builds the cumulative distribution once (`O(2ⁿ)`, a `2ⁿ`-entry
+/// buffer) and then draws each shot in `O(n)` by binary search. The
+/// engine draws through [`State::sample_uniforms`] instead, which maps
+/// the same uniforms to the same outcomes with no buffer.
 ///
 /// ```
 /// use qdb_sim::{gates, Sampler, State};
@@ -75,14 +80,13 @@ impl Sampler {
     /// Rebuild this sampler over a (new) state, reusing the CDF
     /// allocation.
     ///
-    /// A loop that samples many states of the same size — the
-    /// per-breakpoint ensemble loop of the sweep engine — allocates one
+    /// A loop that samples many states of the same size allocates one
     /// buffer up front (`Sampler::default()`) and rebuilds it at each
-    /// stop, instead of paying a fresh `2ⁿ` allocation per breakpoint
-    /// via [`Sampler::new`]. The CDF is computed by the same
-    /// accumulation in the same order, so the two construction routes
-    /// sample identically, bit for bit. A default-constructed sampler
-    /// must be rebuilt before use (it has no outcomes).
+    /// state, instead of paying a fresh `2ⁿ` allocation per state via
+    /// [`Sampler::new`]. The CDF is computed by the same accumulation in
+    /// the same order, so the two construction routes sample
+    /// identically, bit for bit. A default-constructed sampler must be
+    /// rebuilt before use (it has no outcomes).
     pub fn rebuild(&mut self, state: &State) {
         state.probabilities_into(&mut self.cdf);
         let mut acc = 0.0;
@@ -99,31 +103,6 @@ impl Sampler {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         self.sample_at(u)
-    }
-
-    /// Draw a single outcome directly from `state`, bit-identical to
-    /// `Sampler::new(state).sample(rng)` but without materializing the
-    /// CDF.
-    ///
-    /// A caller that needs exactly one shot per state — the noisy
-    /// trajectory engine measures each freshly-simulated trajectory
-    /// once — pays one accumulating scan (with early exit) instead of a
-    /// `2ⁿ` allocation plus a binary search. The running sum performs
-    /// the same additions in the same order as the CDF construction,
-    /// and the selection rule ("first index whose CDF value strictly
-    /// exceeds `u`, last bin forced to cover 1.0") is the same, so the
-    /// outcome matches the sampler's bit for bit.
-    pub fn sample_once<R: Rng + ?Sized>(state: &State, rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        for i in 0..state.dim() - 1 {
-            acc += state.probability(i);
-            if acc > u {
-                return i as u64;
-            }
-        }
-        // The sampler forces the last CDF entry to 1.0 > u.
-        (state.dim() - 1) as u64
     }
 
     /// The outcome the inverse-CDF transform assigns to the uniform
@@ -153,6 +132,54 @@ impl Sampler {
 }
 
 impl State {
+    /// The basis index the inverse-CDF transform assigns to each uniform
+    /// variate of `uniforms` (each in `[0, 1)`), in input order: the
+    /// outcomes [`Sampler::sample`] draws when its RNG yields those
+    /// uniforms, bit for bit, without the `2ⁿ`-entry CDF.
+    ///
+    /// The uniforms are visited in ascending order during one scan of
+    /// the amplitudes. The scan keeps the running sum `acc += |aᵢ|²`,
+    /// the sampler's CDF additions in its order, and gives each uniform
+    /// `u` the first index whose `acc` exceeds `u`, the sampler's
+    /// selection rule. Uniforms that no index below the last one takes
+    /// get the last index, as the sampler's CDF ends at exactly 1.0. The
+    /// scan stops once the largest uniform is placed.
+    ///
+    /// ```
+    /// use qdb_sim::{gates, Sampler, State};
+    /// use rand::{rngs::StdRng, Rng, SeedableRng};
+    ///
+    /// let mut s = State::zero(2);
+    /// s.apply_1q(0, &gates::h());
+    /// let mut rng = StdRng::seed_from_u64(5);
+    /// let uniforms: Vec<f64> = (0..64).map(|_| rng.gen()).collect();
+    /// let cdf_draws = Sampler::new(&s).sample_many(&mut StdRng::seed_from_u64(5), 64);
+    /// assert_eq!(s.sample_uniforms(&uniforms), cdf_draws);
+    /// ```
+    #[must_use]
+    pub fn sample_uniforms(&self, uniforms: &[f64]) -> Vec<u64> {
+        let last = self.dim() - 1;
+        let mut out = vec![last as u64; uniforms.len()];
+        let mut order: Vec<usize> = (0..uniforms.len()).collect();
+        order.sort_unstable_by(|&a, &b| uniforms[a].total_cmp(&uniforms[b]));
+        let mut pending = order.into_iter();
+        let Some(mut next) = pending.next() else {
+            return out;
+        };
+        let mut acc = 0.0;
+        for (i, a) in self.amplitudes()[..last].iter().enumerate() {
+            acc += a.norm_sqr();
+            while acc > uniforms[next] {
+                out[next] = i as u64;
+                match pending.next() {
+                    Some(k) => next = k,
+                    None => return out,
+                }
+            }
+        }
+        out
+    }
+
     /// Measure qubit `q` in the computational basis, collapsing the state.
     ///
     /// Returns the observed bit. The state is renormalized onto the
@@ -219,6 +246,7 @@ impl State {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::SimBackend;
     use crate::gates;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -357,7 +385,8 @@ mod tests {
     #[test]
     fn sample_once_matches_sampler_bit_for_bit() {
         // States covering zero-probability bins, basis states, and
-        // dense superpositions.
+        // dense superpositions: the one-uniform scan of the dense
+        // `sample_once`, and the whole-ensemble scan, against the CDF.
         let mut dense = State::zero(4);
         for q in 0..4 {
             dense.apply_1q(q, &gates::h());
@@ -372,16 +401,61 @@ mod tests {
             ("basis", &State::basis(3, 5).unwrap()),
         ] {
             let sampler = Sampler::new(state);
+            let all: Vec<usize> = (0..state.num_qubits()).collect();
             let mut a = rng(99);
             let mut b = rng(99);
             for shot in 0..512 {
                 assert_eq!(
-                    Sampler::sample_once(state, &mut a),
+                    SimBackend::sample_once(state, &all, &mut a),
                     sampler.sample(&mut b),
                     "{name} diverged at shot {shot}"
                 );
             }
+            assert_eq!(a, b, "{name}: the streams end apart");
+            let mut r = rng(7);
+            let uniforms: Vec<f64> = (0..512).map(|_| r.gen()).collect();
+            assert_eq!(
+                state.sample_uniforms(&uniforms),
+                sampler.sample_many(&mut rng(7), 512),
+                "{name}: the ensemble scan diverged"
+            );
         }
+    }
+
+    #[test]
+    fn sample_uniforms_matches_sample_at_on_cdf_edges() {
+        // Uniforms on every CDF value and its two neighbours, of |+⟩^⊗3
+        // as the Hadamards leave it (values k/8 up to rounding), and of
+        // an exactly dyadic state with zero bins at both ends and in the
+        // middle: probability 1/4 on indices 1, 3, 4 and 6 only.
+        let mut plus = State::zero(3);
+        for q in 0..3 {
+            plus.apply_1q(q, &gates::h());
+        }
+        let half = Complex::new(0.5, 0.0);
+        let gappy = State::from_amplitudes(
+            [0, 1, 0, 1, 1, 0, 1, 0]
+                .map(|nonzero| if nonzero == 1 { half } else { Complex::ZERO })
+                .to_vec(),
+        )
+        .unwrap();
+        for (name, state) in [("plus", &plus), ("gappy", &gappy)] {
+            let sampler = Sampler::new(state);
+            let mut uniforms = vec![0.0];
+            for &c in &sampler.cdf {
+                uniforms.extend([c.next_down(), c, c.next_up()]);
+            }
+            uniforms.retain(|u| (0.0..1.0).contains(u));
+            // Shuffled order and repeats: outcomes follow each uniform.
+            uniforms.extend(uniforms.clone().into_iter().rev());
+            let expected: Vec<u64> = uniforms.iter().map(|&u| sampler.sample_at(u)).collect();
+            assert_eq!(state.sample_uniforms(&uniforms), expected, "{name}");
+            for (&u, &x) in uniforms.iter().zip(&expected) {
+                assert_eq!(state.sample_uniforms(&[u]), [x], "{name} at {u:e}");
+                assert!(state.probability(x as usize) > 0.0, "{name} at {u:e}");
+            }
+        }
+        assert!(plus.sample_uniforms(&[]).is_empty());
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //! bit and no draw, or one uniform `u` with outcome `u < P(1)`) and a
 //! *projection* of the state onto that outcome ([`Collapse`]). The
 //! tableau and the support map measure only through this split: in
-//! [`SimBackend::measure_qubit`] (and so in the default
-//! [`SimBackend::sample_once`]) and in [`Readout`], so the three cannot
-//! drift apart.
+//! [`SimBackend::measure_qubit`] and in [`Readout`], which serves their
+//! [`SimBackend::sample_each`] (and so their one-shot
+//! [`SimBackend::sample_once`]), so the two cannot drift apart.
 //!
-//! `sample_once` measures its qubits in list order, so the rule at each
-//! position depends only on the outcomes drawn before it. [`Readout`]
-//! keeps those rules in a prefix trie. A shot walks the trie making
-//! exactly the draws `sample_once` makes. Only a shot whose outcomes
-//! leave the prefixes earlier shots reached copies the state, once,
-//! replays the projections of its known prefix and measures on, adding
-//! its path to the trie. An ensemble then costs one state copy per
-//! distinct outcome rather than one per shot: two for the end qubits of
-//! a GHZ state, however many shots are drawn.
+//! A shot measures its qubits in list order, as `measure_qubit` on a
+//! copy of the state would, so the rule at each position depends only
+//! on the outcomes drawn before it. [`Readout`] keeps those rules in a
+//! prefix trie. A shot walks the trie making exactly the draws that
+//! measuring on a copy makes. Only a shot whose outcomes leave the
+//! prefixes earlier shots reached copies the state, once, replays the
+//! projections of its known prefix and measures on, adding its path to
+//! the trie. An ensemble then costs one state copy per distinct outcome
+//! rather than one per shot: two for the end qubits of a GHZ state,
+//! however many shots are drawn.
 
 use rand::Rng;
 
@@ -128,12 +129,12 @@ impl<'a, B: Collapse> Readout<'a, B> {
         }
     }
 
-    /// Draw one shot: the outcome `state.sample_once(qubits, rng)` gives,
-    /// leaving `rng` where that call leaves it.
+    /// Draw one shot: the outcome measuring `qubits` in list order on a
+    /// copy of the state gives, leaving `rng` where that leaves it.
     ///
     /// # Panics
     ///
-    /// As [`SimBackend::sample_once`].
+    /// As [`SimBackend::sample_each`].
     pub(crate) fn draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
         assert!(self.qubits.len() <= 64, "cannot pack more than 64 qubits");
         let Some(&first) = self.qubits.first() else {
@@ -160,8 +161,8 @@ impl<'a, B: Collapse> Readout<'a, B> {
 
     /// The shot drew `out`'s bits `..=pos`, the last from `node`, and
     /// left the trie there: copy the state, replay the projections of
-    /// those bits, and measure the remaining qubits as `sample_once`
-    /// does, adding each new prefix to the trie.
+    /// those bits, and measure the remaining qubits in list order,
+    /// adding each new prefix to the trie.
     fn measure_on<R: Rng + ?Sized>(
         &mut self,
         mut node: usize,
@@ -218,17 +219,20 @@ mod tests {
     fn ghz_end_pair_replays_once_per_outcome() {
         // The per-breakpoint claim: 1,024 shots of the end qubits of a
         // 100-qubit GHZ state copy the tableau at most twice, once per
-        // outcome, where per-shot sampling copies it 1,024 times.
+        // outcome, where measuring each shot on a copy copies it 1,024
+        // times.
         let s = ghz(100);
         let qubits = [0, 99];
         let mut readout = Readout::new(&s, &qubits);
         let mut rng = StdRng::seed_from_u64(3);
         let mut reference = rng.clone();
         for _ in 0..1024 {
-            assert_eq!(
-                readout.draw(&mut rng),
-                s.sample_once(&qubits, &mut reference)
+            let mut copy = s.clone();
+            let (a, b) = (
+                copy.measure_qubit(0, &mut reference),
+                copy.measure_qubit(99, &mut reference),
             );
+            assert_eq!(readout.draw(&mut rng), u64::from(a | b << 1));
         }
         assert_eq!(rng, reference);
         assert!(readout.replays <= 2, "{} replays", readout.replays);

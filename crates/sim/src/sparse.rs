@@ -11,7 +11,7 @@
 //! basis states than `2ⁿ`. [`SparseState`] stores exactly that support
 //! as a sorted `(basis index, amplitude)` vector and implements the full
 //! [`SimBackend`] contract, so every engine above it (sweep, trajectory
-//! tree, pooled checkpoints, exact verdicts) works unchanged at 30–60
+//! tree and its forks, exact verdicts) works unchanged at 30–60
 //! qubits.
 //!
 //! ## Cost model

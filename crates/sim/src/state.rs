@@ -216,13 +216,11 @@ impl State {
     /// allocation.
     ///
     /// This is the allocation-free sibling of
-    /// [`probabilities`](State::probabilities) for hot loops that query
-    /// the distribution repeatedly (the per-breakpoint sampling loop
-    /// rebuilds a `2ⁿ` CDF at every assertion; with this entry point —
-    /// via [`Sampler::rebuild`](crate::Sampler::rebuild) — the buffer
-    /// is allocated once per sweep instead of once per breakpoint).
-    /// `out` is cleared first; values and order match
-    /// [`probabilities`](State::probabilities) exactly.
+    /// [`probabilities`](State::probabilities) for loops that query
+    /// many distributions of one size:
+    /// [`Sampler::rebuild`](crate::Sampler::rebuild) builds its CDF
+    /// through it, reusing one buffer. `out` is cleared first; values
+    /// and order match [`probabilities`](State::probabilities) exactly.
     pub fn probabilities_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.amps.iter().map(|a| a.norm_sqr()));
@@ -292,8 +290,8 @@ impl State {
     /// Bit-for-bit equivalent to `*self = source.clone()` — amplitudes
     /// and both instrumentation counters are copied — but a buffer of
     /// matching capacity is recycled instead of reallocated, which is
-    /// what makes a pooled trajectory fork
-    /// ([`StatePool`](crate::pool::StatePool)) a plain `memcpy`.
+    /// what makes a trajectory fork into a recycled state a plain
+    /// `memcpy`.
     pub fn copy_from(&mut self, source: &State) {
         self.num_qubits = source.num_qubits;
         self.amps.clone_from(&source.amps);
