@@ -56,6 +56,34 @@
 //! could silently misroute a nearly-Clifford rotation, and the paper's
 //! Clifford workloads all use the named gates.
 //!
+//! ## Active qubits
+//!
+//! Compiling also records the plan's *active qubits*
+//! ([`CompiledCircuit::active_qubits`]): every qubit some op names, in
+//! ascending order. A qubit no op names is *idle*: it stays `|0⟩`, so of
+//! a dense state's `2ⁿ` amplitudes at most `2ᵏ` are ever non-zero, `k`
+//! the number of active qubits. When some qubit is idle, the plan keeps
+//! beside it one copy relabeled onto `0..k` in that order
+//! ([`CompiledCircuit::relabeled`]), lowered from the same instructions
+//! at the same positions, so breakpoint and fault positions index it
+//! unchanged. On a `k`-qubit state it computes the same non-zero
+//! amplitudes, bit for bit:
+//!
+//! * no op pairs an amplitude whose idle bits are set with one whose
+//!   idle bits are clear, so the former stay exactly zero and every
+//!   other pair sees the same operands and the same arithmetic;
+//! * the relabeling keeps index order, so a sum over the amplitudes in
+//!   index order adds the same non-zero terms in the same order, and
+//!   only `+0.0` besides;
+//! * it keeps each op's qubit order (controls, target, swap partner),
+//!   so [`CompiledCircuit::presample_faults`] and
+//!   [`CompiledCircuit::apply_range_noisy`] draw the same decisions in
+//!   the same order.
+//!
+//! Mapping outcomes and asserted registers back onto the full register
+//! is the caller's part (`qdb-core`'s session engine does it for its
+//! dense report sessions).
+//!
 //! [`State::gate_ops`]: qdb_sim::State::gate_ops
 
 use std::ops::Range;
@@ -113,33 +141,47 @@ pub struct CompiledCircuit {
     /// One lowered op per source instruction, at the instruction's
     /// position.
     ops: Vec<SimOp>,
+    /// Every qubit some op names, ascending.
+    active: Vec<usize>,
+    /// The plan relabeled onto its active qubits, when some qubit is
+    /// idle and some active.
+    relabeled: Option<Box<CompiledCircuit>>,
 }
 
 impl CompiledCircuit {
-    /// Lower `circuit`, one op per instruction.
+    /// Lower `circuit`, one op per instruction, and record its active
+    /// qubits (plus the relabeled copy when some qubit is idle).
     #[must_use]
     pub fn compile(circuit: &Circuit, opt: OptLevel) -> Self {
         let OptLevel::Specialize = opt;
-        let ops = circuit
-            .instructions()
-            .iter()
-            .map(|inst| {
-                let op = match inst {
-                    Instruction::Gate {
-                        controls,
-                        target,
-                        kind,
-                    } => SimOp::new(controls.clone(), *target, lower_matrix(&kind.matrix())),
-                    Instruction::Swap { controls, a, b } => {
-                        SimOp::new(controls.clone(), *a, KernelOp::Swap { other: *b })
-                    }
-                };
-                op.with_clifford(classify_clifford(inst))
+        let n = circuit.num_qubits();
+        let ops: Vec<SimOp> = circuit.instructions().iter().map(lower).collect();
+        let mut touched = vec![false; n];
+        for op in &ops {
+            op.for_each_qubit(|q| touched[q] = true);
+        }
+        let active: Vec<usize> = (0..n).filter(|&q| touched[q]).collect();
+        let relabeled = (!active.is_empty() && active.len() < n).then(|| {
+            let mut label = vec![0; n];
+            for (to, &from) in active.iter().enumerate() {
+                label[from] = to;
+            }
+            Box::new(Self {
+                num_qubits: active.len(),
+                ops: circuit
+                    .instructions()
+                    .iter()
+                    .map(|inst| lower(&relabel(inst, &label)))
+                    .collect(),
+                active: (0..active.len()).collect(),
+                relabeled: None,
             })
-            .collect();
+        });
         Self {
-            num_qubits: circuit.num_qubits(),
+            num_qubits: n,
             ops,
+            active,
+            relabeled,
         }
     }
 
@@ -147,6 +189,23 @@ impl CompiledCircuit {
     #[must_use]
     pub fn num_qubits(&self) -> usize {
         self.num_qubits
+    }
+
+    /// Every qubit some op names, in ascending order (see the
+    /// [module docs](self)); the other qubits stay `|0⟩` throughout.
+    #[must_use]
+    pub fn active_qubits(&self) -> &[usize] {
+        &self.active
+    }
+
+    /// This plan relabeled onto `0..k`, its
+    /// [active qubits](Self::active_qubits) in ascending order: op `i`
+    /// lowers instruction `i` with qubit `active_qubits()[t]` renamed
+    /// `t`, on a `k`-qubit register. Built once, at compile time. When
+    /// no qubit is idle (or none is active) it is the plan itself.
+    #[must_use]
+    pub fn relabeled(&self) -> &CompiledCircuit {
+        self.relabeled.as_deref().unwrap_or(self)
     }
 
     /// Number of source instructions this plan was compiled from.
@@ -427,6 +486,42 @@ impl CompiledCircuit {
                 }
             });
         }
+    }
+}
+
+/// Lower one source instruction into its op.
+fn lower(inst: &Instruction) -> SimOp {
+    let op = match inst {
+        Instruction::Gate {
+            controls,
+            target,
+            kind,
+        } => SimOp::new(controls.clone(), *target, lower_matrix(&kind.matrix())),
+        Instruction::Swap { controls, a, b } => {
+            SimOp::new(controls.clone(), *a, KernelOp::Swap { other: *b })
+        }
+    };
+    op.with_clifford(classify_clifford(inst))
+}
+
+/// `inst` with every qubit `q` renamed `label[q]`, in the same order.
+fn relabel(inst: &Instruction, label: &[usize]) -> Instruction {
+    let rename = |qubits: &[usize]| qubits.iter().map(|&q| label[q]).collect();
+    match inst {
+        Instruction::Gate {
+            controls,
+            target,
+            kind,
+        } => Instruction::Gate {
+            controls: rename(controls),
+            target: label[*target],
+            kind: *kind,
+        },
+        Instruction::Swap { controls, a, b } => Instruction::Swap {
+            controls: rename(controls),
+            a: label[*a],
+            b: label[*b],
+        },
     }
 }
 
@@ -951,6 +1046,89 @@ mod tests {
         let plan = mixed_circuit().compile(OptLevel::Specialize);
         let mut s = State::zero(4);
         replay(&plan, &mut s, 0..99, &[]);
+    }
+
+    /// Qubits 1, 3 and 4 of six carry every kernel class, controls and
+    /// a controlled swap; qubits 0, 2 and 5 are idle.
+    fn idle_circuit() -> Circuit {
+        let mut c = Circuit::new(6);
+        c.h(4);
+        c.ry(1, 0.3);
+        c.cx(4, 3);
+        c.t(1);
+        c.ccx(4, 1, 3);
+        c.cswap(3, 4, 1);
+        c.crz(1, 4, -0.8);
+        c.swap(1, 3);
+        c
+    }
+
+    #[test]
+    fn relabeled_copy_computes_the_same_nonzero_amplitudes() {
+        let c = idle_circuit();
+        let plan = c.compile(OptLevel::Specialize);
+        assert_eq!(plan.active_qubits(), [1, 3, 4]);
+        let copy = plan.relabeled();
+        assert_eq!((copy.num_qubits(), copy.source_len()), (3, c.len()));
+        assert_eq!(copy.active_qubits(), [0, 1, 2]);
+        assert!(std::ptr::eq(copy.relabeled(), copy));
+        for (op, relabeled) in plan.ops().iter().zip(copy.ops()) {
+            let (mut from, mut to) = (Vec::new(), Vec::new());
+            op.for_each_qubit(|q| from.push(plan.active_qubits().binary_search(&q).unwrap()));
+            relabeled.for_each_qubit(|q| to.push(q));
+            assert_eq!(from, to, "qubit order");
+        }
+        let mut full = State::zero(6);
+        plan.apply_to(&mut full);
+        let mut compact = State::zero(3);
+        copy.apply_to(&mut compact);
+        let deposit = |j: usize| (j & 1) << 1 | (j & 2) << 2 | (j & 4) << 2;
+        for (j, a) in compact.amplitudes().iter().enumerate() {
+            let b = full.amplitude(deposit(j));
+            assert_eq!(
+                (a.re.to_bits(), a.im.to_bits()),
+                (b.re.to_bits(), b.im.to_bits())
+            );
+        }
+        let idle_mass: f64 = (0..64)
+            .filter(|i| i & 0b10_0101 != 0)
+            .map(|i| full.probability(i))
+            .sum();
+        assert_eq!(idle_mass, 0.0);
+    }
+
+    #[test]
+    fn relabeled_copy_presamples_the_same_faults() {
+        use rand::SeedableRng;
+        let plan = idle_circuit().compile(OptLevel::Specialize);
+        let copy = plan.relabeled();
+        let noise = NoiseModel::depolarizing(0.2);
+        let (mut full, mut compact) = (Vec::new(), Vec::new());
+        for seed in 0..16 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            plan.presample_faults(0..plan.source_len(), &noise, &mut rng, &mut full);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            copy.presample_faults(0..copy.source_len(), &noise, &mut rng, &mut compact);
+            let relabeled: Vec<FaultEvent> = full
+                .iter()
+                .map(|f| FaultEvent {
+                    qubit: plan.active_qubits().binary_search(&f.qubit).unwrap(),
+                    ..*f
+                })
+                .collect();
+            assert_eq!(compact, relabeled, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn a_plan_without_idle_qubits_is_its_own_relabeled_copy() {
+        let plan = mixed_circuit().compile(OptLevel::Specialize);
+        assert_eq!(plan.active_qubits(), [0, 1, 2, 3]);
+        assert!(std::ptr::eq(plan.relabeled(), &plan));
+        // A plan with no op keeps its width too.
+        let empty = Circuit::new(3).compile(OptLevel::Specialize);
+        assert!(empty.active_qubits().is_empty());
+        assert!(std::ptr::eq(empty.relabeled(), &empty));
     }
 
     #[test]

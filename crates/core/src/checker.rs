@@ -8,6 +8,8 @@
 //! the dense statevector (a `2ⁿ` amplitude scan) and on the stabilizer
 //! tableau (polynomial branch enumeration at 100+ qubits).
 
+use std::collections::HashMap;
+
 use qdb_circuit::BreakpointKind;
 use qdb_sim::measure::extract_bits;
 use qdb_sim::SimBackend;
@@ -381,9 +383,20 @@ fn split_pairs(outcomes: &[u64], a_width: usize) -> Vec<(u64, u64)> {
 /// [`SimBackend::outcome_distribution`]).
 #[must_use]
 pub fn exact_verdict_on<B: SimBackend>(kind: &BreakpointKind, backend: &B, tol: f64) -> Verdict {
+    exact_verdict_of(kind, tol, |qubits| backend.outcome_distribution(qubits))
+}
+
+/// [`exact_verdict_on`] over any source of exact distributions:
+/// `distribution(qubits)` is the joint Born distribution of `qubits`,
+/// keyed as [`SimBackend::outcome_distribution`] keys it.
+pub(crate) fn exact_verdict_of(
+    kind: &BreakpointKind,
+    tol: f64,
+    distribution: impl Fn(&[usize]) -> HashMap<u64, f64>,
+) -> Verdict {
     match kind {
         BreakpointKind::Classical { register, expected } => {
-            let dist = backend.outcome_distribution(register.qubits());
+            let dist = distribution(register.qubits());
             let p = dist.get(expected).copied().unwrap_or(0.0);
             if (p - 1.0).abs() <= tol {
                 Verdict::Pass
@@ -392,7 +405,7 @@ pub fn exact_verdict_on<B: SimBackend>(kind: &BreakpointKind, backend: &B, tol: 
             }
         }
         BreakpointKind::Superposition { register } => {
-            let dist = backend.outcome_distribution(register.qubits());
+            let dist = distribution(register.qubits());
             let want = 1.0 / register.domain_size() as f64;
             let flat = dist.len() as u64 == register.domain_size()
                 && dist.values().all(|&p| (p - want).abs() <= tol);
@@ -403,10 +416,10 @@ pub fn exact_verdict_on<B: SimBackend>(kind: &BreakpointKind, backend: &B, tol: 
             }
         }
         BreakpointKind::Entangled { a, b } | BreakpointKind::Product { a, b } => {
-            let pa = backend.outcome_distribution(a.qubits());
-            let pb = backend.outcome_distribution(b.qubits());
+            let pa = distribution(a.qubits());
+            let pb = distribution(b.qubits());
             let union: Vec<usize> = a.qubits().iter().chain(b.qubits()).copied().collect();
-            let joint = backend.outcome_distribution(&union);
+            let joint = distribution(&union);
             // `a.width() ≤ 63` here: registers are non-empty, and the
             // joint distribution above already enforced the ≤ 64-qubit
             // packing limit, so the shift cannot overflow.

@@ -57,6 +57,7 @@ pub mod sweep;
 pub mod trajectory;
 
 mod error;
+mod layout;
 
 pub use checker::{check_breakpoint_with, exact_verdict_on, IndependenceMethod};
 pub use debugger::{DebugReport, Debugger};

@@ -33,10 +33,16 @@
 //! and Pauli-noisy sessions alike (an ideal session is the tree with
 //! no fault patterns) — and one per-prefix arm, plus one report
 //! builder. Every draw goes through the backend's one sampling
-//! primitive, [`SimBackend::sample_each`] (a dense ideal draw through
-//! the scan behind it, [`State::sample_uniforms`]); the dense
-//! statevector differs from the other backends only in which qubits it
-//! reads out and how its ideal draw seeds its RNG (see `EnsembleHook`).
+//! primitive, [`SimBackend::sample_each`] (a dense draw through the
+//! scan behind it, [`State::sample_uniforms`]); the dense statevector
+//! differs from the other backends only in which qubits it reads out,
+//! how its ideal draw seeds its RNG (see `EnsembleHook`), and in
+//! simulating, for a report, only the qubits the plan touches: a
+//! [`check_program`](EnsembleRunner::check_program) session on it runs
+//! the plan's relabeled copy
+//! ([`CompiledCircuit::relabeled`]) and maps outcomes and exact
+//! distributions back onto the program's register, bit for bit (see
+//! `layout.rs`).
 //!
 //! All hot loops are embarrassingly parallel; rayon drives exactly
 //! one of them at a time (never nested). Noiseless per-prefix sessions
@@ -64,10 +70,11 @@ use qdb_sim::measure::extract_bits;
 use qdb_sim::{NoiseModel, SimBackend, SparseState, StabilizerState, State};
 
 use crate::checker::{
-    breakpoint_qubits, check_packed, exact_verdict_on, register_mask, IndependenceMethod,
+    breakpoint_qubits, check_packed, exact_verdict_of, register_mask, IndependenceMethod,
 };
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause, RunBudget};
+use crate::layout::Layout;
 use crate::report::{AssertionReport, PartialReport, Verdict};
 use crate::trajectory::NoisySessionStats;
 
@@ -451,8 +458,9 @@ impl EnsembleConfig {
 pub struct MeasuredEnsemble {
     /// Full-register outcomes, one per shot.
     pub outcomes: Vec<u64>,
-    /// The *ideal* (noiseless) simulated state at the breakpoint; the
-    /// basis of the exact cross-check even when noise is enabled.
+    /// The *ideal* (noiseless) simulated state at the breakpoint, over
+    /// the program's whole register; the basis of the exact
+    /// cross-check even when noise is enabled.
     pub state: State,
 }
 
@@ -526,7 +534,7 @@ impl EnsembleRunner {
         let plan = self.plan_for_program(program);
         self.prefix_step::<State, _>(
             program,
-            &plan,
+            &Layout::identity(&plan),
             index,
             &governor,
             self.config.parallel,
@@ -549,8 +557,14 @@ impl EnsembleRunner {
         self.config.validate()?;
         let governor = Governor::new(&self.config.budget);
         let plan = self.plan_for_program(program);
-        let (ensembles, interrupted) =
-            self.run_session::<State, _>(program, &plan, &governor, 0, None, measured_ensemble)?;
+        let (ensembles, interrupted) = self.run_session::<State, _>(
+            program,
+            &Layout::identity(&plan),
+            &governor,
+            0,
+            None,
+            measured_ensemble,
+        )?;
         match interrupted {
             None => Ok(ensembles),
             Some(cause) => Err(governor::interrupted(program, Vec::new(), cause)),
@@ -683,7 +697,10 @@ impl EnsembleRunner {
     /// resolves to, through the one engine every backend shares: the
     /// stabilizer tableau scales Clifford programs to hundreds of
     /// qubits, and the sparse map structured programs past the dense
-    /// ceiling.
+    /// ceiling. On the dense statevector the session simulates only the
+    /// qubits some gate touches
+    /// ([`CompiledCircuit::active_qubits`](qdb_circuit::CompiledCircuit::active_qubits)),
+    /// with the reports a full-width simulation gives, bit for bit.
     ///
     /// # Errors
     ///
@@ -896,30 +913,36 @@ impl EnsembleRunner {
         // the breakpoint and the shot.
         let start = resume.map_or(0, PartialReport::resume_position);
         let (engine, plan) = self.resolve_backend(program)?;
+        // A dense session simulates only the qubits the plan touches;
+        // the tableau and the support map keep the program's width.
+        let layout = match engine {
+            ResolvedBackend::Statevector => Layout::compacted(&plan),
+            ResolvedBackend::Stabilizer | ResolvedBackend::Sparse => Layout::identity(&plan),
+        };
         let (tail, interrupted) = match engine {
             ResolvedBackend::Statevector => self.run_session::<State, _>(
                 program,
-                &plan,
+                &layout,
                 governor,
                 start,
                 stats,
-                |i, bp, o, s| self.report(i, bp, o, s),
+                |i, bp, o, s| self.report(i, bp, o, s, &layout),
             ),
             ResolvedBackend::Stabilizer => self.run_session::<StabilizerState, _>(
                 program,
-                &plan,
+                &layout,
                 governor,
                 start,
                 stats,
-                |i, bp, o, s| self.report(i, bp, o, s),
+                |i, bp, o, s| self.report(i, bp, o, s, &layout),
             ),
             ResolvedBackend::Sparse => self.run_session::<SparseState, _>(
                 program,
-                &plan,
+                &layout,
                 governor,
                 start,
                 stats,
-                |i, bp, o, s| self.report(i, bp, o, s),
+                |i, bp, o, s| self.report(i, bp, o, s, &layout),
             ),
         }?;
         let mut completed: Vec<AssertionReport> =
@@ -929,7 +952,8 @@ impl EnsembleRunner {
     }
 
     /// The session engine: run every breakpoint from `start` on
-    /// backend `B` and hand each one's ensemble to `visit`, in order.
+    /// backend `B`, which runs `layout`'s plan, and hand each one's
+    /// ensemble to `visit`, in order.
     ///
     /// Written against [`SimBackend`] alone, so every backend takes the
     /// same path, one arm per strategy:
@@ -949,22 +973,23 @@ impl EnsembleRunner {
     ///   checkpoint state; classical readout corruption flips the
     ///   measured bits;
     /// * `visit` receives each breakpoint's outcomes packed over
-    ///   [`EnsembleHook::measured_qubits`] and the *ideal* backend
-    ///   state, the basis of the exact cross-check.
+    ///   [`EnsembleHook::measured_qubits`] (qubits of the program's
+    ///   register, which `layout` maps the state onto) and the *ideal*
+    ///   backend state, the basis of the exact cross-check.
     ///
     /// Returns the visits of breakpoints `start..` completed before a
     /// trip (a strict prefix), plus the cause.
     fn run_session<B: EnsembleHook, T: Send>(
         &self,
         program: &Program,
-        plan: &CompiledCircuit,
+        layout: &Layout<'_>,
         governor: &Governor,
         start: usize,
         stats: Option<&mut NoisySessionStats>,
         visit: impl Fn(usize, &Breakpoint, Vec<u64>, &B) -> Result<T, CoreError> + Sync,
     ) -> Result<(Vec<T>, Option<InterruptCause>), CoreError> {
         let config = &self.config;
-        let n = program.circuit().num_qubits();
+        let n = layout.width();
         let measured = |bp: &Breakpoint| B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
         // Outcomes pack into a u64; surface a typed error up front
         // rather than the samplers' packing-limit panic.
@@ -989,7 +1014,7 @@ impl EnsembleRunner {
                 &crate::trajectory::TreeSession {
                     config,
                     program,
-                    plan,
+                    layout,
                     noise: config.noise.as_ref(),
                     resume_from: start,
                 },
@@ -1005,7 +1030,7 @@ impl EnsembleRunner {
                 let fan_out = config.parallel && config.noise.is_none();
                 let step = |index: usize| {
                     let parallel_shots = config.parallel && !fan_out;
-                    self.prefix_step(program, plan, index, governor, parallel_shots, &visit)
+                    self.prefix_step(program, layout, index, governor, parallel_shots, &visit)
                 };
                 let count = program.breakpoints().len();
                 if fan_out {
@@ -1029,7 +1054,7 @@ impl EnsembleRunner {
     fn prefix_step<B: EnsembleHook, T>(
         &self,
         program: &Program,
-        plan: &CompiledCircuit,
+        layout: &Layout<'_>,
         index: usize,
         governor: &Governor,
         parallel_shots: bool,
@@ -1043,20 +1068,20 @@ impl EnsembleRunner {
                 if let Some(cause) = governor.injected_fork_fault() {
                     return Err(governor::trip_error(cause));
                 }
-                let n = program.circuit().num_qubits();
-                let mut ideal = governor.zero_state::<B>(n)?;
+                let plan = layout.plan();
+                let mut ideal = governor.zero_state::<B>(plan.num_qubits())?;
                 governor
                     .advance(plan, &mut ideal, 0..bp.position, &[])
                     .map_err(governor::trip_error)?;
-                let qubits = B::measured_qubits(n, &breakpoint_qubits(&bp.kind));
+                let qubits = B::measured_qubits(layout.width(), &breakpoint_qubits(&bp.kind));
                 let outcomes = match &self.config.noise {
-                    None => ideal.draw_ideal(&self.config, index, &qubits, governor)?,
+                    None => ideal.draw_ideal(&self.config, index, &qubits, layout, governor)?,
                     Some(noise) => fan_out_shots(parallel_shots, self.config.shots, |shot| {
                         governor.contain(|| {
                             if let Some(cause) = governor.injected_fork_fault() {
                                 return Err(governor::trip_error(cause));
                             }
-                            let mut trajectory = governor.zero_state::<B>(n)?;
+                            let mut trajectory = governor.zero_state::<B>(plan.num_qubits())?;
                             governor.poll(&trajectory).map_err(governor::trip_error)?;
                             let mut rng = StdRng::seed_from_u64(shot_seed(
                                 self.config.seed,
@@ -1072,7 +1097,7 @@ impl EnsembleRunner {
                                     &mut rng,
                                 )
                                 .map_err(governor::trip_error)?;
-                            let raw = trajectory.sample_once(&qubits, &mut rng);
+                            let raw = trajectory.draw_each(layout, &qubits, [&mut rng])[0];
                             Ok(noise.corrupt_readout(raw, qubits.len(), &mut rng))
                         })
                     })?,
@@ -1085,16 +1110,18 @@ impl EnsembleRunner {
     /// The one report builder: project a breakpoint's outcomes (packed
     /// over [`EnsembleHook::measured_qubits`]) onto the asserted
     /// qubits, run the statistical test, and attach the exact verdict
-    /// from the ideal state and the first register's histogram.
+    /// from the ideal state, mapped onto the program's register by
+    /// `layout`, and the first register's histogram.
     fn report<B: EnsembleHook>(
         &self,
         index: usize,
         bp: &Breakpoint,
         outcomes: Vec<u64>,
         ideal: &B,
+        layout: &Layout<'_>,
     ) -> Result<AssertionReport, CoreError> {
         let asserted = breakpoint_qubits(&bp.kind);
-        let measured = B::measured_qubits(ideal.num_qubits(), &asserted);
+        let measured = B::measured_qubits(layout.width(), &asserted);
         let outcomes = if measured == asserted {
             outcomes
         } else {
@@ -1118,10 +1145,11 @@ impl EnsembleRunner {
             self.config.alpha,
             self.config.independence,
         )?;
-        let exact = self
-            .config
-            .exact_cross_check
-            .then(|| exact_verdict_on(&bp.kind, ideal, self.config.exact_tol));
+        let exact = self.config.exact_cross_check.then(|| {
+            exact_verdict_of(&bp.kind, self.config.exact_tol, |qubits| {
+                layout.outcome_distribution(ideal, qubits)
+            })
+        });
         let histogram = match &bp.kind {
             BreakpointKind::Classical { .. } | BreakpointKind::Superposition { .. } => {
                 outcomes.iter().copied().collect()
@@ -1172,28 +1200,46 @@ enum ResolvedBackend {
 /// backends take the defaults; the dense impl keeps the two conventions
 /// every pre-backend seed in this repository was chosen against: shots
 /// read out the full register, and an ideal breakpoint draws all its
-/// shots from one stream.
+/// shots from one stream. It is also the one backend whose state a
+/// [`Layout`] compacts, so its draws map through the layout.
 pub(crate) trait EnsembleHook: SimBackend {
     /// The qubits each shot of a breakpoint's ensemble reads out,
-    /// packed LSB-first, given the session width and the qubits the
-    /// assertion reads (which the report builder projects onto).
-    /// Default: the asserted qubits alone, so readout error flips only
-    /// them.
+    /// packed LSB-first, given the width of the program's register and
+    /// the qubits the assertion reads (which the report builder projects
+    /// onto). Default: the asserted qubits alone, so readout error flips
+    /// only them.
     fn measured_qubits(num_qubits: usize, asserted: &[usize]) -> Vec<usize> {
         let _ = num_qubits;
         asserted.to_vec()
     }
 
+    /// Draw one outcome of `qubits`, qubits of the program's register,
+    /// per RNG of `rngs`, in order, packed LSB-first: every draw the
+    /// engine makes from a state goes through here, with the `layout`
+    /// that maps the state onto the register. Default:
+    /// [`SimBackend::sample_each`], on a state the layout never
+    /// compacts.
+    fn draw_each<'r>(
+        &self,
+        layout: &Layout<'_>,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut StdRng>,
+    ) -> Vec<u64> {
+        debug_assert!(layout.is_identity(), "only dense states are compacted");
+        self.sample_each(qubits, rngs)
+    }
+
     /// Draw breakpoint `index`'s ideal ensemble of packed outcomes of
     /// `qubits` from `self`. Default: shot `s` owns the RNG stream
     /// `shot_seed(seed, index, s)`, and the shots are drawn in order
-    /// through [`SimBackend::sample_each`], polling the governor before
-    /// each.
+    /// through [`draw_each`](EnsembleHook::draw_each), polling the
+    /// governor before each.
     fn draw_ideal(
         &self,
         config: &EnsembleConfig,
         index: usize,
         qubits: &[usize],
+        layout: &Layout<'_>,
         governor: &Governor,
     ) -> Result<Vec<u64>, CoreError> {
         let mut rngs: Vec<StdRng> = (0..config.shots)
@@ -1208,7 +1254,7 @@ pub(crate) trait EnsembleHook: SimBackend {
             }
         });
         let outcomes = governor
-            .contain(|| self.sample_each(qubits, polled))
+            .contain(|| self.draw_each(layout, qubits, polled))
             .map_err(governor::trip_error)?;
         trip.map_or(Ok(outcomes), |cause| Err(governor::trip_error(cause)))
     }
@@ -1225,9 +1271,26 @@ impl EnsembleHook for State {
         (0..num_qubits.max(1)).collect()
     }
 
+    /// One uniform per RNG, all mapped to full-register outcomes by one
+    /// scan of the amplitudes ([`Layout::sample_uniforms`] over
+    /// [`State::sample_uniforms`]), then packed over `qubits`.
+    fn draw_each<'r>(
+        &self,
+        layout: &Layout<'_>,
+        qubits: &[usize],
+        rngs: impl IntoIterator<Item = &'r mut StdRng>,
+    ) -> Vec<u64> {
+        let uniforms: Vec<f64> = rngs.into_iter().map(|rng| rng.gen()).collect();
+        layout
+            .sample_uniforms(self, &uniforms)
+            .into_iter()
+            .map(|outcome| extract_bits(outcome, qubits))
+            .collect()
+    }
+
     /// One `StdRng` seeded `seed + index` per breakpoint draws the
     /// `shots` uniforms in sequence, and one scan of the amplitudes maps
-    /// them to full-register outcomes ([`State::sample_uniforms`]). The
+    /// them to full-register outcomes ([`Layout::sample_uniforms`]). The
     /// governor is polled once, against the sampled state, before the
     /// draw.
     fn draw_ideal(
@@ -1235,12 +1298,13 @@ impl EnsembleHook for State {
         config: &EnsembleConfig,
         index: usize,
         _qubits: &[usize],
+        layout: &Layout<'_>,
         governor: &Governor,
     ) -> Result<Vec<u64>, CoreError> {
         governor.poll(self).map_err(governor::trip_error)?;
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(index as u64));
         let uniforms: Vec<f64> = (0..config.shots).map(|_| rng.gen()).collect();
-        Ok(self.sample_uniforms(&uniforms))
+        Ok(layout.sample_uniforms(self, &uniforms))
     }
 }
 

@@ -55,7 +55,7 @@
 //! [`EnsembleRunner::run_breakpoint`]: crate::runner::EnsembleRunner::run_breakpoint
 //! [`ExecutionStrategy::PerPrefix`]: crate::runner::ExecutionStrategy::PerPrefix
 
-use qdb_circuit::{Breakpoint, CompiledCircuit, GateSink, Program};
+use qdb_circuit::{Breakpoint, CompiledCircuit, Program};
 use qdb_sim::{NoiseModel, SimBackend};
 
 use crate::error::CoreError;
@@ -71,12 +71,13 @@ pub(crate) enum Stop {
     Breakpoint(usize),
 }
 
-/// The Sweep frontier walk: evolve `B`'s `|0…0⟩` state through `plan`
-/// once, pausing at every fork position in `forks` (sorted ascending)
-/// and at every breakpoint, and call `stop` with the pause and the live
-/// frontier. A fork at a breakpoint's position pauses before that
-/// breakpoint. The frontier advances through [`Governor::advance`], and
-/// each advance plus its `stop` call is panic-contained.
+/// The Sweep frontier walk: evolve `B`'s `|0…0⟩` state on `plan`'s
+/// qubits through `plan` once, pausing at every fork position in
+/// `forks` (sorted ascending) and at every breakpoint, and call `stop`
+/// with the pause and the live frontier. A fork at a breakpoint's
+/// position pauses before that breakpoint. The frontier advances
+/// through [`Governor::advance`], and each advance plus its `stop` call
+/// is panic-contained.
 ///
 /// Returns the `Some` items `stop` produced before the first trip (a
 /// strict prefix, bit-identical to the uninterrupted walk's) together
@@ -102,9 +103,10 @@ pub(crate) fn walk<B: SimBackend, T>(
         Ok(None) => {}
         Ok(Some(cause)) | Err(cause) => return Ok((Vec::new(), Some(cause))),
     }
-    // Matches the per-prefix path's start state (and its error for
-    // zero-qubit programs); an allocator refusal becomes a trip.
-    let mut frontier = match governor.zero_state::<B>(program.circuit().num_qubits()) {
+    // Matches the per-prefix path's start state, as wide as the plan
+    // (and its error for zero-qubit programs); an allocator refusal
+    // becomes a trip.
+    let mut frontier = match governor.zero_state::<B>(plan.num_qubits()) {
         Ok(state) => state,
         Err(CoreError::Interrupted { cause, .. }) => return Ok((Vec::new(), Some(cause))),
         Err(e) => return Err(e),
@@ -167,12 +169,14 @@ impl SweepRunner {
         Self { config }
     }
 
-    /// The backend-generic sweep: evolve `B`'s `|0…0⟩` state through
-    /// `plan` once, invoking `visit` with the live (borrowed) backend
-    /// state at each breakpoint — the same `O(G)` gate-application
-    /// bound on every backend. The caller supplies the plan (compile
-    /// via [`Program::compile`]); [`EnsembleConfig::noise`] is ignored —
-    /// the walk is always the *ideal* evolution.
+    /// The backend-generic sweep: evolve `B`'s `|0…0⟩` state on
+    /// `plan`'s qubits (for a plan from [`Program::compile`], the
+    /// program's whole register) through `plan` once, invoking `visit`
+    /// with the live (borrowed) backend state at each breakpoint — the
+    /// same `O(G)` gate-application bound on every backend. The caller
+    /// supplies the plan (compile via [`Program::compile`]);
+    /// [`EnsembleConfig::noise`] is ignored — the walk is always the
+    /// *ideal* evolution.
     ///
     /// # Errors
     ///
@@ -244,7 +248,7 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use crate::RunBudget;
-    use qdb_circuit::OptLevel;
+    use qdb_circuit::{GateSink, OptLevel};
     use qdb_sim::State;
 
     /// prep 5 → assert classical → H layer → assert superposition →

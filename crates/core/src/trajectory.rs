@@ -85,11 +85,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
-use qdb_circuit::{Breakpoint, CompiledCircuit, FaultEvent, Program};
+use qdb_circuit::{Breakpoint, FaultEvent, Program};
 use qdb_sim::NoiseModel;
 
 use crate::error::CoreError;
 use crate::governor::{self, Governor, InterruptCause};
+use crate::layout::Layout;
 use crate::runner::{shot_seed, EnsembleConfig, EnsembleHook};
 use crate::sweep::{self, Stop};
 
@@ -190,8 +191,9 @@ struct WaveSlot<B> {
 const WAVE_CAP: usize = 32;
 
 /// Everything a tree session reads: the session configuration, the
-/// program and its compiled plan, and the noise model (`None` for an
-/// ideal session; `config.noise` is ignored in its favor).
+/// program, the layout (the plan the backend runs and how its state
+/// maps onto the program's register), and the noise model (`None` for
+/// an ideal session; `config.noise` is ignored in its favor).
 ///
 /// `resume_from` skips the first breakpoints entirely — no presample,
 /// no forks, no serving, no visit — so a checkpoint-resumed session
@@ -205,7 +207,7 @@ const WAVE_CAP: usize = 32;
 pub(crate) struct TreeSession<'a> {
     pub config: &'a EnsembleConfig,
     pub program: &'a Program,
-    pub plan: &'a CompiledCircuit,
+    pub layout: &'a Layout<'a>,
     pub noise: Option<&'a NoiseModel>,
     pub resume_from: usize,
 }
@@ -240,10 +242,11 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
     let TreeSession {
         config,
         program,
-        plan,
+        layout,
         noise,
         resume_from,
     } = *session;
+    let plan = layout.plan();
     let breakpoints = program.breakpoints();
     let shots = config.shots;
 
@@ -422,6 +425,7 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                         let group = &groups[slot.bp][slot.group];
                         serve_group(
                             &state,
+                            layout,
                             group,
                             &qubits_for[slot.bp],
                             noise,
@@ -444,13 +448,14 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
                 return Ok(None);
             };
             let ensemble = match noise {
-                None => frontier.draw_ideal(config, index, &qubits_for[index], governor)?,
+                None => frontier.draw_ideal(config, index, &qubits_for[index], layout, governor)?,
                 Some(noise) => {
                     // The frontier *is* the fault-free trajectory's final
                     // state — and the ideal state for the exact cross-check.
                     if let Some(fault_free) = groups[index].iter().find(|g| g.pattern.is_empty()) {
                         serve_group(
                             frontier,
+                            layout,
                             fault_free,
                             &qubits_for[index],
                             noise,
@@ -508,16 +513,16 @@ pub(crate) fn run_tree<B: EnsembleHook, T>(
 /// own presample-positioned RNG stream, exactly as the reference path
 /// would have from its freshly replayed trajectory.
 ///
-/// The group's measurements are drawn together through the backend's
-/// one sampling primitive ([`SimBackend::sample_each`]: one scan of the
-/// amplitudes on the dense statevector, one outcome trie on the tableau
-/// and the support map), which gives each shot the outcome that
-/// drawing it alone gives and leaves its stream where that draw leaves
-/// it; each stream then draws its readout corruption.
-///
-/// [`SimBackend::sample_each`]: qdb_sim::SimBackend::sample_each
+/// The group's measurements are drawn together
+/// ([`EnsembleHook::draw_each`]: one scan of the amplitudes on the dense
+/// statevector, its outcomes deposited into the program's register by
+/// `layout`; one outcome trie on the tableau and the support map),
+/// which gives each shot the outcome that drawing it alone gives and
+/// leaves its stream where that draw leaves it; each stream then draws
+/// its readout corruption over the measured qubits of the register.
 fn serve_group<B: EnsembleHook>(
     state: &B,
+    layout: &Layout<'_>,
     group: &Group,
     qubits: &[usize],
     noise: &NoiseModel,
@@ -533,7 +538,7 @@ fn serve_group<B: EnsembleHook>(
         passed = shot + 1;
         rng
     });
-    let raw = state.sample_each(qubits, group_rngs);
+    let raw = state.draw_each(layout, qubits, group_rngs);
     for (&shot, raw) in group.shots.iter().zip(raw) {
         outcomes[shot] = noise.corrupt_readout(raw, qubits.len(), &mut rngs[shot]);
     }

@@ -148,7 +148,8 @@ fn random_clifford_program(n: usize, gates: usize, seed: u64) -> Program {
 
 /// The noise grid both proptests sweep: gate-only, readout-only, both,
 /// and near-noiseless (where deduplication collapses almost everything
-/// into the fault-free group and the shared-CDF serving path runs).
+/// into the fault-free group, which the frontier serves with one
+/// `sample_each` scan).
 fn noise_level(which: u8) -> NoiseModel {
     match which % 5 {
         0 => NoiseModel::depolarizing(0.02),

@@ -371,15 +371,16 @@ fn deadline_trips_retry_with_deterministic_backoff_then_fail_typed() {
 #[test]
 fn memory_pressure_walks_degradation_ladder_to_sparse_and_completes() {
     // A 14-qubit non-Clifford program whose live support stays at one
-    // basis state: the dense engine needs a 256 KiB statevector, the
-    // sparse engine a handful of amplitudes. A memory policy between
-    // the two forces the ladder to the sparse rung.
+    // basis state: it flips every qubit, so the dense engine simulates
+    // all 14 and needs a 256 KiB statevector, the sparse engine a
+    // handful of amplitudes. A memory policy between the two forces the
+    // ladder to the sparse rung.
     let mut program = Program::new();
     let q = program.alloc_register("q", 14);
-    program.prep_int(&q, 21);
+    program.prep_int(&q, (1 << 14) - 1);
     program.t(q.bit(0));
     let probe = QReg::new("probe", vec![q.bit(0), q.bit(1), q.bit(2)]);
-    program.assert_classical(&probe, 5);
+    program.assert_classical(&probe, 7);
 
     let server = Server::start(
         ServerConfig::default()

@@ -20,14 +20,23 @@
 //!
 //! Every session is pinned under both execution strategies and both
 //! settings of `parallel`, which must all produce the same bits.
+//!
+//! Two more programs leave qubits no gate touches, which a dense session
+//! does not simulate: `qdb demo grover` (idle qubits at the top of the
+//! register) and the §4.2 bug demonstration (idle qubits at the bottom,
+//! so every simulated qubit is relabeled). Their rows, pinned with the
+//! exact verdicts, cover the ideal, Pauli-tree and Kraus routes and a
+//! resume from a one-breakpoint checkpoint.
 
 use qdb::algos::clifford::ghz_program;
+use qdb::algos::grover::{grover_program, optimal_iterations};
 use qdb::algos::shor::{shor_program, ShorConfig};
 use qdb::algos::sparse::shor_style_period_program;
-use qdb::algos::ControlRouting;
+use qdb::algos::{BugType, ControlRouting, Gf2m, GroverStyle};
 use qdb::circuit::{GateSink, Program, QReg};
 use qdb::core::{
     AssertionReport, BackendChoice, EnsembleConfig, EnsembleRunner, ExecutionStrategy,
+    PartialReport, Verdict,
 };
 use qdb::sim::{NoiseChannel, NoiseModel, ReadoutError};
 
@@ -277,5 +286,164 @@ fn stabilizer_ideal_ghz_at_paper_small_is_pinned() {
             "stat=0x402863967a6bb6fc p=0x3f3f69644b27c763 Pass total=16 distinct=2 mode=Some(1)",
             "stat=0x7ff8000000000000 p=0x3ff0000000000000 Pass total=16 distinct=1 mode=Some(0)",
         ],
+    );
+}
+
+/// `qdb demo grover`: Grover over GF(2³) in the Scoped style. No gate
+/// touches its `anc` register, qubits 6–7 of 8.
+fn grover_scoped_demo() -> Program {
+    grover_program(
+        &Gf2m::standard(3),
+        5,
+        GroverStyle::Scoped,
+        optimal_iterations(8),
+    )
+    .0
+}
+
+/// The §4.2 bug demonstration: no gate touches qubits 0–1 of 7.
+fn incorrect_operations_demo() -> Program {
+    BugType::IncorrectOperations.demonstration().0
+}
+
+/// [`assert_pinned`], plus each run's exact verdicts, and a resume
+/// from the checkpoint of a session interrupted after its first
+/// breakpoint, which must give the same rows and verdicts.
+fn assert_pinned_with_exact(
+    what: &str,
+    program: &Program,
+    config: &EnsembleConfig,
+    expected: &[&str],
+    exact: &[Option<Verdict>],
+) {
+    assert_pinned(what, program, config, expected);
+    let runner = EnsembleRunner::new(config.clone());
+    let full = runner.check_program(program).unwrap();
+    let verdicts: Vec<Option<Verdict>> = full.iter().map(|r| r.exact).collect();
+    assert_eq!(verdicts, exact, "{what}: exact verdicts");
+    let mut reports = full[..1].to_vec();
+    for (index, bp) in program.breakpoints().iter().enumerate().skip(1) {
+        reports.push(AssertionReport::unevaluated(index, bp));
+    }
+    let checkpoint = PartialReport {
+        reports,
+        completed: 1,
+    };
+    let resumed = runner.resume_program(program, &checkpoint).unwrap();
+    assert_eq!(pin_rows(&resumed), expected, "{what}: resumed");
+    let verdicts: Vec<Option<Verdict>> = resumed.iter().map(|r| r.exact).collect();
+    assert_eq!(verdicts, exact, "{what}: resumed exact verdicts");
+}
+
+/// Amplitude damping plus readout error: the Kraus per-shot route.
+fn damping_with_readout() -> NoiseModel {
+    NoiseModel {
+        gate_noise: Some(NoiseChannel::amplitude_damping(0.01).unwrap()),
+        readout: ReadoutError::default(),
+    }
+    .with_readout_flip(0.02)
+}
+
+#[test]
+fn dense_ideal_grover_with_idle_qubits_is_pinned() {
+    assert_pinned_with_exact(
+        "grover scoped",
+        &grover_scoped_demo(),
+        &EnsembleConfig::default(),
+        &[
+            "stat=0x4012e00000000000 p=0x3fe63738aee25050 Pass total=1024 distinct=8 mode=Some(6)",
+            "stat=0x7ff8000000000000 p=0x3ff0000000000000 Pass total=1024 distinct=8 mode=Some(3)",
+            "stat=0x7ff8000000000000 p=0x3ff0000000000000 Pass total=1024 distinct=8 mode=Some(3)",
+            "stat=0x3f50c6f8ba2f9813 p=0x3fef2edffbd58cec Pass total=1024 distinct=1 mode=Some(0)",
+        ],
+        &[Some(Verdict::Pass); 4],
+    );
+}
+
+#[test]
+fn dense_pauli_tree_grover_with_idle_qubits_is_pinned() {
+    let config = EnsembleConfig::default()
+        .with_shots(256)
+        .with_noise(NoiseModel::depolarizing(1e-3).with_readout_flip(1e-2));
+    assert_pinned_with_exact(
+        "grover scoped pauli",
+        &grover_scoped_demo(),
+        &config,
+        &[
+            "stat=0x4016c00000000000 p=0x3fe2741e4e1ed700 Pass total=256 distinct=8 mode=Some(4)",
+            "stat=0x4063ae98d05edbf6 p=0x3b541837dfd358ba Fail total=256 distinct=8 mode=Some(3)",
+            "stat=0x3fe4d9038dd2a5b1 p=0x3fefffffe0ce0b42 Pass total=256 distinct=8 mode=Some(3)",
+            "stat=0x4117d735903df7ec p=0x0000000000000000 Fail total=256 distinct=3 mode=Some(0)",
+        ],
+        &[Some(Verdict::Pass); 4],
+    );
+}
+
+#[test]
+fn dense_kraus_grover_with_idle_qubits_is_pinned() {
+    let config = EnsembleConfig::default()
+        .with_shots(200)
+        .with_seed(41)
+        .with_noise(damping_with_readout());
+    assert_pinned_with_exact(
+        "grover scoped kraus",
+        &grover_scoped_demo(),
+        &config,
+        &[
+            "stat=0x400f5c28f5c28f5c p=0x3fe93f0857f2f75c Pass total=200 distinct=8 mode=Some(6)",
+            "stat=0x40522d373d79626e p=0x3f28b9cc0172f3af Fail total=200 distinct=8 mode=Some(3)",
+            "stat=0x400a89ed4e659b29 p=0x3feff29b5e7f34a0 Pass total=200 distinct=8 mode=Some(3)",
+            "stat=0x4158b80f9eba85f9 p=0x0000000000000000 Fail total=200 distinct=5 mode=Some(0)",
+        ],
+        &[Some(Verdict::Pass); 4],
+    );
+}
+
+#[test]
+fn dense_ideal_bug_demo_with_idle_low_qubits_is_pinned() {
+    assert_pinned_with_exact(
+        "incorrect operations",
+        &incorrect_operations_demo(),
+        &EnsembleConfig::default(),
+        &[
+            "stat=0x3f50c6f8ba2f9813 p=0x3fef2edffbd58cec Pass total=1024 distinct=1 mode=Some(12)",
+            "stat=0x41ce847e00000000 p=0x0000000000000000 Fail total=1024 distinct=1 mode=Some(31)",
+        ],
+        &[Some(Verdict::Pass), Some(Verdict::Fail)],
+    );
+}
+
+#[test]
+fn dense_pauli_tree_bug_demo_with_idle_low_qubits_is_pinned() {
+    let config = EnsembleConfig::default()
+        .with_shots(256)
+        .with_noise(NoiseModel::depolarizing(1e-3).with_readout_flip(1e-2));
+    assert_pinned_with_exact(
+        "incorrect operations pauli",
+        &incorrect_operations_demo(),
+        &config,
+        &[
+            "stat=0x41212a59201e7b82 p=0x0000000000000000 Fail total=256 distinct=6 mode=Some(12)",
+            "stat=0x41ae847e00000000 p=0x0000000000000000 Fail total=256 distinct=8 mode=Some(31)",
+        ],
+        &[Some(Verdict::Pass), Some(Verdict::Fail)],
+    );
+}
+
+#[test]
+fn dense_kraus_bug_demo_with_idle_low_qubits_is_pinned() {
+    let config = EnsembleConfig::default()
+        .with_shots(200)
+        .with_seed(43)
+        .with_noise(damping_with_readout());
+    assert_pinned_with_exact(
+        "incorrect operations kraus",
+        &incorrect_operations_demo(),
+        &config,
+        &[
+            "stat=0x4147d76c90050483 p=0x0000000000000000 Fail total=200 distinct=8 mode=Some(12)",
+            "stat=0x41a75e0cb00a3d71 p=0x0000000000000000 Fail total=200 distinct=17 mode=Some(31)",
+        ],
+        &[Some(Verdict::Pass), Some(Verdict::Fail)],
     );
 }
